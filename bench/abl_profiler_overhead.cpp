@@ -49,28 +49,36 @@ void BM_InterpPlain(benchmark::State& state) {
     benchmark::DoNotOptimize(r.return_value);
   }
   state.counters["dyn_instrs"] = static_cast<double>(steps);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
 }
 BENCHMARK(BM_InterpPlain);
 
 void BM_InterpWithDepRecorder(benchmark::State& state) {
   const auto& m = matmul_module();
   const auto args = matmul_args();
+  std::uint64_t steps = 0;
   for (auto _ : state) {
     profiler::ObjectTable objects;
     profiler::DepRecorder rec(objects);
     const auto r = profiler::run(m, "kernel", args, rec, objects);
+    steps = r.steps;
     benchmark::DoNotOptimize(r.steps);
   }
+  // items_per_s = dynamic instructions recorded per second.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
 }
 BENCHMARK(BM_InterpWithDepRecorder);
 
 void BM_FullProfilePipeline(benchmark::State& state) {
   const auto& m = matmul_module();
   const auto args = matmul_args();
+  std::uint64_t steps = 0;
   for (auto _ : state) {
     const auto prof = profiler::profile(m, "kernel", args);
+    steps = prof.run.steps;
     benchmark::DoNotOptimize(prof.loops.size());
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
 }
 BENCHMARK(BM_FullProfilePipeline);
 

@@ -83,20 +83,14 @@ void Cache::scan_disk() {
 std::optional<std::string> Cache::get(const Key& key) {
   // hit: 0 = miss, 1 = memory tier, 2 = disk tier (promoted).
   obs::ScopedSpan span("cache.get");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end() && it->second->type == nullptr) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      std::string bytes = it->second->bytes;
-      {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.hits;
-      }
-      counters().hits.add(1);
-      span.arg("hit", 1);
-      return bytes;
+  if (auto bytes = find_memory(key)) {
+    {
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      ++stats_.hits;
     }
+    counters().hits.add(1);
+    span.arg("hit", 1);
+    return bytes;
   }
   if (!cfg_.dir.empty()) {
     if (auto bytes = read_disk(key)) {
@@ -125,6 +119,14 @@ std::optional<std::string> Cache::get(const Key& key) {
   counters().misses.add(1);
   span.arg("hit", 0);
   return std::nullopt;
+}
+
+std::optional<std::string> Cache::find_memory(const Key& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end() || it->second->type != nullptr) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->bytes;
 }
 
 void Cache::put(const Key& key, std::string_view bytes) {
@@ -164,8 +166,15 @@ std::string Cache::get_or_compute(
   std::string bytes;
   std::exception_ptr error;
   try {
-    bytes = compute();
-    put(key, bytes);
+    // A caller that missed just before the previous owner's put() can take
+    // a fresh flight slot after that owner retired it; the value is then
+    // already in memory. Re-check without counting a second miss.
+    if (auto cached = find_memory(key)) {
+      bytes = std::move(*cached);
+    } else {
+      bytes = compute();
+      put(key, bytes);
+    }
   } catch (...) {
     error = std::current_exception();
   }

@@ -129,6 +129,8 @@ class Cache {
   void put_object_erased(const Key& key, std::shared_ptr<const void> value,
                          const std::type_info& type, std::size_t approx_bytes);
 
+  /// Memory-tier blob lookup (refreshes LRU order); touches no stats.
+  [[nodiscard]] std::optional<std::string> find_memory(const Key& key);
   /// Inserts/replaces under mu_; evicts LRU tail past the budget.
   void insert_locked(Entry entry);
   void evict_to_budget_locked();

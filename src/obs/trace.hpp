@@ -11,7 +11,7 @@
 //   // runs. The worker span carries the submitting span as logical parent
 //   // and the exporter emits Chrome flow events ("s"/"f") linking the two.
 //   obs::TraceContext ctx = obs::TraceRecorder::global().current_context();
-//   pool.submit([ctx] { obs::ScopedSpan span("task", ctx); ... });
+//   group.run([ctx] { obs::ScopedSpan span("task", ctx); ... });
 //
 // Design notes:
 //  * Disabled is the steady state. When tracing is off, a span costs one

@@ -53,8 +53,7 @@ obs::Counter& worker_counter(std::size_t worker) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads)
-    : default_group_(std::make_shared<detail::TaskGroupState>()) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -74,12 +73,6 @@ ThreadPool::~ThreadPool() {
     if (w.joinable()) w.join();
   }
 }
-
-void ThreadPool::submit(std::function<void()> task) {
-  submit_to(default_group_, std::move(task));
-}
-
-void ThreadPool::wait() { wait_group(*default_group_); }
 
 void ThreadPool::submit_to(GroupPtr group, std::function<void()> task) {
   PoolMetrics& m = PoolMetrics::get();

@@ -64,18 +64,6 @@ class ThreadPool {
   /// Joins all workers. Pending tasks are drained before destruction.
   ~ThreadPool();
 
-  /// Enqueues a task into the pool's default group. Prefer a `TaskGroup`:
-  /// this legacy entry point shares one error slot and one wait scope among
-  /// every caller that uses it on the same pool.
-  void submit(std::function<void()> task);
-
-  /// Waits for the pool's default group (the tasks enqueued via `submit`).
-  /// If any of them threw, the first captured exception is rethrown here
-  /// (remaining ones are dropped). Calling this from inside a pool task
-  /// that itself belongs to the default group deadlocks — use `TaskGroup`s
-  /// for nested fan-out.
-  void wait();
-
   /// Number of worker threads.
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
@@ -118,7 +106,6 @@ class ThreadPool {
   std::condition_variable cv_task_;   // signalled when work arrives / stopping
   std::condition_variable cv_done_;   // signalled when a task retires
   std::uint64_t next_task_ = 0;       // submission counter for diagnostics
-  GroupPtr default_group_;            // scope of the legacy submit()/wait()
   bool stop_ = false;
 };
 

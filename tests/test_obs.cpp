@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/task_group.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -137,14 +138,15 @@ TEST(ObsMetrics, CounterConcurrentIncrementsFromThreadPool) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("test.concurrent_total");
   par::ThreadPool pool(4);
+  par::TaskGroup group(pool);
   constexpr int kTasks = 64;
   constexpr int kPerTask = 1000;
   for (int t = 0; t < kTasks; ++t) {
-    pool.submit([&c] {
+    group.run([&c] {
       for (int i = 0; i < kPerTask; ++i) c.add(1);
     });
   }
-  pool.wait();
+  group.wait();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kTasks) * kPerTask);
 }
 
@@ -404,9 +406,10 @@ TEST(ObsThreadPool, TaskFailureLogsIndexAndRethrows) {
       });
 
   par::ThreadPool pool(2);
-  pool.submit([] {});  // task 0 is fine
-  pool.submit([] { throw std::runtime_error("boom"); });  // task 1 fails
-  EXPECT_THROW(pool.wait(), std::runtime_error);
+  par::TaskGroup group(pool);
+  group.run([] {});  // task 0 is fine
+  group.run([] { throw std::runtime_error("boom"); });  // task 1 fails
+  EXPECT_THROW(group.wait(), std::runtime_error);
 
   obs::Logger::global().set_sink(nullptr);  // restore default before asserting
   std::lock_guard lock(mu);
@@ -426,8 +429,9 @@ TEST(ObsThreadPool, TaskMetricsAdvance) {
   const std::uint64_t before =
       reg.counter("thread_pool.tasks_executed_total").value();
   par::ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) pool.submit([] {});
-  pool.wait();
+  par::TaskGroup group(pool);
+  for (int i = 0; i < 8; ++i) group.run([] {});
+  group.wait();
   EXPECT_GE(reg.counter("thread_pool.tasks_executed_total").value(),
             before + 8);
   EXPECT_GE(reg.histogram("thread_pool.task_latency_us", {}).count(), 8u);
