@@ -65,8 +65,8 @@ void kernel(float[] A, float[] B) {
 
 void run_profile(benchmark::State& state, bool arm_trap) {
   fault::disarm_all();
-  // Armed far beyond the run's step count: every step pays the compare,
-  // the trap never fires.
+  // Armed far beyond the run's step count: the trap only lowers the
+  // step limit of the per-step fuel compare, and never fires.
   if (arm_trap) fault::arm("interp.trap", 1u << 30);
   const auto& m = stencil_module();
   const std::vector<profiler::ArgInit> args = {

@@ -5,16 +5,17 @@
 // reductions, an indirect-subscript array reduction, a matmul nest) are
 // compiled, profiled, suggested, planned and executed both ways:
 //
-//   sequential: profiler::run_capture — the observed interpreter, the same
-//               engine every profile and every dataset build pays for.
+//   sequential: profiler::run_capture — the micro-op engine that also runs
+//               every profile and every dataset build, unsharded.
 //   parallel:   profiler::run_parallel under the plan from
-//               transform::plan_parallel — the lean unobserved engine with
-//               the planned loops sharded across par::TaskGroup.
+//               transform::plan_parallel — the same engine with the planned
+//               loops sharded across par::TaskGroup.
 //
-// Per kernel the best-of-reps wall times give `<kernel>_speedup`, and the
-// output comparison (final array-argument memory + return value, the
-// run_equivalence contract) gives `<kernel>_equal`. Acceptance: every
-// kernel equal, and at least one kernel >= --min-speedup (default 1.5x).
+// Both sides run one engine, so per kernel the best-of-reps wall times give
+// `<kernel>_speedup` as thread scaling alone, and the output comparison
+// (final array-argument memory + return value, the run_equivalence
+// contract) gives `<kernel>_equal`. Acceptance: every kernel equal, and at
+// least one kernel >= --min-speedup (default 1.5x).
 //
 //   --smoke        small N, fewer reps, relaxed acceptance (>= 1.05x) —
 //                  for CI, where equality still gates exactly but absolute

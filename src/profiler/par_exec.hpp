@@ -28,9 +28,11 @@
 // bit-identical to the sequential run; float +/* reductions are
 // re-associated (validated within tolerance by transform::run_equivalence).
 //
-// The engine is also the "release build" of the interpreter: it has no
-// observer hooks and no fault-injection compare on the step path, which is
-// what the measured speedup over profiler::run reflects on one core.
+// Master and shards run on the same micro-op engine as profiler::run and
+// run_capture, instantiated with hooks that inline to nothing. An empty plan
+// therefore executes exactly like run_capture, so the measured speedup of a
+// plan is thread scaling alone. The master honours the `interp.trap` fault
+// site through its fuel compare; shards never arm it.
 #pragma once
 
 #include <cstdint>
@@ -113,12 +115,10 @@ struct ParRunOptions : InterpOptions {
 /// Fixed shard count per parallel loop instance (the determinism anchor).
 inline constexpr std::uint32_t kParShards = 8;
 
-/// Result of a parallel-mode run, with the observable output memory (the
-/// final contents of every array argument) captured for equality checks.
-struct ParOutput {
-  RunResult run;
-  /// One entry per entry-function argument; empty for scalar parameters.
-  std::vector<std::vector<MemCell>> arg_arrays;
+/// Result of a parallel-mode run: the captured run (return value, steps
+/// and final array-argument memory, as from run_capture) plus the number of
+/// sharded loop instances.
+struct ParOutput : CapturedRun {
   /// Dynamic count of sharded loop instances (0 means the plan never
   /// intercepted — e.g. every planned loop had trip count 0).
   std::uint64_t parallel_loops = 0;

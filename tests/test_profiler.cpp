@@ -1,11 +1,15 @@
 // Dependence recorder precision: RAW/WAR/WAW kinds, loop-carried vs
 // iteration-local classification, nested carriers, cross-instance behaviour,
-// CU construction, Table I loop features, and a differential check of the
-// recorder against the reference hash-map implementation.
+// CU construction, Table I loop features, a differential check of the
+// recorder against the reference hash-map implementation, and profiles of
+// every generator family pinned as digests (EngineGolden).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
+#include "cache/key.hpp"
 #include "data/kernels.hpp"
 #include "frontend/lower.hpp"
 #include "profiler/dep_recorder.hpp"
@@ -388,23 +392,42 @@ std::size_t expect_same_profile(const ir::Module& m,
   return want.edges.size();
 }
 
-TEST(DepRecorderDifferential, MatchesReferenceOnEveryFamilyAndVariant) {
-  std::size_t edges = 0;
-  for (const std::uint64_t seed : {11u, 29u}) {
-    for (int p = 0; p <= static_cast<int>(data::Pattern::Timestepped); ++p) {
+constexpr std::uint64_t kMatrixSeeds[] = {11, 29};
+constexpr int kFamilies = static_cast<int>(data::Pattern::Timestepped) + 1;
+constexpr int kVariants = 6;
+
+/// Calls `visit(module, args, seed_index, family, variant_index, what)` for
+/// every generator family under every variant pipeline, at each seed of
+/// kMatrixSeeds.
+template <typename Visit>
+void for_each_family_variant(Visit&& visit) {
+  ASSERT_EQ(transform::variant_pipelines().size(),
+            static_cast<std::size_t>(kVariants));
+  for (std::size_t s = 0; s < std::size(kMatrixSeeds); ++s) {
+    const std::uint64_t seed = kMatrixSeeds[s];
+    for (int p = 0; p < kFamilies; ++p) {
       const auto pattern = static_cast<data::Pattern>(p);
       par::Rng rng(seed * 1000 + static_cast<std::uint64_t>(p));
       const data::GenKernel k = data::generate_kernel(pattern, "diff", rng);
-      for (const auto& pipeline : transform::variant_pipelines()) {
+      for (int v = 0; v < kVariants; ++v) {
+        const auto& pipeline = transform::variant_pipelines()[v];
         ir::Module m = frontend::compile(k.source, k.name);
         transform::run_pipeline(m, pipeline);
-        edges += expect_same_profile(
-            m, k.args,
-            std::string(data::pattern_name(pattern)) + " under " +
-                pipeline.name + " seed " + std::to_string(seed));
+        visit(m, k.args, s, p, v,
+              std::string(data::pattern_name(pattern)) + " under " +
+                  pipeline.name + " seed " + std::to_string(seed));
       }
     }
   }
+}
+
+TEST(DepRecorderDifferential, MatchesReferenceOnEveryFamilyAndVariant) {
+  std::size_t edges = 0;
+  for_each_family_variant([&](const ir::Module& m,
+                              const std::vector<ArgInit>& args, std::size_t,
+                              int, int, const std::string& what) {
+    edges += expect_same_profile(m, args, what);
+  });
   EXPECT_GT(edges, 0u);
 }
 
@@ -495,6 +518,260 @@ float kernel(float[] a, int n) {
   ASSERT_EQ(raw->carried.size(), 1u);
   EXPECT_EQ(raw->carried[0].first.loop, 0u);
   EXPECT_EQ(raw->carried[0].second, 32u);  // rows 1 and 2 feed rows 2 and 3
+}
+
+// ---------------------------------------------------------------------------
+// Engine golden: profiles pinned as digests recorded with the tree-walk
+// interpreter that preceded the micro-op engine. Any change to step counts,
+// hook order or dependence attribution shows up as a digest mismatch.
+// ---------------------------------------------------------------------------
+
+/// Digest of the integer content of a profile: step count, the ordered
+/// edges (with `carried` sorted), loop runtimes, loop-object summaries and
+/// instruction counts. Functions are named by module index, so the digest
+/// does not depend on where the module lives in memory.
+std::uint64_t profile_digest(const ir::Module& m,
+                             const profiler::ProfileResult& r) {
+  auto fn_index = [&](const ir::Function* fn) {
+    for (std::size_t i = 0; i < m.functions.size(); ++i) {
+      if (m.functions[i].get() == fn) return static_cast<std::uint32_t>(i);
+    }
+    ADD_FAILURE() << "function outside the module";
+    return ~0u;
+  };
+  auto loop_key = [&](const profiler::LoopRef& l) {
+    return std::pair{fn_index(l.fn), l.loop};
+  };
+  cache::Hasher h;
+  h.u64(r.run.steps);
+
+  h.u64(r.dep.edges.size());
+  for (const DepEdge& e : r.dep.edges) {
+    h.u32(fn_index(e.src.fn)).u32(e.src.id);
+    h.u32(fn_index(e.dst.fn)).u32(e.dst.id);
+    h.u32(static_cast<std::uint32_t>(e.type));
+    h.u64(e.total_count).u64(e.intra_count).u32(e.object);
+    std::vector<std::tuple<std::uint32_t, ir::LoopId, std::uint64_t>> carried;
+    for (const auto& [loop, n] : e.carried) {
+      const auto [fn, id] = loop_key(loop);
+      carried.emplace_back(fn, id, n);
+    }
+    std::sort(carried.begin(), carried.end());
+    h.u64(carried.size());
+    for (const auto& [fn, id, n] : carried) h.u32(fn).u32(id).u64(n);
+  }
+
+  std::map<std::pair<std::uint32_t, ir::LoopId>, profiler::LoopRuntime> rts;
+  for (const auto& [loop, rt] : r.dep.loop_runtime) rts[loop_key(loop)] = rt;
+  h.u64(rts.size());
+  for (const auto& [key, rt] : rts) {
+    h.u32(key.first).u32(key.second).u64(rt.instances).u64(rt.iterations);
+  }
+
+  std::map<std::pair<std::uint32_t, ir::LoopId>,
+           std::map<std::uint32_t, const profiler::ObjLoopSummary*>>
+      objs;
+  for (const auto& [loop, per_obj] : r.dep.loop_objects) {
+    auto& dst = objs[loop_key(loop)];
+    for (const auto& [obj, sum] : per_obj) dst[obj] = &sum;
+  }
+  h.u64(objs.size());
+  for (const auto& [key, per_obj] : objs) {
+    h.u32(key.first).u32(key.second).u64(per_obj.size());
+    for (const auto& [obj, sum] : per_obj) {
+      h.u32(obj);
+      h.u32(sum->carried_raw).u32(sum->carried_war).u32(sum->carried_waw);
+      h.u64(sum->carried_raw_pairs.size());
+      for (const auto& [src, dst] : sum->carried_raw_pairs) {
+        h.u32(fn_index(src.fn)).u32(src.id).u32(fn_index(dst.fn)).u32(dst.id);
+      }
+    }
+  }
+
+  std::map<std::uint32_t, const std::vector<std::uint64_t>*> counts;
+  for (const auto& [fn, c] : r.dep.instr_counts) counts[fn_index(fn)] = &c;
+  h.u64(counts.size());
+  for (const auto& [fn, c] : counts) {
+    h.u32(fn).u64(c->size());
+    for (const std::uint64_t n : *c) h.u64(n);
+  }
+  const cache::Key k = h.digest();
+  return k.hi ^ k.lo;
+}
+
+/// profile_digest of `kernel` per [seed][family][variant] of the
+/// for_each_family_variant matrix, recorded with the tree-walk interpreter.
+/// Equal digests across variants mean the pipeline left that kernel's
+/// profile unchanged.
+constexpr std::uint64_t kGoldenDigests[std::size(kMatrixSeeds)][kFamilies]
+                                      [kVariants] = {
+    {
+      // seed 11
+      {0xea42899d0fd1dae2, 0xea42899d0fd1dae2, 0xea42899d0fd1dae2,
+        0xea42899d0fd1dae2, 0xea42899d0fd1dae2, 0xea42899d0fd1dae2},  // vec_map
+      {0xc41017633d3a1422, 0xc41017633d3a1422, 0xc41017633d3a1422,
+        0xc41017633d3a1422, 0xc41017633d3a1422, 0xc41017633d3a1422},  // vec_scale
+      {0x5d1d5d077e3daa8d, 0x5d1d5d077e3daa8d, 0x5d1d5d077e3daa8d,
+        0x5d1d5d077e3daa8d, 0x5d1d5d077e3daa8d, 0x5d1d5d077e3daa8d},  // saxpy
+      {0x86b81113da97c723, 0x86b81113da97c723, 0x86b81113da97c723,
+        0xaa4d2632d81857d7, 0xaa4d2632d81857d7, 0xaa4d2632d81857d7},  // stencil_copy
+      {0x66491da086587d69, 0x66491da086587d69, 0x66491da086587d69,
+        0x66491da086587d69, 0x66491da086587d69, 0x66491da086587d69},  // reduce_sum
+      {0x00cf4ca6c9910f4c, 0x00cf4ca6c9910f4c, 0x00cf4ca6c9910f4c,
+        0x75da574eae5ad116, 0x75da574eae5ad116, 0x75da574eae5ad116},  // reduce_max
+      {0xacc00b21d581aa5d, 0xacc00b21d581aa5d, 0xacc00b21d581aa5d,
+        0xacc00b21d581aa5d, 0xacc00b21d581aa5d, 0xacc00b21d581aa5d},  // dot_product
+      {0x71352dc600bfb857, 0x71352dc600bfb857, 0x71352dc600bfb857,
+        0x71352dc600bfb857, 0x71352dc600bfb857, 0x71352dc600bfb857},  // priv_temp
+      {0xcbf2e1f1fb416fda, 0xcbf2e1f1fb416fda, 0x770f592a215cbcbc,
+        0x770f592a215cbcbc, 0x770f592a215cbcbc, 0x770f592a215cbcbc},  // priv_array_temp
+      {0x3304126be96f9808, 0x3304126be96f9808, 0x3304126be96f9808,
+        0x3304126be96f9808, 0x3304126be96f9808, 0x3304126be96f9808},  // recurrence
+      {0xa6cc783e402203ca, 0xa6cc783e402203ca, 0xa6cc783e402203ca,
+        0xa6cc783e402203ca, 0xa6cc783e402203ca, 0xa6cc783e402203ca},  // scalar_carried
+      {0x08415747e0e66ec7, 0x08415747e0e66ec7, 0x0e4ff4c175a99342,
+        0x19e9cacf2b078ec5, 0x19e9cacf2b078ec5, 0x19e9cacf2b078ec5},  // cond_update_max
+      {0x5ab66bf48e669a33, 0x5ab66bf48e669a33, 0x76a1368b24833093,
+        0x29e5d69aeaedcd96, 0x29e5d69aeaedcd96, 0x29e5d69aeaedcd96},  // early_exit
+      {0xd85385bed312159d, 0xd85385bed312159d, 0xd85385bed312159d,
+        0xd85385bed312159d, 0xd85385bed312159d, 0xd5483a96c03800b5},  // call_map_pure
+      {0x960158ca2e5eb3fc, 0x960158ca2e5eb3fc, 0x960158ca2e5eb3fc,
+        0x960158ca2e5eb3fc, 0x960158ca2e5eb3fc, 0xe5226e70e50e61fd},  // call_accum_shared
+      {0x5fe8df2002744d70, 0x5fe8df2002744d70, 0x5fe8df2002744d70,
+        0x5fe8df2002744d70, 0x5fe8df2002744d70, 0x5fe8df2002744d70},  // indirect_gather
+      {0x90a0be9396d59cb5, 0x90a0be9396d59cb5, 0x90a0be9396d59cb5,
+        0x90a0be9396d59cb5, 0x90a0be9396d59cb5, 0x90a0be9396d59cb5},  // indirect_histogram
+      {0xf842ffa2efd4ec80, 0xf842ffa2efd4ec80, 0xf842ffa2efd4ec80,
+        0xf842ffa2efd4ec80, 0xf842ffa2efd4ec80, 0xf842ffa2efd4ec80},  // indirect_scatter
+      {0x55499d16296d6f0e, 0x55499d16296d6f0e, 0x55499d16296d6f0e,
+        0x55499d16296d6f0e, 0x55499d16296d6f0e, 0x55499d16296d6f0e},  // disjoint_copy
+      {0x7dc0fcb0543e44ac, 0x7dc0fcb0543e44ac, 0x204c2748a1300381,
+        0x204c2748a1300381, 0x204c2748a1300381, 0x204c2748a1300381},  // matmul_nest
+      {0x38022ef1b1ff247a, 0x38022ef1b1ff247a, 0x5ccb79af2fdb13d5,
+        0x15567e8fe6ef0a17, 0x15567e8fe6ef0a17, 0x15567e8fe6ef0a17},  // jacobi2d
+      {0x2d693b6e74fa51f4, 0x2d693b6e74fa51f4, 0x5e9ad0d9d1f5f237,
+        0xdcd8887ded91155e, 0xdcd8887ded91155e, 0xdcd8887ded91155e},  // seidel2d
+      {0xf93c05e18ef1d62f, 0xf93c05e18ef1d62f, 0x8433bfc2a4abc2ae,
+        0x8433bfc2a4abc2ae, 0x8433bfc2a4abc2ae, 0x8433bfc2a4abc2ae},  // triangular
+      {0x5d2d35b0d76a8c3b, 0x5d2d35b0d76a8c3b, 0x9e402250e9d8e462,
+        0x9e402250e9d8e462, 0x9e402250e9d8e462, 0x9e402250e9d8e462},  // array_accum_nest
+      {0xc5db9be88cb9251e, 0xc5db9be88cb9251e, 0xc674d5aadeae07f8,
+        0xc674d5aadeae07f8, 0xc674d5aadeae07f8, 0xc674d5aadeae07f8},  // cold_path
+      {0x97ed3105d32441ef, 0x97ed3105d32441ef, 0x018e1f79fe457a73,
+        0x018e1f79fe457a73, 0x018e1f79fe457a73, 0x018e1f79fe457a73},  // while_wrapped
+      {0x2afc574817365134, 0x2afc574817365134, 0x2afc574817365134,
+        0x2afc574817365134, 0x2afc574817365134, 0x2afc574817365134},  // fib_driver
+      {0xedb3b80db51c8ddb, 0xedb3b80db51c8ddb, 0x78d9936c38e6f226,
+        0xef08e70c8004fb31, 0xef08e70c8004fb31, 0xef08e70c8004fb31},  // nqueens_style
+      {0x1908304e3bb8d7c0, 0x1908304e3bb8d7c0, 0x1908304e3bb8d7c0,
+        0x1908304e3bb8d7c0, 0x1908304e3bb8d7c0, 0x1908304e3bb8d7c0},  // checksum_only
+      {0xcd7b196e02775d7a, 0xcd7b196e02775d7a, 0xcd7b196e02775d7a,
+        0x9654395860b65223, 0xdd752b32fde40825, 0xdd752b32fde40825},  // offset_stencil
+      {0x8bee2f646bcc177f, 0x8bee2f646bcc177f, 0x8bee2f646bcc177f,
+        0x8bee2f646bcc177f, 0x8bee2f646bcc177f, 0x8bee2f646bcc177f},  // offset_recurrence
+      {0x4016fa22617a6a64, 0x4016fa22617a6a64, 0x4016fa22617a6a64,
+        0x61ecb654c219dc33, 0x61ecb654c219dc33, 0x61ecb654c219dc33},  // param_offset
+      {0x5814cc848b3bf22b, 0x5814cc848b3bf22b, 0x1fdf8141414d593d,
+        0x1fdf8141414d593d, 0x1fdf8141414d593d, 0x1fdf8141414d593d},  // spmv
+      {0x46e633b13c990133, 0x46e633b13c990133, 0x065e620505e78a00,
+        0x065e620505e78a00, 0x065e620505e78a00, 0x065e620505e78a00},  // transpose
+      {0xd88a10d8a3b4ccda, 0xd88a10d8a3b4ccda, 0xe71254e0110b3e76,
+        0xe71254e0110b3e76, 0xe71254e0110b3e76, 0xe71254e0110b3e76},  // separable_stencil
+      {0x3b7f4497d85bb328, 0x3b7f4497d85bb328, 0x3b7f4497d85bb328,
+        0xf7af3b01996f116c, 0xf7af3b01996f116c, 0xf7af3b01996f116c},  // pipeline3
+      {0x2abd772007c14b6c, 0x2abd772007c14b6c, 0xe491808aa8703049,
+        0xc370c810abd086a0, 0xc370c810abd086a0, 0xc370c810abd086a0},  // timestepped
+    },
+    {
+      // seed 29
+      {0xf718e22ff16fa689, 0xf718e22ff16fa689, 0xf718e22ff16fa689,
+        0xf718e22ff16fa689, 0xf718e22ff16fa689, 0xf718e22ff16fa689},  // vec_map
+      {0x36aa96869b6d3b1a, 0x36aa96869b6d3b1a, 0x36aa96869b6d3b1a,
+        0x36aa96869b6d3b1a, 0x36aa96869b6d3b1a, 0x36aa96869b6d3b1a},  // vec_scale
+      {0xd16e0ed1303c804f, 0xd16e0ed1303c804f, 0xd16e0ed1303c804f,
+        0xd16e0ed1303c804f, 0xd16e0ed1303c804f, 0xd16e0ed1303c804f},  // saxpy
+      {0x48e0e85cdffea053, 0x48e0e85cdffea053, 0x48e0e85cdffea053,
+        0xca8bf05f78d6396b, 0xca8bf05f78d6396b, 0xca8bf05f78d6396b},  // stencil_copy
+      {0xe02041797a712fa6, 0xe02041797a712fa6, 0xe02041797a712fa6,
+        0xe02041797a712fa6, 0xe02041797a712fa6, 0xe02041797a712fa6},  // reduce_sum
+      {0x00cf4ca6c9910f4c, 0x00cf4ca6c9910f4c, 0x00cf4ca6c9910f4c,
+        0x75da574eae5ad116, 0x75da574eae5ad116, 0x75da574eae5ad116},  // reduce_max
+      {0x0d0a423249edd5e7, 0x0d0a423249edd5e7, 0x0d0a423249edd5e7,
+        0x0d0a423249edd5e7, 0x0d0a423249edd5e7, 0x0d0a423249edd5e7},  // dot_product
+      {0x79a2c814267e751e, 0x79a2c814267e751e, 0x79a2c814267e751e,
+        0x79a2c814267e751e, 0x79a2c814267e751e, 0x79a2c814267e751e},  // priv_temp
+      {0x5c7558bef77bd51e, 0x5c7558bef77bd51e, 0x341aadb102f55823,
+        0x341aadb102f55823, 0x341aadb102f55823, 0x341aadb102f55823},  // priv_array_temp
+      {0x3150808d871f79a1, 0x3150808d871f79a1, 0x3150808d871f79a1,
+        0x3150808d871f79a1, 0x3150808d871f79a1, 0x3150808d871f79a1},  // recurrence
+      {0xcba42b9fc8e944ff, 0xcba42b9fc8e944ff, 0xcba42b9fc8e944ff,
+        0xcba42b9fc8e944ff, 0xcba42b9fc8e944ff, 0xcba42b9fc8e944ff},  // scalar_carried
+      {0x08415747e0e66ec7, 0x08415747e0e66ec7, 0x0e4ff4c175a99342,
+        0x19e9cacf2b078ec5, 0x19e9cacf2b078ec5, 0x19e9cacf2b078ec5},  // cond_update_max
+      {0x5ab66bf48e669a33, 0x5ab66bf48e669a33, 0x76a1368b24833093,
+        0x29e5d69aeaedcd96, 0x29e5d69aeaedcd96, 0x29e5d69aeaedcd96},  // early_exit
+      {0xe0fc033db5065f71, 0xe0fc033db5065f71, 0xe0fc033db5065f71,
+        0xe0fc033db5065f71, 0xe0fc033db5065f71, 0x4e00fdec8fb17300},  // call_map_pure
+      {0x3719f2f7f3b83170, 0x3719f2f7f3b83170, 0x3719f2f7f3b83170,
+        0x3719f2f7f3b83170, 0x3719f2f7f3b83170, 0x8db2431bfe92060f},  // call_accum_shared
+      {0x5fe8df2002744d70, 0x5fe8df2002744d70, 0x5fe8df2002744d70,
+        0x5fe8df2002744d70, 0x5fe8df2002744d70, 0x5fe8df2002744d70},  // indirect_gather
+      {0x45eb67ac48e33916, 0x45eb67ac48e33916, 0x45eb67ac48e33916,
+        0x45eb67ac48e33916, 0x45eb67ac48e33916, 0x45eb67ac48e33916},  // indirect_histogram
+      {0xfc3bcadd55878a80, 0xfc3bcadd55878a80, 0xfc3bcadd55878a80,
+        0xfc3bcadd55878a80, 0xfc3bcadd55878a80, 0xfc3bcadd55878a80},  // indirect_scatter
+      {0x2b61f832688ee540, 0x2b61f832688ee540, 0x2b61f832688ee540,
+        0x2b61f832688ee540, 0x2b61f832688ee540, 0x2b61f832688ee540},  // disjoint_copy
+      {0x956776cc29610b4e, 0x956776cc29610b4e, 0x02a497fc784f7c68,
+        0x02a497fc784f7c68, 0x02a497fc784f7c68, 0x02a497fc784f7c68},  // matmul_nest
+      {0x76718bce689dc934, 0x76718bce689dc934, 0xe8e78a69da5893f5,
+        0x80490f69563c8249, 0x80490f69563c8249, 0x80490f69563c8249},  // jacobi2d
+      {0xa153c61d544c04e6, 0xa153c61d544c04e6, 0x025e036808736694,
+        0xd39840ce1cd55631, 0xd39840ce1cd55631, 0xd39840ce1cd55631},  // seidel2d
+      {0x767b851b2487c56e, 0x767b851b2487c56e, 0x230037644c4d2aae,
+        0x230037644c4d2aae, 0x230037644c4d2aae, 0x230037644c4d2aae},  // triangular
+      {0x5d2d35b0d76a8c3b, 0x5d2d35b0d76a8c3b, 0x9e402250e9d8e462,
+        0x9e402250e9d8e462, 0x9e402250e9d8e462, 0x9e402250e9d8e462},  // array_accum_nest
+      {0x4eb6339c90d26b46, 0x4eb6339c90d26b46, 0xe6c1fff69d742e55,
+        0xe6c1fff69d742e55, 0xe6c1fff69d742e55, 0xe6c1fff69d742e55},  // cold_path
+      {0x65ad86091d71859a, 0x65ad86091d71859a, 0x8d707356f3c010a3,
+        0x8d707356f3c010a3, 0x8d707356f3c010a3, 0x8d707356f3c010a3},  // while_wrapped
+      {0x5988798ba763280f, 0x5988798ba763280f, 0x5988798ba763280f,
+        0x5988798ba763280f, 0x5988798ba763280f, 0x5988798ba763280f},  // fib_driver
+      {0xaad5c8b098b932aa, 0xaad5c8b098b932aa, 0x0bf1fb71ea172d72,
+        0xead9557d217a3ca6, 0xead9557d217a3ca6, 0xead9557d217a3ca6},  // nqueens_style
+      {0x698a8b4d93060af8, 0x698a8b4d93060af8, 0x698a8b4d93060af8,
+        0x698a8b4d93060af8, 0x698a8b4d93060af8, 0x698a8b4d93060af8},  // checksum_only
+      {0x2e1e9999ba5668ba, 0x2e1e9999ba5668ba, 0x2e1e9999ba5668ba,
+        0x06a83208d82d1fcd, 0xbd54df5a2b8a3a76, 0xbd54df5a2b8a3a76},  // offset_stencil
+      {0xdf7575b5e2c4f362, 0xdf7575b5e2c4f362, 0xdf7575b5e2c4f362,
+        0xdf7575b5e2c4f362, 0x203a157a58e35ad7, 0x203a157a58e35ad7},  // offset_recurrence
+      {0x00ae9c865474f013, 0x00ae9c865474f013, 0x00ae9c865474f013,
+        0x40c9f7d4fbb9c200, 0x40c9f7d4fbb9c200, 0x40c9f7d4fbb9c200},  // param_offset
+      {0x5814cc848b3bf22b, 0x5814cc848b3bf22b, 0x1fdf8141414d593d,
+        0x1fdf8141414d593d, 0x1fdf8141414d593d, 0x1fdf8141414d593d},  // spmv
+      {0xa82cdca6bb2a58ee, 0xa82cdca6bb2a58ee, 0xce0a3628c71482f0,
+        0xce0a3628c71482f0, 0xce0a3628c71482f0, 0xce0a3628c71482f0},  // transpose
+      {0xd88a10d8a3b4ccda, 0xd88a10d8a3b4ccda, 0xe71254e0110b3e76,
+        0xe71254e0110b3e76, 0xe71254e0110b3e76, 0xe71254e0110b3e76},  // separable_stencil
+      {0x1f6390d5f35c0500, 0x1f6390d5f35c0500, 0x1f6390d5f35c0500,
+        0xb854cdcf009b9f5e, 0xb854cdcf009b9f5e, 0xb854cdcf009b9f5e},  // pipeline3
+      {0x8296775844033b8c, 0x8296775844033b8c, 0x3c537aa29a2bf102,
+        0x2d8419056e300e31, 0x2d8419056e300e31, 0x2d8419056e300e31},  // timestepped
+    },
+};
+
+TEST(EngineGolden, ProfilesMatchPinnedDigests) {
+  for_each_family_variant([](const ir::Module& m,
+                             const std::vector<ArgInit>& args, std::size_t s,
+                             int p, int v, const std::string& what) {
+    const std::uint64_t got =
+        profile_digest(m, profiler::profile(m, "kernel", args));
+    if (got != kGoldenDigests[s][p][v]) {
+      ADD_FAILURE() << what << ": digest " << std::hex << got
+                    << " != pinned " << kGoldenDigests[s][p][v];
+    }
+  });
 }
 
 }  // namespace

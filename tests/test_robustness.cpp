@@ -2,7 +2,8 @@
 // writes, checkpoint round-trip and kill-and-resume trajectory equality,
 // corruption/truncation matrices for both binary loaders, and quarantine of
 // pathological corpus programs (infinite loop, OOM allocator, parse error,
-// sema error, runtime trap).
+// sema error, runtime trap), and the interpreter's trap/fuel limit on every
+// entry point.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,10 +22,12 @@
 #include "data/dataset.hpp"
 #include "data/serialize.hpp"
 #include "fault/fault.hpp"
+#include "frontend/lower.hpp"
 #include "io/atomic_file.hpp"
 #include "io/checked_stream.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/rng.hpp"
+#include "profiler/par_exec.hpp"
 #include "tensor/optim.hpp"
 
 namespace {
@@ -651,6 +654,71 @@ TEST(Quarantine, InterpreterTrapSiteFiresAtTheArmedStep) {
   ASSERT_EQ(skipped, 1u);
   EXPECT_NE(report.quarantined[0].error.find("injected trap"),
             std::string::npos);
+}
+
+// The injected trap shares the fuel compare: every entry point traps at the
+// armed step, runs out of fuel past max_steps, and reports fuel when both
+// limits fall on the same step.
+TEST(InterpTrap, SharesTheFuelLimitOnEveryEntryPoint) {
+  FaultGuard guard;
+  const ir::Module m = frontend::compile(R"(
+int kernel(int[] a) {
+  int s = 0;
+  for (int i = 0; i < 64; i += 1) {
+    s = s + a[i];
+  }
+  return s;
+}
+)",
+                                         "trap");
+  const std::vector<profiler::ArgInit> args = {
+      profiler::ArgInit::of_array(64)};
+  using Entry = std::function<std::uint64_t(const profiler::ParRunOptions&)>;
+  const std::pair<const char*, Entry> entries[] = {
+      {"run",
+       [&](const profiler::ParRunOptions& o) {
+         profiler::NullObserver obs;
+         return profiler::run(m, "kernel", args, obs, o).steps;
+       }},
+      {"run_capture",
+       [&](const profiler::ParRunOptions& o) {
+         return profiler::run_capture(m, "kernel", args, o).run.steps;
+       }},
+      {"run_parallel",
+       [&](const profiler::ParRunOptions& o) {
+         return profiler::run_parallel(m, "kernel", args, profiler::ParPlan{},
+                                       o)
+             .run.steps;
+       }},
+  };
+  constexpr std::uint64_t kTrap = 100;
+  auto error_of = [](const Entry& entry, const profiler::ParRunOptions& o) {
+    try {
+      entry(o);
+    } catch (const profiler::InterpError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const auto& [name, entry] : entries) {
+    SCOPED_TRACE(name);
+    profiler::ParRunOptions opts;  // one thread
+    ASSERT_GT(entry(opts), kTrap);
+
+    fault::arm("interp.trap", kTrap);
+    EXPECT_NE(error_of(entry, opts).find("injected trap at step 100 "),
+              std::string::npos);
+
+    fault::disarm_all();
+    opts.max_steps = kTrap - 1;
+    EXPECT_NE(error_of(entry, opts).find("fuel exhausted: step budget 99 "),
+              std::string::npos);
+
+    fault::arm("interp.trap", kTrap);
+    EXPECT_NE(error_of(entry, opts).find("fuel exhausted: step budget 99 "),
+              std::string::npos);
+    fault::disarm_all();
+  }
 }
 
 }  // namespace
