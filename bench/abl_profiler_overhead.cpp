@@ -1,7 +1,8 @@
 // Substrate ablation: instrumentation overhead of the dependence profiler —
-// plain interpretation (NullObserver) vs full shadow-memory dependence
-// recording, the classic static-vs-dynamic-analysis cost trade-off the
-// paper's section II discusses.
+// unobserved runs (run_capture), interpretation through the observer
+// interface (NullObserver) and full shadow-memory dependence recording: the
+// classic static-vs-dynamic-analysis cost trade-off the paper's section II
+// discusses.
 #include <benchmark/benchmark.h>
 
 #include "bench/gbench_report.hpp"
@@ -52,6 +53,22 @@ void BM_InterpPlain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
 }
 BENCHMARK(BM_InterpPlain);
+
+// The unobserved engine (Engine<NoHooks>) behind run_capture and
+// run_parallel: no hooks at all, so items_per_s is the dispatch loop's own
+// speed in dynamic instructions per second.
+void BM_RunCapture(benchmark::State& state) {
+  const auto& m = matmul_module();
+  const auto args = matmul_args();
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const auto r = profiler::run_capture(m, "kernel", args);
+    steps = r.run.steps;
+    benchmark::DoNotOptimize(r.run.return_value);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
+}
+BENCHMARK(BM_RunCapture);
 
 void BM_InterpWithDepRecorder(benchmark::State& state) {
   const auto& m = matmul_module();

@@ -19,10 +19,13 @@
 // race-free. Privatized cells are resolved in the shard overlay before the
 // shared image is consulted.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "fault/fault.hpp"
@@ -100,10 +103,21 @@ void reduce_into(Cell& a, const Cell& b, ParReduceOp op, bool is_float) {
 // ---- pre-decoded program form --------------------------------------------
 //
 // The engine never executes ir::Instruction directly: each function is
-// decoded once per run into contiguous micro-ops with inline operand copies
-// and pre-resolved callees. That removes the two dependent loads per step
+// decoded once per run into one contiguous micro-op array with pre-resolved
+// operands and callees. That removes the two dependent loads per step
 // (block -> instr id -> arena slot), the heap hop into each instruction's
 // operand vector, and the per-call builtin-name string compares.
+//
+// Operands are frame slots. A frame is laid out as
+//
+//   [0, arg_base)             instruction registers (indexed by InstrId)
+//   [arg_base, const_base)    the call's arguments
+//   [const_base, frame_size)  the function's constant pool
+//
+// so every value operand — register, argument or immediate — is one slot
+// read, with no kind dispatch. Branch operands are code offsets. Every
+// block ends in a kEndOfBlock sentinel, so the dispatch loop needs no
+// bounds compare: running off a block executes the sentinel, which traps.
 
 enum class BuiltinId : std::uint8_t {
   Sqrt, Exp, Log, Sin, Cos, Fabs, Pow, Fmin, Fmax, Imin, Imax, Iabs, None
@@ -121,21 +135,43 @@ BuiltinId builtin_id(const std::string& name) {
   return BuiltinId::None;
 }
 
+/// Decode-only micro-op codes, numbered past the last ir::Opcode: the
+/// sentinel closing every block, and the trap that replaces an instruction
+/// whose operand names no value (executing it faults, as reading the
+/// operand did before decode resolved it).
+constexpr std::uint8_t kFirstEngineOp =
+    static_cast<std::uint8_t>(Opcode::LoopExit) + 1;
+constexpr Opcode kEndOfBlock = static_cast<Opcode>(kFirstEngineOp);
+constexpr Opcode kBadOperand = static_cast<Opcode>(kFirstEngineOp + 1);
+
 struct MicroOp {
   Opcode op = Opcode::Ret;
   TypeKind type = TypeKind::Void;
   std::uint8_t nops = 0;
   BuiltinId builtin = BuiltinId::None;
-  InstrId id = ir::kNoInstr;       // result register (arena index)
+  InstrId id = 0;                  // result register (kEndOfBlock: slot 0)
   LoopId loop = ir::kNoLoop;       // loop markers only
-  Value ops[3];  // inline operands (user calls spill via fn.instr(id))
+  /// Frame slots of value operands; code offsets of branch targets. User
+  /// calls leave them unset and spill through fn.instr(id).
+  std::uint32_t ops[3] = {};
 };
 
 struct DecodedFn {
   const Function* fn = nullptr;
-  std::vector<std::vector<MicroOp>> blocks;  // indexed by BlockId
+  /// Every block's micro-ops back to back, each closed by a kEndOfBlock.
+  std::vector<MicroOp> code;
+  std::vector<std::uint32_t> block_start;  // code offset, indexed by BlockId
   /// Pre-resolved user-call targets, indexed by InstrId (call sites only).
   std::vector<const DecodedFn*> callees;
+  std::uint32_t arg_base = 0;    // == fn->instrs.size()
+  std::uint32_t const_base = 0;  // == arg_base + fn->params.size()
+  std::vector<RtVal> consts;     // copied to [const_base, ...) of each frame
+
+  /// Slot count of one frame (at least 1: the sentinel writes no register
+  /// but names slot 0).
+  [[nodiscard]] std::size_t frame_size() const {
+    return std::max<std::size_t>(1, const_base + consts.size());
+  }
 };
 
 /// Every function of the module, decoded in module order.
@@ -164,12 +200,54 @@ struct DecodedModule {
 
   void decode(DecodedFn& d) {
     const Function& fn = *d.fn;
-    d.blocks.resize(fn.blocks.size());
+    d.arg_base = static_cast<std::uint32_t>(fn.instrs.size());
+    d.const_base = d.arg_base + static_cast<std::uint32_t>(fn.params.size());
     d.callees.assign(fn.instrs.size(), nullptr);
+    d.block_start.resize(fn.blocks.size());
+    std::size_t ncode = 0;
     for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-      const ir::BasicBlock& bb = fn.blocks[b];
-      std::vector<MicroOp>& code = d.blocks[b];
-      code.reserve(bb.instrs.size());
+      d.block_start[b] = static_cast<std::uint32_t>(ncode);
+      ncode += fn.blocks[b].instrs.size() + 1;
+    }
+    d.code.reserve(ncode);
+
+    // One constant-pool slot per distinct immediate (kind and bit pattern).
+    std::map<std::pair<bool, std::uint64_t>, std::uint32_t> pool;
+    auto const_slot = [&](const Value& v) {
+      const bool is_float = v.kind == Value::Kind::ImmFloat;
+      const std::uint64_t bits =
+          is_float ? std::bit_cast<std::uint64_t>(v.imm_float)
+                   : static_cast<std::uint64_t>(v.imm_int);
+      const auto [it, fresh] = pool.try_emplace(
+          {is_float, bits}, d.const_base + static_cast<std::uint32_t>(
+                                               d.consts.size()));
+      if (fresh) {
+        RtVal c;
+        c.kind = is_float ? RtVal::Kind::Float : RtVal::Kind::Int;
+        if (is_float) c.f = v.imm_float; else c.i = v.imm_int;
+        d.consts.push_back(c);
+      }
+      return it->second;
+    };
+    // Frame slot of a value operand; false when it names no value.
+    auto value_slot = [&](const Value& v, std::uint32_t& slot) {
+      switch (v.kind) {
+        case Value::Kind::Reg:
+          slot = v.reg;
+          return v.reg < d.arg_base;
+        case Value::Kind::Arg:
+          slot = d.arg_base + v.arg;
+          return slot < d.const_base;
+        case Value::Kind::ImmInt:
+        case Value::Kind::ImmFloat:
+          slot = const_slot(v);
+          return true;
+        default:
+          return false;
+      }
+    };
+
+    for (const ir::BasicBlock& bb : fn.blocks) {
       for (const InstrId id : bb.instrs) {
         const Instruction& in = fn.instr(id);
         MicroOp mop;
@@ -179,13 +257,52 @@ struct DecodedModule {
         mop.loop = in.loop;
         mop.nops = static_cast<std::uint8_t>(
             std::min<std::size_t>(in.operands.size(), 3));
-        for (std::size_t k = 0; k < mop.nops; ++k) mop.ops[k] = in.operands[k];
         if (in.op == Opcode::Call) {
           mop.builtin = builtin_id(in.callee);
           if (mop.builtin == BuiltinId::None) d.callees[id] = find(in.callee);
         }
-        code.push_back(mop);
+        bool ok = true;
+        for (std::size_t k = 0; k < mop.nops && ok; ++k) {
+          const Value& v = in.operands[k];
+          switch (operand_role(mop, k)) {
+            case Role::Value:
+              ok = value_slot(v, mop.ops[k]);
+              break;
+            case Role::Block:
+              ok = v.is_block() && v.block < fn.blocks.size();
+              if (ok) mop.ops[k] = d.block_start[v.block];
+              break;
+            case Role::Unread:
+              break;
+          }
+        }
+        if (!ok) mop.op = kBadOperand;
+        d.code.push_back(mop);
       }
+      MicroOp end;
+      end.op = kEndOfBlock;
+      d.code.push_back(end);
+    }
+  }
+
+  enum class Role : std::uint8_t { Value, Block, Unread };
+
+  /// How the dispatch loop reads operand `k` of `mop`.
+  static Role operand_role(const MicroOp& mop, std::size_t k) {
+    switch (mop.op) {
+      case Opcode::Br:
+        return Role::Block;
+      case Opcode::CondBr:
+        return k == 0 ? Role::Value : Role::Block;
+      case Opcode::Call:  // user calls spill through the IR operands
+        return mop.builtin == BuiltinId::None ? Role::Unread : Role::Value;
+      case Opcode::Alloca:
+      case Opcode::LoopEnter:
+      case Opcode::LoopHead:
+      case Opcode::LoopExit:
+        return Role::Unread;
+      default:
+        return Role::Value;
     }
   }
 };
@@ -255,6 +372,8 @@ struct ShardCtx {
 /// NoHooks for the unobserved runs.
 template <class Obs>
 class Engine {
+  static constexpr bool kObserved = !std::is_same_v<Obs, NoHooks>;
+
  public:
   /// Master. `plan` is null for sequential runs; `objects` receives every
   /// allocation so callers can resolve the addresses the observer saw.
@@ -322,12 +441,12 @@ class Engine {
 
   /// Shard entry: runs iterations [k0, k0+quota) of the planned loop,
   /// starting at the header block with the context's private induction
-  /// value. Returns the shard's dynamic step count.
-  std::uint64_t run_shard(const DecodedFn& dfn, std::vector<RtVal> regs,
-                          const std::vector<RtVal>& args,
+  /// value. `frame` is a copy of the master's entry frame (arguments and
+  /// constants included). Returns the shard's dynamic step count.
+  std::uint64_t run_shard(const DecodedFn& dfn, std::vector<RtVal> frame,
                           ir::BlockId header) {
-    shard_regs_ = std::move(regs);
-    exec(dfn, args, header, &shard_regs_);
+    shard_regs_ = std::move(frame);
+    exec(dfn, {}, header, &shard_regs_);
     shard_->steps = steps_;
     return steps_;
   }
@@ -338,6 +457,11 @@ class Engine {
     return opts_.max_steps == std::numeric_limits<std::uint64_t>::max()
                ? opts_.max_steps
                : opts_.max_steps + 1;
+  }
+
+  /// The fault of a block's kEndOfBlock sentinel.
+  [[noreturn]] static void fell_off(const Function& fn) {
+    throw InterpError("fell off block in @" + fn.name);
   }
 
   /// Slow path of the step compare: the count reached the fuel budget or
@@ -480,15 +604,15 @@ class Engine {
 
   /// Re-evaluates the (loop-invariant, planner-validated) bound expression
   /// at LoopEnter: immediates, integer arguments, loads of scalar slots and
-  /// integer arithmetic over those.
-  std::int64_t eval_bound(const Function& fn, const Value& v,
-                          const std::vector<RtVal>& regs,
-                          const std::vector<RtVal>& args) {
+  /// integer arithmetic over those. Walks the IR, not the decoded operands.
+  std::int64_t eval_bound(const DecodedFn& dfn, const Value& v,
+                          const std::vector<RtVal>& regs) {
+    const Function& fn = *dfn.fn;
     switch (v.kind) {
       case Value::Kind::ImmInt:
         return v.imm_int;
       case Value::Kind::Arg:
-        return args[v.arg].i;
+        return regs[dfn.arg_base + v.arg].i;
       case Value::Kind::Reg: {
         const Instruction& in = fn.instr(v.reg);
         switch (in.op) {
@@ -502,16 +626,16 @@ class Engine {
             return (*mem_)[s.base].i;
           }
           case Opcode::Add:
-            return eval_bound(fn, in.operands[0], regs, args) +
-                   eval_bound(fn, in.operands[1], regs, args);
+            return eval_bound(dfn, in.operands[0], regs) +
+                   eval_bound(dfn, in.operands[1], regs);
           case Opcode::Sub:
-            return eval_bound(fn, in.operands[0], regs, args) -
-                   eval_bound(fn, in.operands[1], regs, args);
+            return eval_bound(dfn, in.operands[0], regs) -
+                   eval_bound(dfn, in.operands[1], regs);
           case Opcode::Mul:
-            return eval_bound(fn, in.operands[0], regs, args) *
-                   eval_bound(fn, in.operands[1], regs, args);
+            return eval_bound(dfn, in.operands[0], regs) *
+                   eval_bound(dfn, in.operands[1], regs);
           case Opcode::Neg:
-            return -eval_bound(fn, in.operands[0], regs, args);
+            return -eval_bound(dfn, in.operands[0], regs);
           default:
             break;
         }
@@ -551,12 +675,11 @@ class Engine {
   }
 
   /// Resolves a plan-level array reference against the live frame.
-  RtVal resolve_array(const Function& fn, const ParArrayRef& ref,
-                      const std::vector<RtVal>& regs,
-                      const std::vector<RtVal>& args) {
-    const RtVal v = ref.is_arg ? args[ref.arg] : regs[ref.alloca_id];
+  RtVal resolve_array(const DecodedFn& dfn, const ParArrayRef& ref,
+                      const std::vector<RtVal>& regs) {
+    const RtVal v = regs[ref.is_arg ? dfn.arg_base + ref.arg : ref.alloca_id];
     if (v.kind != RtVal::Kind::ArrayRef) {
-      throw InterpError("@" + fn.name +
+      throw InterpError("@" + dfn.fn->name +
                         ": planned array not materialized at LoopEnter");
     }
     return v;
@@ -566,8 +689,7 @@ class Engine {
   /// shards. On return the shared image holds the merged result; the caller
   /// jumps to the loop's exit block.
   void parallel_loop(const DecodedFn& dfn, const ParLoop& pl,
-                     const std::vector<RtVal>& regs,
-                     const std::vector<RtVal>& args) {
+                     const std::vector<RtVal>& regs) {
     const Function& fn = *dfn.fn;
     const ir::LoopInfo& loop = fn.loops[pl.loop];
     const RtVal ivr = regs[loop.induction_slot];
@@ -577,7 +699,7 @@ class Engine {
     }
     const Addr iv_addr = ivr.base;
     const std::int64_t lo = (*mem_)[iv_addr].i;
-    const std::int64_t bound = eval_bound(fn, pl.bound.value, regs, args);
+    const std::int64_t bound = eval_bound(dfn, pl.bound.value, regs);
     const std::int64_t trip = trip_count(lo, bound, pl.bound.cmp, pl.step);
     if (trip <= 0) return;  // zero-trip: the body never ran, iv stays lo
     ++parallel_loops_;
@@ -609,7 +731,7 @@ class Engine {
     }
     std::vector<RedRange> red_range_init;
     for (const ParArrayReduction& r : pl.array_reductions) {
-      const RtVal a = resolve_array(fn, r.array, regs, args);
+      const RtVal a = resolve_array(dfn, r.array, regs);
       RedRange rr;
       rr.base = a.base;
       rr.size = a.size;
@@ -620,7 +742,7 @@ class Engine {
     }
     std::vector<PrivRange> priv_range_init;
     for (const ParArrayRef& r : pl.private_arrays) {
-      const RtVal a = resolve_array(fn, r, regs, args);
+      const RtVal a = resolve_array(dfn, r, regs);
       PrivRange pr;
       pr.base = a.base;
       pr.size = a.size;
@@ -655,7 +777,7 @@ class Engine {
     auto run_one = [&](std::uint32_t s) {
       if (shards[s]->quota == 0) return;
       Engine shard_engine(*this, *shards[s], pl.loop);
-      shard_engine.run_shard(dfn, regs, args, loop.header);
+      shard_engine.run_shard(dfn, regs, loop.header);
     };
     if (opts_.threads <= 1) {
       for (std::uint32_t s = 0; s < S; ++s) run_one(s);
@@ -719,10 +841,11 @@ class Engine {
 
   // ---- the dispatch loop ---------------------------------------------------
 
-  /// Interprets `fn` from block `start` with the given frame. `frame_regs`
-  /// non-null reuses an existing register file (shard entry into the middle
-  /// of the entry function); otherwise a fresh frame is created.
-  RtVal exec(const DecodedFn& dfn, const std::vector<RtVal>& args,
+  /// Interprets `fn` from block `start`. `frame_regs` non-null reuses an
+  /// existing frame (shard entry into the middle of the entry function);
+  /// otherwise a fresh frame is created and `args` and the constant pool
+  /// are copied into its tail.
+  RtVal exec(const DecodedFn& dfn, std::span<const RtVal> args,
              ir::BlockId start, std::vector<RtVal>* frame_regs = nullptr) {
     const Function& fn = *dfn.fn;
     if (++depth_ > opts_.max_call_depth) {
@@ -730,14 +853,24 @@ class Engine {
     }
     std::vector<RtVal> local_regs;
     if (!frame_regs) {
-      local_regs.resize(fn.instrs.size());
+      local_regs.resize(dfn.frame_size());
+      std::copy_n(args.begin(),
+                  std::min<std::size_t>(args.size(),
+                                        dfn.const_base - dfn.arg_base),
+                  local_regs.begin() + dfn.arg_base);
+      std::copy(dfn.consts.begin(), dfn.consts.end(),
+                local_regs.begin() + dfn.const_base);
       frame_regs = &local_regs;
     }
-    std::vector<RtVal>& regs = *frame_regs;
-    const std::vector<MicroOp>* code = &dfn.blocks[start];
-    std::size_t ip = 0;
+    // The frame never resizes while this call runs, so its base and the
+    // code base stay in registers.
+    RtVal* const regs = frame_regs->data();
+    const MicroOp* const code = dfn.code.data();
+    const MicroOp* pc = code + dfn.block_start[start];
     RtVal ret;
 
+    // Full resolution of an IR operand: the user-call spill path, whose
+    // arguments decode leaves in the IR.
     auto operand = [&](const Value& v) -> RtVal {
       switch (v.kind) {
         case Value::Kind::Reg: return regs[v.reg];
@@ -753,48 +886,29 @@ class Engine {
           r.f = v.imm_float;
           return r;
         }
-        case Value::Kind::Arg: return args[v.arg];
-        default: throw InterpError("bad operand kind at runtime");
-      }
-    };
-    // Scalar accessors skip the 40-byte RtVal copy the generic path pays.
-    auto as_int = [&](const Value& v) -> std::int64_t {
-      switch (v.kind) {
-        case Value::Kind::Reg: return regs[v.reg].i;
-        case Value::Kind::ImmInt: return v.imm_int;
-        case Value::Kind::ImmFloat: return 0;  // typed IR never mixes these
-        case Value::Kind::Arg: return args[v.arg].i;
-        default: throw InterpError("bad operand kind at runtime");
-      }
-    };
-    auto as_float = [&](const Value& v) -> double {
-      switch (v.kind) {
-        case Value::Kind::Reg: return regs[v.reg].f;
-        case Value::Kind::ImmInt: return 0.0;  // typed IR never mixes these
-        case Value::Kind::ImmFloat: return v.imm_float;
-        case Value::Kind::Arg: return args[v.arg].f;
-        default: throw InterpError("bad operand kind at runtime");
-      }
-    };
-    // Runtime kind of a stored value (stores carry no result type).
-    auto val_is_float = [&](const Value& v) -> bool {
-      switch (v.kind) {
-        case Value::Kind::Reg: return regs[v.reg].kind == RtVal::Kind::Float;
-        case Value::Kind::ImmFloat: return true;
         case Value::Kind::Arg:
-          return args[v.arg].kind == RtVal::Kind::Float;
-        default: return false;
+          if (dfn.arg_base + v.arg < dfn.const_base) {
+            return regs[dfn.arg_base + v.arg];
+          }
+          break;
+        default:
+          break;
       }
+      throw InterpError("bad operand kind at runtime");
     };
-    // Slot operands are Alloca registers on the hot path.
-    auto slot_base = [&](const Value& v) -> Addr {
-      return v.kind == Value::Kind::Reg ? regs[v.reg].base : operand(v).base;
+    // Decoded operands are frame slots: one read each. An immediate's slot
+    // holds it on its own side only (typed IR never reads the other side,
+    // which stays 0).
+    auto as_int = [regs](std::uint32_t s) { return regs[s].i; };
+    auto as_float = [regs](std::uint32_t s) { return regs[s].f; };
+    // Runtime kind of a stored value (stores carry no result type).
+    auto val_is_float = [regs](std::uint32_t s) {
+      return regs[s].kind == RtVal::Kind::Float;
     };
+    auto slot_base = [regs](std::uint32_t s) { return regs[s].base; };
     // Bounds-checked address of an indexed access's element.
     auto element = [&](const MicroOp& mop) -> Addr {
-      const RtVal& arr = mop.ops[0].kind == Value::Kind::Arg
-                             ? args[mop.ops[0].arg]
-                             : regs[mop.ops[0].reg];
+      const RtVal& arr = regs[mop.ops[0]];
       const std::int64_t idx = as_int(mop.ops[1]);
       if (idx < 0 || static_cast<std::uint64_t>(idx) >= arr.size) {
         fault(fn, mop.id,
@@ -815,7 +929,7 @@ class Engine {
         out.i = c.i;
       }
     };
-    auto store = [&](const MicroOp& mop, Addr a, const Value& v) {
+    auto store = [&](const MicroOp& mop, Addr a, std::uint32_t v) {
       obs_.on_store(fn, mop.id, a);
       Cell& c = cell<true>(a);
       if (val_is_float(v)) {
@@ -832,13 +946,17 @@ class Engine {
     const std::uint64_t step_limit = step_limit_;
 
     for (;;) {
-      if (ip >= code->size()) {
-        throw InterpError("fell off block in @" + fn.name);
-      }
-      const MicroOp& mop = (*code)[ip++];
+      const MicroOp& mop = *pc++;
+      // Running off a block traps before the step count would: the slow
+      // path of the fuel compare checks for the sentinel first.
       if (++steps >= step_limit) {
         steps_ = steps;
+        if (mop.op == kEndOfBlock) fell_off(fn);
         out_of_steps(fn);
+      }
+      if constexpr (kObserved) {
+        // The sentinel is no instruction: the hooks must not see it.
+        if (mop.op == kEndOfBlock) fell_off(fn);
       }
       obs_.on_instr(fn, mop.id);
       RtVal& out = regs[mop.id];
@@ -912,17 +1030,13 @@ class Engine {
 
         // ---- control ----
         case Opcode::Br:
-          code = &dfn.blocks[mop.ops[0].block];
-          ip = 0;
+          pc = code + mop.ops[0];
           break;
-        case Opcode::CondBr: {
-          const bool t = as_int(mop.ops[0]) != 0;
-          code = &dfn.blocks[mop.ops[t ? 1 : 2].block];
-          ip = 0;
+        case Opcode::CondBr:
+          pc = code + mop.ops[as_int(mop.ops[0]) != 0 ? 1 : 2];
           break;
-        }
         case Opcode::Ret:
-          if (mop.nops != 0) ret = operand(mop.ops[0]);
+          if (mop.nops != 0) ret = regs[mop.ops[0]];
           steps_ = steps;
           if (shard_ && depth_ == 1) {
             throw InterpError("parallel shard returned from @" + fn.name +
@@ -955,10 +1069,9 @@ class Engine {
           obs_.on_loop_enter(fn, mop.loop);
           if (const ParLoop* pl = planned(fn, mop.loop); pl && depth_ == 1) {
             steps_ = steps;
-            parallel_loop(dfn, *pl, regs, args);
+            parallel_loop(dfn, *pl, *frame_regs);
             steps = steps_;
-            code = &dfn.blocks[fn.loops[mop.loop].exit];
-            ip = 0;
+            pc = code + dfn.block_start[fn.loops[mop.loop].exit];
           }
           break;
         }
@@ -980,12 +1093,17 @@ class Engine {
             return ret;  // natural loop exit inside the shard's range
           }
           break;
+
+        // ---- decode-only micro-ops (past the last ir::Opcode) ----
+        default:
+          if (mop.op == kEndOfBlock) fell_off(fn);
+          throw InterpError("bad operand kind at runtime");
       }
     }
   }
 
   template <typename IntFn, typename FloatFn>
-  RtVal eval_builtin(const MicroOp& mop, IntFn&& iop, FloatFn&& fop) {
+  RtVal eval_builtin(const MicroOp& mop, IntFn&& iop, FloatFn&& fop) const {
     RtVal out;
     auto farg = [&](std::size_t i) { return fop(mop.ops[i]); };
     auto iarg = [&](std::size_t i) { return iop(mop.ops[i]); };

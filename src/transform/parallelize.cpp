@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -314,6 +315,14 @@ bool within_tol(double a, double b, double tol) {
   return std::fabs(a - b) <= tol * scale;
 }
 
+/// "a vs b" at full precision: two doubles that differ print differently.
+std::string float_diff(double a, double b) {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << a << " vs " << b;
+  return os.str();
+}
+
 }  // namespace
 
 EquivalenceReport run_equivalence(const ir::Module& m, const std::string& entry,
@@ -387,25 +396,23 @@ EquivalenceReport run_equivalence(const ir::Module& m, const std::string& entry,
                std::to_string(s.size()) + " vs " + std::to_string(p.size()));
       return rep;
     }
+    // Scan for the first differing element; only that one is formatted.
     const bool tol = tolerant_args.count(static_cast<std::uint32_t>(a)) > 0;
-    for (std::size_t k = 0; k < s.size(); ++k) {
-      bool ok;
-      std::ostringstream diff;
-      if (t == TypeKind::ArrInt) {
-        ok = s[k].i == p[k].i;
-        if (!ok) diff << s[k].i << " vs " << p[k].i;
-      } else if (tol) {
-        ok = within_tol(s[k].f, p[k].f, float_tol);
-        if (!ok) diff << s[k].f << " vs " << p[k].f;
-      } else {
-        ok = bits_equal(s[k].f, p[k].f);
-        if (!ok) diff << s[k].f << " vs " << p[k].f;
-      }
-      if (!ok) {
-        mismatch("arg '" + fn->params[a].name + "'[" + std::to_string(k) +
-                 "]: " + diff.str());
-        return rep;
-      }
+    std::size_t k = 0;
+    if (t == TypeKind::ArrInt) {
+      while (k < s.size() && s[k].i == p[k].i) ++k;
+    } else if (tol) {
+      while (k < s.size() && within_tol(s[k].f, p[k].f, float_tol)) ++k;
+    } else {
+      while (k < s.size() && bits_equal(s[k].f, p[k].f)) ++k;
+    }
+    if (k < s.size()) {
+      mismatch("arg '" + fn->params[a].name + "'[" + std::to_string(k) +
+               "]: " +
+               (t == TypeKind::ArrInt
+                    ? std::to_string(s[k].i) + " vs " + std::to_string(p[k].i)
+                    : float_diff(s[k].f, p[k].f)));
+      return rep;
     }
   }
 
@@ -422,8 +429,7 @@ EquivalenceReport run_equivalence(const ir::Module& m, const std::string& entry,
     const bool ok = ret_tolerant ? within_tol(sr.f, pr.f, float_tol)
                                  : bits_equal(sr.f, pr.f);
     if (!ok) {
-      mismatch("return value: " + std::to_string(sr.f) + " vs " +
-               std::to_string(pr.f));
+      mismatch("return value: " + float_diff(sr.f, pr.f));
     }
   }
   return rep;

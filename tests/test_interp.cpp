@@ -1,9 +1,12 @@
 // Interpreter semantics: arithmetic, control flow, builtins, recursion,
-// faults, and deterministic argument synthesis.
+// faults, deterministic argument synthesis, and the engine's frame layout
+// and end-of-block sentinel across every entry point.
 #include <gtest/gtest.h>
 
 #include "frontend/lower.hpp"
+#include "ir/builder.hpp"
 #include "profiler/interp.hpp"
+#include "profiler/par_exec.hpp"
 
 namespace {
 
@@ -221,6 +224,103 @@ int kernel() { return rec(0); }
   profiler::InterpOptions opts;
   opts.max_call_depth = 64;
   EXPECT_THROW(profiler::run(m, "kernel", {}, obs, opts), InterpError);
+}
+
+// Every entry point of the micro-op engine: observed run, unobserved
+// capture, and a parallel run whose empty plan shards nothing.
+template <typename Check>
+void for_each_entry_point(const ir::Module& m, const std::string& entry,
+                          const std::vector<ArgInit>& args, Check&& check) {
+  profiler::NullObserver obs;
+  check("run", [&] { return profiler::run(m, entry, args, obs); });
+  check("run_capture",
+        [&] { return profiler::run_capture(m, entry, args).run; });
+  check("run_parallel", [&] {
+    profiler::ParPlan empty;
+    profiler::ParRunOptions opts;
+    opts.threads = 1;
+    return profiler::run_parallel(m, entry, args, empty, opts).run;
+  });
+}
+
+TEST(Interp, BlockWithoutTerminatorFallsOffAtEveryEntryPoint) {
+  // Hand-built IR the verifier would reject: the entry block computes a
+  // value and ends there. Running off it executes the block's sentinel.
+  ir::Module m;
+  m.name = "t";
+  auto fn = std::make_unique<ir::Function>();
+  fn->name = "f";
+  fn->return_type = ir::TypeKind::Int;
+  ir::IrBuilder b(*fn);
+  b.set_insert(b.new_block("entry"));
+  b.binop(ir::Opcode::Add, ir::TypeKind::Int, ir::Value::imm(std::int64_t{1}),
+          ir::Value::imm(std::int64_t{2}));
+  m.functions.push_back(std::move(fn));
+  for_each_entry_point(m, "f", {}, [](const char* entry, auto&& go) {
+    try {
+      go();
+      ADD_FAILURE() << entry << " ran off the block without a fault";
+    } catch (const InterpError& e) {
+      EXPECT_STREQ(e.what(), "fell off block in @f") << entry;
+    }
+  });
+  // The sentinel is checked before the step count: with the budget ending
+  // exactly on it, running off the block still wins over fuel exhaustion.
+  profiler::NullObserver obs;
+  profiler::InterpOptions one_step;
+  one_step.max_steps = 1;
+  try {
+    (void)profiler::run(m, "f", {}, obs, one_step);
+    ADD_FAILURE() << "run ran off the block without a fault";
+  } catch (const InterpError& e) {
+    EXPECT_STREQ(e.what(), "fell off block in @f");
+  }
+  try {
+    (void)profiler::run_capture(m, "f", {}, one_step);
+    ADD_FAILURE() << "run_capture ran off the block without a fault";
+  } catch (const InterpError& e) {
+    EXPECT_STREQ(e.what(), "fell off block in @f");
+  }
+}
+
+TEST(Interp, FrameSlotsAgreeAcrossEntryPoints) {
+  // Immediates of both types, int/float scalar and array arguments, and a
+  // user call whose operands mix an immediate, a register and arguments
+  // (the spill path that reads IR operands instead of frame slots).
+  const ir::Module m = frontend::compile(R"(
+int helper(int x, float y, int[] b, int k) {
+  return x * 2 + b[k] + (int) y;
+}
+int kernel(int n, float f, int[] a) {
+  int s = 7;
+  for (int i = 0; i < n; i += 1) {
+    s = s + a[i] * 3 + helper(i, 2.5, a, n - 1 - i);
+  }
+  return s + (int) (f * 4.0) - 1;
+}
+)",
+                                         "t");
+  constexpr std::int64_t kN = 24;
+  const std::vector<ArgInit> args = {ArgInit::of_int(kN),
+                                     ArgInit::of_float(1.75),
+                                     ArgInit::of_array(kN, 5)};
+  // The expected value, recomputed from the (unmodified) array contents.
+  const auto capture = profiler::run_capture(m, "kernel", args);
+  const auto& a = capture.arg_arrays[2];
+  ASSERT_EQ(a.size(), static_cast<std::size_t>(kN));
+  std::int64_t expect = 7;
+  for (std::int64_t i = 0; i < kN; ++i) {
+    expect += a[i].i * 3 + (i * 2 + a[kN - 1 - i].i + 2);
+  }
+  expect += 7 - 1;
+  EXPECT_EQ(capture.run.return_value.i, expect);
+
+  for_each_entry_point(m, "kernel", args, [&](const char* entry, auto&& go) {
+    const profiler::RunResult r = go();
+    EXPECT_EQ(r.return_value.kind, profiler::RtVal::Kind::Int) << entry;
+    EXPECT_EQ(r.return_value.i, expect) << entry;
+    EXPECT_EQ(r.steps, capture.run.steps) << entry;
+  });
 }
 
 TEST(Interp, MissingEntryAndArgMismatch) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdlib>
 #include <span>
+#include <string>
 
 #include "analysis/suggest.hpp"
 #include "data/kernels.hpp"
@@ -524,6 +526,173 @@ float kernel(float[] a) {
   ASSERT_TRUE(rep.ran) << rep.detail;
   EXPECT_TRUE(rep.equal) << rep.detail;
   EXPECT_EQ(rep.parallel_loops, 0u);
+}
+
+// ---- mismatch reporting ----------------------------------------------------
+//
+// Wrong plans, built by hand to bypass plan_parallel's re-proof: privatizing
+// a carried scalar makes every shard after the first restart it from its
+// LoopEnter value. run_equivalence must name the first differing element,
+// found here independently, and print both values so that they read back
+// exactly.
+
+/// A plan for loop 0 of `kernel`: the header compare's bound, unit step,
+/// `priv` privatized and `float_sums` float +-reduced (scalars by name).
+profiler::ParPlan forced_plan(const ir::Module& m,
+                              const std::vector<std::string>& priv,
+                              const std::vector<std::string>& float_sums) {
+  const ir::Function& fn = *m.find("kernel");
+  const ir::LoopInfo& loop = fn.loops.at(0);
+  const ir::Instruction& br = fn.instr(fn.block(loop.header).instrs.back());
+  const ir::Instruction& cmp = fn.instr(br.operands[0].reg);
+  auto slot = [&](const std::string& name) {
+    for (ir::InstrId id = 0; id < fn.instrs.size(); ++id) {
+      if (fn.instr(id).op == ir::Opcode::Alloca && fn.instr(id).name == name) {
+        return id;
+      }
+    }
+    ADD_FAILURE() << "no scalar named " << name;
+    return ir::kNoInstr;
+  };
+  profiler::ParLoop pl;
+  pl.loop = 0;
+  pl.step = 1;
+  pl.bound.value = cmp.operands[1];
+  pl.bound.cmp = cmp.op;
+  for (const std::string& n : priv) pl.private_slots.push_back(slot(n));
+  for (const std::string& n : float_sums) {
+    pl.scalar_reductions.push_back(
+        {slot(n), profiler::ParReduceOp::Sum, /*is_float=*/true});
+  }
+  profiler::ParPlan plan;
+  plan.fn = "kernel";
+  plan.loops.push_back(std::move(pl));
+  return plan;
+}
+
+/// Splits "<prefix>X vs Y" and reads X and Y back as doubles.
+std::pair<double, double> read_pair(const std::string& detail,
+                                    const std::string& prefix) {
+  EXPECT_EQ(detail.rfind(prefix, 0), 0u) << detail;
+  const std::string rest = detail.substr(prefix.size());
+  const auto vs = rest.find(" vs ");
+  EXPECT_NE(vs, std::string::npos) << detail;
+  return {std::strtod(rest.substr(0, vs).c_str(), nullptr),
+          std::strtod(rest.substr(vs + 4).c_str(), nullptr)};
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The two runs run_equivalence compares, made directly.
+struct RunPair {
+  profiler::CapturedRun seq;
+  profiler::ParOutput par;
+};
+
+RunPair run_both(const ir::Module& m, const std::vector<ArgInit>& args,
+                 const profiler::ParPlan& plan) {
+  profiler::ParRunOptions opts;
+  opts.threads = 2;
+  return {profiler::run_capture(m, "kernel", args),
+          profiler::run_parallel(m, "kernel", args, plan, opts)};
+}
+
+constexpr const char* kIntScan = R"(
+const int N = 64;
+int kernel(int[] a) {
+  int s = 0;
+  for (int i = 0; i < N; i += 1) {
+    s = s + a[i];
+    a[i] = s;
+  }
+  return s;
+}
+)";
+
+TEST(Parallelize, IntArrayMismatchNamesFirstDifferingIndex) {
+  const ir::Module m = frontend::compile(kIntScan, "scan");
+  const std::vector<ArgInit> args = {ArgInit::of_array(64, 3)};
+  const profiler::ParPlan plan = forced_plan(m, {"s"}, {});
+  const auto rep = transform::run_equivalence(m, "kernel", args, plan, 2);
+  ASSERT_TRUE(rep.ran) << rep.detail;
+  EXPECT_FALSE(rep.equal);
+
+  const RunPair runs = run_both(m, args, plan);
+  const auto& s = runs.seq.arg_arrays[0];
+  const auto& p = runs.par.arg_arrays[0];
+  std::size_t k = 0;
+  while (k < s.size() && s[k].i == p[k].i) ++k;
+  ASSERT_LT(k, s.size());
+  EXPECT_GT(k, 0u);  // the first shard is right; a later one restarts s
+  EXPECT_EQ(rep.detail, "arg 'a'[" + std::to_string(k) +
+                            "]: " + std::to_string(s[k].i) + " vs " +
+                            std::to_string(p[k].i));
+}
+
+TEST(Parallelize, FloatArrayMismatchPrintsFullPrecision) {
+  const ir::Module m = frontend::compile(R"(
+const int N = 64;
+float kernel(float[] a) {
+  float s = 0.0;
+  for (int i = 0; i < N; i += 1) {
+    s = s + a[i];
+    a[i] = s;
+  }
+  return s;
+}
+)",
+                                         "fscan");
+  const std::vector<ArgInit> args = {ArgInit::of_array(64, 3)};
+  const profiler::ParPlan plan = forced_plan(m, {"s"}, {});
+  const auto rep = transform::run_equivalence(m, "kernel", args, plan, 2);
+  ASSERT_TRUE(rep.ran) << rep.detail;
+  EXPECT_FALSE(rep.equal);
+
+  const RunPair runs = run_both(m, args, plan);
+  const auto& s = runs.seq.arg_arrays[0];
+  const auto& p = runs.par.arg_arrays[0];
+  std::size_t k = 0;
+  while (k < s.size() && same_bits(s[k].f, p[k].f)) ++k;
+  ASSERT_LT(k, s.size());
+  const auto [seq_v, par_v] =
+      read_pair(rep.detail, "arg 'a'[" + std::to_string(k) + "]: ");
+  EXPECT_TRUE(same_bits(seq_v, s[k].f)) << rep.detail;
+  EXPECT_TRUE(same_bits(par_v, p[k].f)) << rep.detail;
+}
+
+TEST(Parallelize, TolerantReturnMismatchPrintsFullPrecision) {
+  // `s` is a true float sum (compared within tolerance); `last` is wrongly
+  // privatized, so the parallel return keeps only the last shard's part.
+  const ir::Module m = frontend::compile(R"(
+const int N = 64;
+float kernel(float[] a) {
+  float s = 0.0;
+  float last = 0.0;
+  for (int i = 0; i < N; i += 1) {
+    s = s + a[i];
+    last = last + a[i];
+  }
+  return s + last;
+}
+)",
+                                         "sums");
+  const std::vector<ArgInit> args = {ArgInit::of_array(64, 4)};
+  const profiler::ParPlan plan = forced_plan(m, {"last"}, {"s"});
+  const auto rep = transform::run_equivalence(m, "kernel", args, plan, 2);
+  ASSERT_TRUE(rep.ran) << rep.detail;
+  EXPECT_FALSE(rep.equal);
+  const RunPair runs = run_both(m, args, plan);
+  const auto [seq_v, par_v] = read_pair(rep.detail, "return value: ");
+  EXPECT_TRUE(same_bits(seq_v, runs.seq.run.return_value.f)) << rep.detail;
+  EXPECT_TRUE(same_bits(par_v, runs.par.run.return_value.f)) << rep.detail;
+
+  // Reducing both sums is a right plan: re-association stays in tolerance.
+  const auto ok = transform::run_equivalence(
+      m, "kernel", args, forced_plan(m, {}, {"s", "last"}), 2);
+  ASSERT_TRUE(ok.ran) << ok.detail;
+  EXPECT_TRUE(ok.equal) << ok.detail;
 }
 
 TEST(Parallelize, AnnotateInsertsPragmaAboveLoop) {
