@@ -70,6 +70,14 @@ constexpr std::size_t kEvalBatch = 32;
 /// batch_size does.
 constexpr std::size_t kDpShardRows = 4;
 
+/// Step schedule shared by every trainer: drop the rate at 60% and 85% of
+/// the budget so late epochs settle instead of oscillating.
+float scheduled_lr(float base, std::size_t epoch, std::size_t epochs) {
+  if (epoch >= epochs * 6 / 10) base *= 0.3f;
+  if (epoch >= epochs * 85 / 100) base *= 0.3f;
+  return base;
+}
+
 }  // namespace
 
 Normalizer Normalizer::fit(const data::Dataset& ds,
@@ -244,12 +252,7 @@ std::vector<EpochStat> MvGnnTrainer::fit(
           {epoch, global_step, rng_.state(), curve}, *model_, opt);
       snapshot_epoch = epoch;
     }
-    // Step schedule: drop the rate at 60% and 85% of the budget so late
-    // epochs settle instead of oscillating.
-    float lr = tc_.lr;
-    if (epoch >= tc_.epochs * 6 / 10) lr *= 0.3f;
-    if (epoch >= tc_.epochs * 85 / 100) lr *= 0.3f;
-    opt.set_lr(lr);
+    opt.set_lr(scheduled_lr(tc_.lr, epoch, tc_.epochs));
     // History-free shuffle: each epoch permutes the pristine index list, so
     // the visit order is a function of (train_idx, rng state) alone and a
     // resumed epoch replays the uninterrupted one exactly.
@@ -285,42 +288,16 @@ std::vector<EpochStat> MvGnnTrainer::fit(
         chunk.push_back(use_alt[j - start] ? &alt_feats_->get(order[j])
                                            : &feats_->get(order[j]));
       }
-      if (tc_.threads == 0) {
-        const GraphBatch gb = make_graph_batch(chunk);
-        // One batched forward/backward per optimizer step. The
-        // cross-entropy means over the rows actually present, so a
-        // trailing partial batch is averaged over its own size — not the
-        // nominal batch size.
-        const auto out = model_->forward_batch(gb, /*training=*/true, rng_);
-        Tensor loss = ag::cross_entropy_logits(out.logits, gb.labels);
-        if (tc_.aux_weight > 0.0f) {
-          loss = ag::add(
-              loss,
-              ag::scale(
-                  ag::add(ag::cross_entropy_logits(out.node_logits, gb.labels),
-                          ag::cross_entropy_logits(out.struct_logits,
-                                                   gb.labels)),
-                  tc_.aux_weight));
-        }
-        opt.zero_grad();
-        loss.backward();
-        opt.step();
-        loss_sum += loss.item() * static_cast<double>(gb.size());
-        for (std::size_t b = 0; b < gb.size(); ++b) {
-          correct += (argmax_row(out.logits, b) == gb.labels[b]);
-        }
-      } else {
-        // Deterministic data-parallel step (docs/parallelism.md). One u64
-        // draw seeds every shard's dropout stream: the trainer Rng advances
-        // by exactly one engine call per step no matter how many shards or
-        // threads ran, so checkpoints and thread-count changes cannot fork
-        // the state the next epoch's shuffle sees.
-        const std::uint64_t step_seed = rng_.engine()();
-        const auto [chunk_loss, chunk_correct] =
-            data_parallel_step(chunk, opt, step_seed);
-        loss_sum += chunk_loss;
-        correct += chunk_correct;
-      }
+      // Deterministic data-parallel step (docs/parallelism.md). One u64
+      // draw seeds every shard's dropout stream: the trainer Rng advances
+      // by exactly one engine call per step no matter how many shards or
+      // threads ran, so checkpoints and thread-count changes cannot fork
+      // the state the next epoch's shuffle sees.
+      const std::uint64_t step_seed = rng_.engine()();
+      const auto [chunk_loss, chunk_correct] =
+          data_parallel_step(chunk, opt, step_seed);
+      loss_sum += chunk_loss;
+      correct += chunk_correct;
       ++global_step;
       TrainerMetrics::get().batches.add(1);
     }
@@ -540,13 +517,7 @@ MvGnnTrainer::ViewPrediction MvGnnTrainer::predict_input(
 }
 
 MvGnnTrainer::ViewPrediction MvGnnTrainer::predict(std::size_t i) const {
-  const SampleInput& in = feats_->get(i);
-  const auto out = model_->forward(in, /*training=*/false, rng_);
-  ViewPrediction p;
-  p.fused = argmax_row(out.logits);
-  p.node_view = argmax_row(out.node_logits);
-  p.struct_view = argmax_row(out.struct_logits);
-  return p;
+  return predict_input(feats_->get(i));
 }
 
 double MvGnnTrainer::accuracy(const std::vector<std::size_t>& idx) const {
@@ -586,10 +557,7 @@ std::vector<EpochStat> StaticGnnTrainer::fit(
   feats_->prefetch(order);  // parallel featurization before the epoch loop
   std::vector<EpochStat> curve;
   for (std::size_t epoch = 0; epoch < tc_.epochs; ++epoch) {
-    float lr = tc_.lr;
-    if (epoch >= tc_.epochs * 6 / 10) lr *= 0.3f;
-    if (epoch >= tc_.epochs * 85 / 100) lr *= 0.3f;
-    opt_->set_lr(lr);
+    opt_->set_lr(scheduled_lr(tc_.lr, epoch, tc_.epochs));
     std::shuffle(order.begin(), order.end(), rng_.engine());
     double loss_sum = 0.0;
     std::size_t correct = 0;

@@ -98,14 +98,13 @@ struct TrainConfig {
   std::uint64_t seed = 1;
   bool verbose = false;
 
-  /// Data-parallel shard workers per mini-batch (docs/parallelism.md).
-  /// 0 = the legacy serial path: one batched forward/backward per step,
-  /// exactly the pre-data-parallel arithmetic. N >= 1 = the deterministic
-  /// sharded path: each mini-batch is cut into fixed-size shards, up to N
-  /// of them run replicated forward/backward concurrently, and the shard
-  /// gradients reduce in a fixed tree order — weights and curves are
-  /// bit-identical for every N >= 1, so `threads` trades wall-clock only.
-  std::size_t threads = 0;
+  /// How many data-parallel shards of a mini-batch run at once
+  /// (docs/parallelism.md); 0 counts as 1. Each mini-batch is cut into
+  /// fixed-size shards that run replicated forward/backward passes, and
+  /// the shard gradients reduce in a fixed tree order, so weights and
+  /// curves are bit-identical for every value: `threads` trades
+  /// wall-clock only.
+  std::size_t threads = 1;
 
   // ---- fault tolerance (docs/robustness.md) ----
   /// Directory for `ckpt-<epoch>.mvck` files; empty disables checkpointing.
@@ -183,10 +182,10 @@ class MvGnnTrainer {
   [[nodiscard]] bool interrupted() const { return interrupted_; }
 
  private:
-  /// One optimizer step over `chunk` on the sharded data-parallel path:
-  /// fixed-size shards, replicated forward/backward on up to
-  /// TrainConfig::threads workers, fixed-tree gradient reduction, one Adam
-  /// update. Returns the chunk's summed loss and correct-prediction count.
+  /// One optimizer step over `chunk`: fixed-size shards, replicated
+  /// forward/backward on up to TrainConfig::threads workers, fixed-tree
+  /// gradient reduction, one Adam update. Returns the chunk's summed loss
+  /// and correct-prediction count.
   std::pair<double, std::size_t> data_parallel_step(
       const std::vector<const SampleInput*>& chunk, ag::Adam& opt,
       std::uint64_t step_seed);
@@ -200,7 +199,7 @@ class MvGnnTrainer {
   float alt_prob_ = 0.0f;
   TrainConfig tc_;
   std::unique_ptr<MvGnn> model_;
-  /// Weight-synced model copies for the data-parallel path; worker 0 runs
+  /// Weight-synced model copies for the data-parallel step; worker 0 runs
   /// on the master model and worker r >= 1 on replicas_[r-1], so concurrent
   /// backward passes never share a gradient buffer.
   std::vector<std::unique_ptr<MvGnn>> replicas_;

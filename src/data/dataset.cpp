@@ -31,6 +31,27 @@ pipe::PipelineConfig pipeline_config(const DatasetOptions& opts) {
   return cfg;
 }
 
+/// The one rule that turns a (program, variant) pair into a pipeline item.
+/// Seeds hash (opts.seed, source, variant), never the corpus position, so
+/// featurize_program reproduces what build_dataset made of a program.
+pipe::ItemSpec item_spec(const ProgramSpec& program, const std::string& variant,
+                         const DatasetOptions& opts) {
+  pipe::ItemSpec is;
+  is.source = program.kernel.source;
+  is.module_name = program.kernel.name;
+  is.args = program.kernel.args;
+  is.variant = variant;
+  const cache::Key seeds = cache::Hasher()
+                               .str("mvgnn.data.item_seeds.v1")
+                               .u64(opts.seed)
+                               .str(is.source)
+                               .str(is.variant)
+                               .digest();
+  is.noise_seed = seeds.hi;
+  is.walk_seed = seeds.lo;
+  return is;
+}
+
 /// Replayed form of one item's samples: GraphSamples missing only the
 /// densified AW view (sparse ids are kept until the vocabulary freezes).
 struct ReplayedSamples {
@@ -220,8 +241,8 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
   // ---- Phase 1: per-item staged pipeline (Parse..Featurize) ------------
   // Every (program, variant) item is independent, so this fans out over the
   // global thread pool; results are collected in item order and each item
-  // derives its own noise and walk streams from its index, keeping the
-  // dataset bit-identical regardless of scheduling — and regardless of
+  // seeds its noise and walk streams from its content (item_spec), keeping
+  // the dataset bit-identical regardless of scheduling — and regardless of
   // which items came out of the stage cache versus being recomputed.
   const auto& pipelines = transform::variant_pipelines();
   const std::size_t n_variants = opts.use_ir_variants ? pipelines.size() : 1;
@@ -246,14 +267,10 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
           return;
         }
         const ProgramSpec& spec = programs[item / n_variants];
-        const std::size_t v = item % n_variants;
-        pipe::ItemSpec is;
-        is.source = spec.kernel.source;
-        is.module_name = spec.kernel.name;
-        is.args = spec.kernel.args;
-        if (opts.use_ir_variants) is.variant = pipelines[v].name;
-        is.noise_seed = opts.seed ^ (0x0DE9'0A0DULL + item * 0x9E37ULL);
-        is.walk_seed = opts.seed ^ (0xA110'C8ULL + item * 0x9E37ULL);
+        const pipe::ItemSpec is = item_spec(
+            spec,
+            opts.use_ir_variants ? pipelines[item % n_variants].name : "",
+            opts);
         auto r = std::make_unique<ItemResult>();
         r->spec = &spec;
         r->variant = is.variant;
@@ -398,14 +415,8 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
 std::vector<GraphSample> featurize_program(const ProgramSpec& program,
                                             const Dataset& reference,
                                             const DatasetOptions& opts) {
-  pipe::ItemSpec is;
-  is.source = program.kernel.source;
-  is.module_name = program.kernel.name;
-  is.args = program.kernel.args;
-  is.noise_seed = opts.seed ^ 0xF007'0A0DULL;
-  is.walk_seed = opts.seed ^ 0xF00D'C8ULL;
-  const pipe::ItemFeatures feats =
-      pipe::run_item(is, pipeline_config(opts), opts.cache);
+  const pipe::ItemFeatures feats = pipe::run_item(
+      item_spec(program, "", opts), pipeline_config(opts), opts.cache);
 
   // The vocabularies are frozen, so grow=false cannot mutate them; the
   // const_cast only satisfies the shared replay helper's signature.

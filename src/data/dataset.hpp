@@ -143,8 +143,11 @@ struct Dataset {
 /// frozen vocabularies and inst2vec table — the inference path: profile the
 /// program, build its PEG, and emit one GraphSample per for-loop whose
 /// feature widths match `reference` (so a model trained on it applies
-/// directly). The reference dataset must be fully built (vocabularies
-/// frozen). Throws on compile/profile faults.
+/// directly). Items are seeded by content, the same rule build_dataset
+/// uses, so a program from the reference corpus (variant-free, same
+/// options) reproduces its build-time samples exactly. The reference
+/// dataset must be fully built (vocabularies frozen). Throws on
+/// compile/profile faults.
 [[nodiscard]] std::vector<GraphSample> featurize_program(
     const ProgramSpec& program, const Dataset& reference,
     const DatasetOptions& opts);

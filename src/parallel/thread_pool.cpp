@@ -54,7 +54,7 @@ obs::Counter& worker_counter(std::size_t worker) {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
+  if (num_threads < 1) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);

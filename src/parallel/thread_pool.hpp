@@ -54,7 +54,7 @@ struct TaskGroupState {
 /// shards), so a lock-protected deque is never the bottleneck.
 class ThreadPool {
  public:
-  /// Creates a pool with `num_threads` workers. `num_threads == 0` selects
+  /// Creates a pool with `num_threads` workers; 0 selects
   /// `std::thread::hardware_concurrency()` (minimum 1).
   explicit ThreadPool(std::size_t num_threads = 0);
 

@@ -312,4 +312,50 @@ TEST(Featurize, WorksAfterDatasetReload) {
   }
 }
 
+TEST(Featurize, CorpusProgramReproducesItsBuildTimeSamples) {
+  // Serve time must see exactly what training saw: one seeding rule for
+  // build_dataset and featurize_program, with dependence noise on so the
+  // noise stream is exercised too.
+  par::Rng rng(21);
+  std::vector<data::ProgramSpec> programs;
+  int i = 0;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (const auto p :
+         {data::Pattern::VecMap, data::Pattern::ReduceSum,
+          data::Pattern::Recurrence, data::Pattern::EarlyExit,
+          data::Pattern::PrivTemp, data::Pattern::StencilCopy}) {
+      data::ProgramSpec ps;
+      ps.suite = "T";
+      ps.app = "t";
+      ps.pattern = p;
+      ps.kernel = data::generate_kernel(p, "sb_k" + std::to_string(i++), rng);
+      programs.push_back(std::move(ps));
+    }
+  }
+  data::DatasetOptions opts;
+  opts.seed = 17;
+  opts.walk.gamma = 8;
+  opts.dep_noise = 0.3;
+  const data::Dataset ds = data::build_dataset(programs, opts);
+
+  std::size_t next = 0;
+  for (const data::ProgramSpec& ps : programs) {
+    const auto served = data::featurize_program(ps, ds, opts);
+    for (const data::GraphSample& s : served) {
+      ASSERT_LT(next, ds.samples.size());
+      const data::GraphSample& built = ds.samples[next++];
+      SCOPED_TRACE(ps.kernel.name + " line " + std::to_string(s.loop_line));
+      ASSERT_EQ(built.kernel, ps.kernel.name);
+      EXPECT_EQ(s.edges, built.edges);
+      EXPECT_EQ(s.edge_kinds, built.edge_kinds);
+      EXPECT_EQ(s.node_static, built.node_static);
+      EXPECT_EQ(s.node_dynamic, built.node_dynamic);
+      EXPECT_EQ(s.aw_dist, built.aw_dist);
+      EXPECT_EQ(s.loop_features, built.loop_features);
+      EXPECT_EQ(s.label, built.label);
+    }
+  }
+  EXPECT_EQ(next, ds.samples.size());
+}
+
 }  // namespace featurize_tests

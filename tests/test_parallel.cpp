@@ -411,15 +411,18 @@ void expect_identical_curves(const std::vector<core::EpochStat>& a,
 
 TEST(DataParallel, ThreadCountMatrixIsBitIdentical) {
   const TrainSetup setup(41);
+  const TrainSetup::Run t0 = setup.run(setup.config(0));
   const TrainSetup::Run t1 = setup.run(setup.config(1));
   const TrainSetup::Run t2 = setup.run(setup.config(2));
   const TrainSetup::Run t8 = setup.run(setup.config(8));
 
   ASSERT_EQ(t1.curve.size(), 3u);
+  expect_identical_curves(t1.curve, t0.curve);
   expect_identical_curves(t1.curve, t2.curve);
   expect_identical_curves(t1.curve, t8.curve);
 
   ASSERT_FALSE(t1.weights.empty());
+  EXPECT_EQ(t1.weights, t0.weights) << "threads=0 diverged from threads=1";
   EXPECT_EQ(t1.weights, t2.weights) << "threads=2 diverged from threads=1";
   EXPECT_EQ(t1.weights, t8.weights) << "threads=8 diverged from threads=1";
 }

@@ -124,9 +124,9 @@ int usage() {
       "  --corpus <n>          generated-corpus size in loops (default 90)\n"
       "  --epochs <n>          training epochs (default 4)\n"
       "  --seed <n>            training seed (default 1)\n"
-      "  --threads <n>         data-parallel shard workers per mini-batch;\n"
-      "                        weights are bit-identical for every n >= 1\n"
-      "                        (0 = legacy serial path, the default)\n"
+      "  --threads <n>         data-parallel shards run at once per\n"
+      "                        mini-batch (default 1); weights are\n"
+      "                        bit-identical for every n\n"
       "  --checkpoint-dir <d>  write ckpt-<epoch>.mvck files into <d>;\n"
       "                        SIGINT/SIGTERM also lands a final checkpoint\n"
       "                        before the process exits nonzero\n"
