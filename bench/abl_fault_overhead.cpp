@@ -71,10 +71,15 @@ void run_profile(benchmark::State& state, bool arm_trap) {
   const auto& m = stencil_module();
   const std::vector<profiler::ArgInit> args = {
       profiler::ArgInit::of_array(256, 1), profiler::ArgInit::of_array(256, 2)};
+  std::uint64_t steps = 0;
   for (auto _ : state) {
     const auto prof = profiler::profile(m, "kernel", args);
+    steps = prof.run.steps;
     benchmark::DoNotOptimize(prof.run.steps);
   }
+  // items_per_s = dynamic instructions profiled per second (CI-gated for
+  // the disarmed run).
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
   fault::disarm_all();
 }
 BENCHMARK_CAPTURE(run_profile, disarmed, false)

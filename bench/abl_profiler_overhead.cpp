@@ -3,7 +3,22 @@
 // interface (NullObserver) and full shadow-memory dependence recording: the
 // classic static-vs-dynamic-analysis cost trade-off the paper's section II
 // discusses.
+//
+//   BM_InterpPlain            virtual no-op hooks (Engine<ExecObserver>)
+//   BM_RunCapture             no hooks at all (Engine<NoHooks>)
+//   BM_InterpWithDepRecorder  the recorder on Engine<DepRecorder>, inlined
+//   BM_RecorderSplit/*        the recorder behind a virtual forwarding
+//                             observer that passes on one group of hooks
+//                             only (instruction counting, loop hooks, or
+//                             loads and stores), or all of them: the
+//                             per-hook split of its cost, and with /all
+//                             the cost of the virtual calls
+//   BM_FullProfilePipeline    profiler::profile on the matmul
+//   BM_ProfileUnit12          profiler::profile on a 12-loop unit of the
+//                             shape the serve benchmark sends
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "bench/gbench_report.hpp"
 #include "frontend/lower.hpp"
@@ -86,6 +101,69 @@ void BM_InterpWithDepRecorder(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpWithDepRecorder);
 
+/// Which DepRecorder hooks a SplitObserver passes on.
+enum HookSet : int { kCounting = 1, kLoops = 2, kAccesses = 4 };
+
+/// Forwards the hooks of `set` to a DepRecorder and drops the rest. Each
+/// forwarded hook is one virtual call plus the recorder's own work, so the
+/// difference to BM_InterpPlain is the cost of that group of hooks. Without
+/// the loop hooks every access sits in the root context, so accesses alone
+/// record no carried dependence.
+class SplitObserver final : public profiler::ExecObserver {
+ public:
+  SplitObserver(const profiler::ObjectTable& objects, int set)
+      : rec_(objects), set_(set) {}
+
+  void on_instr(const ir::Function& fn, ir::InstrId id) override {
+    if (set_ & kCounting) rec_.on_instr(fn, id);
+  }
+  void on_load(const ir::Function& fn, ir::InstrId id,
+               profiler::Addr addr) override {
+    if (set_ & kAccesses) rec_.on_load(fn, id, addr);
+  }
+  void on_store(const ir::Function& fn, ir::InstrId id,
+                profiler::Addr addr) override {
+    if (set_ & kAccesses) rec_.on_store(fn, id, addr);
+  }
+  void on_loop_enter(const ir::Function& fn, ir::LoopId loop) override {
+    if (set_ & kLoops) rec_.on_loop_enter(fn, loop);
+  }
+  void on_loop_iter(const ir::Function& fn, ir::LoopId loop) override {
+    if (set_ & kLoops) rec_.on_loop_iter(fn, loop);
+  }
+  void on_loop_exit(const ir::Function& fn, ir::LoopId loop) override {
+    if (set_ & kLoops) rec_.on_loop_exit(fn, loop);
+  }
+
+ private:
+  profiler::DepRecorder rec_;
+  int set_;
+};
+
+void BM_RecorderSplit(benchmark::State& state, int set) {
+  const auto& m = matmul_module();
+  const auto args = matmul_args();
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    profiler::ObjectTable objects;
+    SplitObserver obs(objects, set);
+    // Through the ExecObserver reference: the virtual engine.
+    profiler::ExecObserver& virt = obs;
+    const auto r = profiler::run(m, "kernel", args, virt, objects);
+    steps = r.steps;
+    benchmark::DoNotOptimize(r.steps);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
+}
+BENCHMARK_CAPTURE(BM_RecorderSplit, counting, kCounting)
+    ->Name("BM_RecorderSplit/counting");
+BENCHMARK_CAPTURE(BM_RecorderSplit, loops, kLoops)
+    ->Name("BM_RecorderSplit/loops");
+BENCHMARK_CAPTURE(BM_RecorderSplit, accesses, kAccesses)
+    ->Name("BM_RecorderSplit/accesses");
+BENCHMARK_CAPTURE(BM_RecorderSplit, all, kCounting | kLoops | kAccesses)
+    ->Name("BM_RecorderSplit/all");
+
 void BM_FullProfilePipeline(benchmark::State& state) {
   const auto& m = matmul_module();
   const auto args = matmul_args();
@@ -98,6 +176,59 @@ void BM_FullProfilePipeline(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
 }
 BENCHMARK(BM_FullProfilePipeline);
+
+/// A 12-loop unit of N = 1024-element loops over three 4096-element arrays,
+/// two loops of each of six kinds (map, in-place update, dot and max
+/// reduction, prefix recurrence, 3-point stencil): the shape of one
+/// analyze request in the serve benchmark, whose arrays the daemon sizes
+/// at 4096 elements.
+const ir::Module& unit12_module() {
+  static const ir::Module m = [] {
+    static constexpr const char* kLoops[] = {
+        "for (int i = 0; i < N; i += 1) { a[i] = b[i] * 1.5 + c[i]; }",
+        "for (int i = 0; i < N; i += 1) { b[i] = b[i] * 0.75 + 1.0; }",
+        "float s2 = 0.0;\n  for (int i = 0; i < N; i += 1) "
+        "{ s2 = s2 + a[i] * c[i]; }",
+        "float s3 = 0.0;\n  for (int i = 0; i < N; i += 1) "
+        "{ s3 = fmax(s3, b[i] * 1.25); }",
+        "for (int i = 1; i < N; i += 1) { c[i] = c[i - 1] + a[i] * 0.5; }",
+        "for (int i = 1; i < N - 1; i += 1) "
+        "{ a[i] = 0.25 * b[i - 1] + 0.5 * b[i] + 0.25 * b[i + 1]; }",
+        "for (int i = 0; i < N; i += 1) { c[i] = a[i] * 2.0 + c[i]; }",
+        "for (int i = 0; i < N; i += 1) { a[i] = a[i] * 1.125 + 1.0; }",
+        "float s8 = 0.0;\n  for (int i = 0; i < N; i += 1) "
+        "{ s8 = s8 + b[i] * b[i]; }",
+        "float s9 = 0.0;\n  for (int i = 0; i < N; i += 1) "
+        "{ s9 = fmax(s9, c[i] * 0.5); }",
+        "for (int i = 1; i < N; i += 1) { b[i] = b[i - 1] + c[i] * 0.25; }",
+        "for (int i = 1; i < N - 1; i += 1) "
+        "{ c[i] = 0.5 * a[i - 1] + 0.25 * a[i] + 0.75 * a[i + 1]; }",
+    };
+    std::string src =
+        "const int N = 1024;\nfloat kernel(float[] a, float[] b, "
+        "float[] c) {\n";
+    for (const char* loop : kLoops) src += std::string("  ") + loop + "\n";
+    src += "  return s2 + s3 + s8 + s9;\n}\n";
+    return frontend::compile(src, "unit12");
+  }();
+  return m;
+}
+
+void BM_ProfileUnit12(benchmark::State& state) {
+  const auto& m = unit12_module();
+  const std::vector<profiler::ArgInit> args = {
+      profiler::ArgInit::of_array(4096, 1), profiler::ArgInit::of_array(4096, 2),
+      profiler::ArgInit::of_array(4096, 3)};
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const auto prof = profiler::profile(m, "kernel", args);
+    steps = prof.run.steps;
+    benchmark::DoNotOptimize(prof.loops.size());
+  }
+  state.counters["dyn_instrs"] = static_cast<double>(steps);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
+}
+BENCHMARK(BM_ProfileUnit12);
 
 }  // namespace
 

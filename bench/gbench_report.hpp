@@ -45,9 +45,11 @@ class ReportingConsoleReporter : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       const std::string name = run.benchmark_name();
       // GetAdjustedRealTime is per-iteration, scaled to the run's time
-      // unit; the default unit is nanoseconds and none of our benches
-      // override it, so the key says ns.
-      report_.metric(name + "/real_ns", run.GetAdjustedRealTime(),
+      // unit (abl_fault_overhead reports milliseconds); the key is always
+      // in nanoseconds.
+      report_.metric(name + "/real_ns",
+                     run.GetAdjustedRealTime() * 1e9 /
+                         benchmark::GetTimeUnitMultiplier(run.time_unit),
                      obs::MetricGoal::Lower, "ns");
       const auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) {

@@ -1,8 +1,9 @@
 #include "profiler/dep_recorder.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace mvgnn::profiler {
 
@@ -21,7 +22,7 @@ bool instr_in_loop(const ir::Function& fn, ir::InstrId id, ir::LoopId l) {
 DepRecorder::DepRecorder(const ObjectTable& objects)
     : objects_(objects),
       nodes_{Node{0, 0, kNoSlot, 0}},  // context 0: outside every loop
-      readers_(1) {}                   // reader 0: list terminator
+      blocks_(1) {}                    // block 0: chain terminator
 
 void DepRecorder::enter_function(const ir::Function& fn) {
   const auto [it, fresh] = fns_.try_emplace(
@@ -43,41 +44,11 @@ void DepRecorder::enter_function(const ir::Function& fn) {
   loop_base_ = it->second.loop_base;
 }
 
-void DepRecorder::on_instr(const ir::Function& fn, ir::InstrId id) {
-  ++counts_[site_of(fn, id)];
+LoopRuntime* DepRecorder::add_loop_runtime(std::uint32_t slot) {
+  return loop_rt_[slot] = &loop_runtime_[loops_[slot]];
 }
 
-void DepRecorder::on_loop_enter(const ir::Function& fn, ir::LoopId loop) {
-  const std::uint32_t slot = loop_slot(fn, loop);
-  LoopRuntime*& rt = loop_rt_[slot];
-  if (rt == nullptr) rt = &loop_runtime_[LoopRef{&fn, loop}];
-  ++rt->instances;
-  stack_.push_back({next_instance_++, slot, kNoNode, rt});
-  cur_node_ = kNoNode;
-}
-
-void DepRecorder::on_loop_iter(const ir::Function& fn, ir::LoopId loop) {
-  assert(!stack_.empty() &&
-         (loops_[stack_.back().loop] == LoopRef{&fn, loop}));
-  (void)fn;
-  (void)loop;
-  Frame& f = stack_.back();
-  ++f.runtime->iterations;
-  f.node = kNoNode;
-  cur_node_ = kNoNode;
-}
-
-void DepRecorder::on_loop_exit(const ir::Function& fn, ir::LoopId loop) {
-  assert(!stack_.empty() &&
-         (loops_[stack_.back().loop] == LoopRef{&fn, loop}));
-  (void)fn;
-  (void)loop;
-  stack_.pop_back();
-  cur_node_ = stack_.empty() ? 0 : stack_.back().node;
-}
-
-DepRecorder::NodeId DepRecorder::context() {
-  if (cur_node_ != kNoNode) return cur_node_;
+DepRecorder::NodeId DepRecorder::intern_context() {
   // Frames that already have a context form a prefix of the stack: only a
   // frame's own iteration change (or its push) clears it, and that happens
   // at the top. Intern the missing suffix.
@@ -101,79 +72,65 @@ void DepRecorder::add_chunk(std::size_t chunk) {
   chunks_[chunk] = std::make_unique<Cell[]>(std::size_t{1} << kChunkBits);
 }
 
-DepRecorder::Cell& DepRecorder::cell(Addr addr) {
-  const std::size_t chunk = addr >> kChunkBits;
-  if (chunk >= chunks_.size() || !chunks_[chunk]) add_chunk(chunk);
-  Cell& c = chunks_[chunk][addr & ((Addr{1} << kChunkBits) - 1)];
-  // Addresses are never reused, so a cell's object is fixed at first touch.
-  if (c.obj == 0) c.obj = objects_.object_of(addr) + 1;
-  return c;
-}
-
-void DepRecorder::on_load(const ir::Function& fn, ir::InstrId id, Addr addr) {
-  const Site site = site_of(fn, id);
-  const NodeId node = context();
-  Cell& c = cell(addr);
-  if (c.write != 0) {
-    record(c.write - 1, c.write_node, site, node, DepType::RAW, c.obj - 1);
-  }
-  if (c.read == 0 || c.read == site + 1) {
-    c.read = site + 1;
-    c.read_node = node;
-    return;
-  }
-  for (std::uint32_t r = c.more; r != 0; r = readers_[r].next) {
-    if (readers_[r].site == site) {
-      readers_[r].node = node;
-      return;
-    }
-  }
-  std::uint32_t r = free_reader_;
-  if (r != 0) {
-    free_reader_ = readers_[r].next;
-    readers_[r] = {site, node, c.more};
-  } else {
-    r = static_cast<std::uint32_t>(readers_.size());
-    readers_.push_back({site, node, c.more});
-  }
-  c.more = r;
-}
-
-void DepRecorder::on_store(const ir::Function& fn, ir::InstrId id, Addr addr) {
-  const Site site = site_of(fn, id);
-  const NodeId node = context();
-  Cell& c = cell(addr);
-  const std::uint32_t obj = c.obj - 1;
-  if (c.write != 0) {
-    record(c.write - 1, c.write_node, site, node, DepType::WAW, obj);
-  }
-  if (c.read != 0) {
-    record(c.read - 1, c.read_node, site, node, DepType::WAR, obj);
-    if (c.more != 0) {
-      std::uint32_t r = c.more;
-      for (;;) {
-        const Reader& rd = readers_[r];
-        record(rd.site, rd.node, site, node, DepType::WAR, obj);
-        if (rd.next == 0) break;
-        r = rd.next;
+void DepRecorder::add_reader(Cell& c, Site site, NodeId node) {
+  for (std::uint32_t b = c.more; b != 0; b = blocks_[b].next) {
+    ReaderBlock& blk = blocks_[b];
+    for (std::uint32_t i = 0; i < blk.n; ++i) {
+      if (blk.site[i] == site) {
+        blk.node[i] = node;
+        return;
       }
-      readers_[r].next = free_reader_;  // splice the list onto the free list
-      free_reader_ = c.more;
-      c.more = 0;
     }
-    c.read = 0;
   }
-  c.write = site + 1;
-  c.write_node = node;
+  // Append to the chain's head block, or open a new head when it is full.
+  if (c.more == 0 || blocks_[c.more].n == kBlockReaders) {
+    std::uint32_t b = free_block_;
+    if (b != 0) {
+      free_block_ = blocks_[b].next;
+    } else {
+      b = static_cast<std::uint32_t>(blocks_.size());
+      blocks_.emplace_back();
+    }
+    blocks_[b].n = 0;
+    blocks_[b].next = c.more;
+    c.more = b;
+  }
+  ReaderBlock& head = blocks_[c.more];
+  head.site[head.n] = site;
+  head.node[head.n] = node;
+  ++head.n;
 }
 
-std::uint32_t DepRecorder::carrier(NodeId a, NodeId b) const {
-  // Carrying loop: outermost common instance whose iterations diverge.
+void DepRecorder::flush_readers(Cell& c, Site site, NodeId node,
+                                std::uint32_t obj) {
+  std::uint32_t b = c.more;
+  for (;;) {
+    const ReaderBlock& blk = blocks_[b];
+    for (std::uint32_t i = 0; i < blk.n; ++i) {
+      record(blk.site[i], blk.node[i], site, node, DepType::WAR, obj);
+    }
+    if (blk.next == 0) break;
+    b = blk.next;
+  }
+  blocks_[b].next = free_block_;  // splice the chain onto the free chain
+  free_block_ = c.more;
+  c.more = 0;
+}
+
+DepRecorder::EdgeStat& DepRecorder::add_edge(SinkEdges& sink, Site src,
+                                             DepType type) {
+  sink.hint = static_cast<std::uint32_t>(sink.edges.size() + 1);
+  EdgeStat& e = sink.edges.emplace_back();
+  e.src = src;
+  e.type = type;
+  return e;
+}
+
+std::uint32_t DepRecorder::carrier_walk(NodeId a, NodeId b) const {
   // Once instances diverge the accesses are in unrelated loop executions, so
   // nothing deeper can carry the dependence either. Equal contexts at one
   // depth imply equal contexts above it, so the outermost divergence is
   // where the two chains, levelled to the shallower depth, first meet.
-  if (a == b) return kNoSlot;
   const Node* x = &nodes_[a];
   const Node* y = &nodes_[b];
   while (x->depth > y->depth) x = &nodes_[x->parent];
@@ -186,25 +143,8 @@ std::uint32_t DepRecorder::carrier(NodeId a, NodeId b) const {
   return x->instance == y->instance ? x->loop : kNoSlot;
 }
 
-void DepRecorder::record(Site src, NodeId src_node, Site dst, NodeId dst_node,
-                         DepType type, std::uint32_t obj) {
-  std::vector<EdgeStat>& edges = by_sink_[dst];
-  auto it = std::find_if(edges.begin(), edges.end(), [&](const EdgeStat& e) {
-    return e.src == src && e.type == type;
-  });
-  if (it == edges.end()) {
-    it = edges.insert(it, EdgeStat{});
-    it->src = src;
-    it->type = type;
-  }
-  EdgeStat& stat = *it;
-  ++stat.total;
-  stat.object = obj;
-  const std::uint32_t loop = carrier(src_node, dst_node);
-  if (loop == kNoSlot) {
-    ++stat.intra;
-    return;
-  }
+void DepRecorder::record_carried(EdgeStat& stat, std::uint32_t loop, Site src,
+                                 Site dst, DepType type, std::uint32_t obj) {
   auto ct = std::find_if(stat.carried.begin(), stat.carried.end(),
                          [&](const Carried& c) { return c.loop == loop; });
   if (ct == stat.carried.end()) {
@@ -236,10 +176,10 @@ void DepRecorder::record(Site src, NodeId src_node, Site dst, NodeId dst_node,
 DepProfile DepRecorder::finalize() const {
   DepProfile p;
   std::size_t n_edges = 0;
-  for (const auto& edges : by_sink_) n_edges += edges.size();
+  for (const SinkEdges& sink : by_sink_) n_edges += sink.edges.size();
   p.edges.reserve(n_edges);  // profiles are cached: keep them tight
   for (Site dst = 0; dst < by_sink_.size(); ++dst) {
-    for (const EdgeStat& stat : by_sink_[dst]) {
+    for (const EdgeStat& stat : by_sink_[dst].edges) {
       DepEdge e;
       e.src = sites_[stat.src];
       e.dst = sites_[dst];
@@ -256,15 +196,13 @@ DepProfile DepRecorder::finalize() const {
   }
   // Deterministic order: by function pointer is unstable across runs of the
   // process, but (function name, id) is stable — sort on that.
+  const auto key = [](const DepEdge& e) {
+    return std::tie(e.src.fn->name, e.src.id, e.dst.fn->name, e.dst.id,
+                    e.type);
+  };
   std::sort(p.edges.begin(), p.edges.end(),
-            [](const DepEdge& x, const DepEdge& y) {
-              const auto kx = std::make_tuple(x.src.fn->name, x.src.id,
-                                              x.dst.fn->name, x.dst.id,
-                                              static_cast<int>(x.type));
-              const auto ky = std::make_tuple(y.src.fn->name, y.src.id,
-                                              y.dst.fn->name, y.dst.id,
-                                              static_cast<int>(y.type));
-              return kx < ky;
+            [&](const DepEdge& x, const DepEdge& y) {
+              return key(x) < key(y);
             });
   // on_loop_iter fires at every header entry, including the final failing
   // test; report body executions by discounting one test per instance.

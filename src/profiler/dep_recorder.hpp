@@ -18,6 +18,7 @@
 //  * aggregated edges live in per-sink lists keyed by (source, type).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -33,6 +34,9 @@ class DepRecorder final : public ExecObserver {
   /// `objects` must be the same table the interpreter allocates from.
   explicit DepRecorder(const ObjectTable& objects);
 
+  // The hooks are defined below the class so that Engine<DepRecorder>
+  // (profiler::run's DepRecorder overload) inlines them into its dispatch
+  // loop; only their rare slow paths are calls into dep_recorder.cpp.
   void on_instr(const ir::Function& fn, ir::InstrId id) override;
   void on_load(const ir::Function& fn, ir::InstrId id, Addr addr) override;
   void on_store(const ir::Function& fn, ir::InstrId id, Addr addr) override;
@@ -52,6 +56,8 @@ class DepRecorder final : public ExecObserver {
 
   /// One loop context: one iteration of dynamic instance `instance` of loop
   /// slot `loop`, nested in context `parent`; `depth` counts its frames.
+  /// Instances are numbered from 1, so no loop context shares the root's
+  /// instance 0.
   struct Node {
     std::uint64_t instance;
     NodeId parent;
@@ -74,16 +80,19 @@ class DepRecorder final : public ExecObserver {
     NodeId write_node;
     Site read;             // first distinct reader since the write + 1
     NodeId read_node;
-    std::uint32_t more;    // further readers: list head in readers_, 0 = none
+    std::uint32_t more;    // further readers: first block in blocks_, 0 = none
   };
-  static constexpr unsigned kChunkBits = 12;
+  static constexpr unsigned kChunkBits = 10;
 
-  /// Overflow reader list entry (a pooled singly-linked list; index 0 is
-  /// the null sentinel).
-  struct Reader {
-    Site site;
-    NodeId node;
-    std::uint32_t next;
+  /// Further readers of one cell, in pooled 64-byte blocks chained through
+  /// `next`: a cell's chain holds its readers, newest block first; the free
+  /// blocks form one more chain. Block 0 is the null sentinel.
+  static constexpr std::uint32_t kBlockReaders = 7;
+  struct ReaderBlock {
+    std::uint32_t n;     // used entries
+    std::uint32_t next;  // next block of the chain, 0 = none
+    Site site[kBlockReaders];
+    NodeId node[kBlockReaders];
   };
 
   struct Carried {
@@ -105,6 +114,14 @@ class DepRecorder final : public ExecObserver {
     std::vector<Carried> carried;
   };
 
+  /// The edges of one sink site. Lookups start at `hint`, the entry after
+  /// the last hit: a store meets its reader sites in the same order every
+  /// iteration, so each lookup of its WAR flush hits at once.
+  struct SinkEdges {
+    std::vector<EdgeStat> edges;
+    std::uint32_t hint = 0;
+  };
+
   /// Where one function's sites and loop slots start.
   struct FnIds {
     Site site_base;
@@ -119,13 +136,32 @@ class DepRecorder final : public ExecObserver {
     if (&fn != last_fn_) enter_function(fn);
     return loop_base_ + loop;
   }
-  void enter_function(const ir::Function& fn);
-  NodeId context();
-  Cell& cell(Addr addr);
-  void add_chunk(std::size_t chunk);
+  NodeId context() {
+    return cur_node_ != kNoNode ? cur_node_ : intern_context();
+  }
+  Cell& cell(Addr addr) {
+    const std::size_t chunk = addr >> kChunkBits;
+    if (chunk >= chunks_.size() || !chunks_[chunk]) add_chunk(chunk);
+    Cell& c = chunks_[chunk][addr & ((Addr{1} << kChunkBits) - 1)];
+    // Addresses are never reused, so a cell's object is fixed at first touch.
+    if (c.obj == 0) c.obj = objects_.object_of(addr) + 1;
+    return c;
+  }
   std::uint32_t carrier(NodeId a, NodeId b) const;
   void record(Site src, NodeId src_node, Site dst, NodeId dst_node,
               DepType type, std::uint32_t obj);
+
+  // Slow paths, out of line in dep_recorder.cpp.
+  void enter_function(const ir::Function& fn);
+  LoopRuntime* add_loop_runtime(std::uint32_t slot);
+  NodeId intern_context();
+  void add_chunk(std::size_t chunk);
+  void add_reader(Cell& c, Site site, NodeId node);
+  void flush_readers(Cell& c, Site site, NodeId node, std::uint32_t obj);
+  EdgeStat& add_edge(SinkEdges& sink, Site src, DepType type);
+  std::uint32_t carrier_walk(NodeId a, NodeId b) const;
+  void record_carried(EdgeStat& stat, std::uint32_t loop, Site src, Site dst,
+                      DepType type, std::uint32_t obj);
 
   const ObjectTable& objects_;
 
@@ -140,19 +176,146 @@ class DepRecorder final : public ExecObserver {
   std::vector<Frame> stack_;
   std::vector<Node> nodes_;
   NodeId cur_node_ = 0;
-  std::uint64_t next_instance_ = 0;
+  std::uint64_t next_instance_ = 1;
 
   std::vector<std::unique_ptr<Cell[]>> chunks_;
-  std::vector<Reader> readers_;
-  std::uint32_t free_reader_ = 0;
+  std::vector<ReaderBlock> blocks_;
+  std::uint32_t free_block_ = 0;
 
-  std::vector<std::vector<EdgeStat>> by_sink_;  // indexed by sink site
-  std::vector<std::uint64_t> counts_;           // indexed by site
-  std::vector<LoopRuntime*> loop_rt_;           // indexed by loop slot
+  std::vector<SinkEdges> by_sink_;     // indexed by sink site
+  std::vector<std::uint64_t> counts_;  // indexed by site
+  std::vector<LoopRuntime*> loop_rt_;  // indexed by loop slot
   std::unordered_map<LoopRef, LoopRuntime, LoopRefHash> loop_runtime_;
   std::unordered_map<LoopRef, std::unordered_map<std::uint32_t, ObjLoopSummary>,
                      LoopRefHash>
       loop_objects_;
 };
+
+// ---- the per-event fast paths -------------------------------------------
+//
+// on_load, on_store, on_loop_enter and record() are always_inline: left to
+// its heuristics, GCC keeps them as calls out of the engine's large
+// dispatch function.
+
+inline void DepRecorder::on_instr(const ir::Function& fn, ir::InstrId id) {
+  ++counts_[site_of(fn, id)];
+}
+
+[[gnu::always_inline]] inline void DepRecorder::on_loop_enter(
+    const ir::Function& fn, ir::LoopId loop) {
+  const std::uint32_t slot = loop_slot(fn, loop);
+  LoopRuntime* rt = loop_rt_[slot];
+  if (rt == nullptr) rt = add_loop_runtime(slot);
+  ++rt->instances;
+  stack_.push_back({next_instance_++, slot, kNoNode, rt});
+  cur_node_ = kNoNode;
+}
+
+inline void DepRecorder::on_loop_iter(const ir::Function& fn,
+                                      ir::LoopId loop) {
+  assert(!stack_.empty() &&
+         (loops_[stack_.back().loop] == LoopRef{&fn, loop}));
+  (void)fn;
+  (void)loop;
+  Frame& f = stack_.back();
+  ++f.runtime->iterations;
+  f.node = kNoNode;
+  cur_node_ = kNoNode;
+}
+
+inline void DepRecorder::on_loop_exit(const ir::Function& fn,
+                                      ir::LoopId loop) {
+  assert(!stack_.empty() &&
+         (loops_[stack_.back().loop] == LoopRef{&fn, loop}));
+  (void)fn;
+  (void)loop;
+  stack_.pop_back();
+  cur_node_ = stack_.empty() ? 0 : stack_.back().node;
+}
+
+[[gnu::always_inline]] inline void DepRecorder::on_load(
+    const ir::Function& fn, ir::InstrId id, Addr addr) {
+  const Site site = site_of(fn, id);
+  const NodeId node = context();
+  Cell& c = cell(addr);
+  if (c.write != 0) {
+    record(c.write - 1, c.write_node, site, node, DepType::RAW, c.obj - 1);
+  }
+  if (c.read == 0 || c.read == site + 1) {
+    c.read = site + 1;
+    c.read_node = node;
+    return;
+  }
+  add_reader(c, site, node);
+}
+
+[[gnu::always_inline]] inline void DepRecorder::on_store(
+    const ir::Function& fn, ir::InstrId id, Addr addr) {
+  const Site site = site_of(fn, id);
+  const NodeId node = context();
+  Cell& c = cell(addr);
+  const std::uint32_t obj = c.obj - 1;
+  if (c.write != 0) {
+    record(c.write - 1, c.write_node, site, node, DepType::WAW, obj);
+  }
+  if (c.read != 0) {
+    record(c.read - 1, c.read_node, site, node, DepType::WAR, obj);
+    if (c.more != 0) flush_readers(c, site, node, obj);
+    c.read = 0;
+  }
+  c.write = site + 1;
+  c.write_node = node;
+}
+
+inline std::uint32_t DepRecorder::carrier(NodeId a, NodeId b) const {
+  // Carrying loop: outermost common instance whose iterations diverge.
+  // Equal contexts are iteration-local. Siblings (one parent, one depth)
+  // diverge right below that parent: the same instance means different
+  // iterations of it. The depth check keeps the root (parent 0, depth 0)
+  // out of the shortcut: a top-level context also has parent 0. Anything
+  // else takes the walk.
+  if (a == b) return kNoSlot;
+  const Node& x = nodes_[a];
+  const Node& y = nodes_[b];
+  if (x.parent == y.parent && x.depth == y.depth) {
+    return x.instance == y.instance ? x.loop : kNoSlot;
+  }
+  return carrier_walk(a, b);
+}
+
+[[gnu::always_inline]] inline void DepRecorder::record(
+    Site src, NodeId src_node, Site dst, NodeId dst_node, DepType type,
+    std::uint32_t obj) {
+  SinkEdges& sink = by_sink_[dst];
+  const std::size_t n = sink.edges.size();
+  EdgeStat* stat = nullptr;
+  for (std::size_t k = 0, i = sink.hint < n ? sink.hint : 0; k < n; ++k) {
+    EdgeStat& e = sink.edges[i];
+    if (e.src == src && e.type == type) {
+      sink.hint = static_cast<std::uint32_t>(i + 1);
+      stat = &e;
+      break;
+    }
+    if (++i == n) i = 0;
+  }
+  if (stat == nullptr) stat = &add_edge(sink, src, type);
+  ++stat->total;
+  stat->object = obj;
+  const std::uint32_t loop = carrier(src_node, dst_node);
+  if (loop == kNoSlot) {
+    ++stat->intra;
+    return;
+  }
+  // Fast path: the edge's first carrying loop, already summarized for this
+  // object.
+  if (!stat->carried.empty()) {
+    Carried& first = stat->carried.front();
+    if (first.loop == loop && first.summary != nullptr && first.obj == obj) {
+      ++first.count;
+      return;
+    }
+  }
+  record_carried(*stat, loop, src, dst, type, obj);
+}
 
 }  // namespace mvgnn::profiler

@@ -1,12 +1,18 @@
 // The MiniC IR interpreter behind profiler::run, run_capture and
 // run_parallel: one pre-decoded micro-op engine, templated on its observer.
 //
-//   profiler::run           Engine<ExecObserver>: every hook is a virtual
-//                           call into the caller's observer.
-//   run_capture             Engine<NoHooks>: the hooks inline to nothing.
-//   run_parallel            Engine<NoHooks> as master, plus one shard engine
-//                           per iteration range of a planned loop (see
-//                           par_exec.hpp for the execution model).
+//   profiler::run (DepRecorder&)   Engine<DepRecorder>: the recorder's hooks
+//                                  inline into the dispatch loop. This is
+//                                  the run behind profiler::profile.
+//   profiler::run (ExecObserver&)  Engine<ExecObserver>: every hook is a
+//                                  virtual call into the caller's observer
+//                                  (test and bench observers).
+//   run_capture                    Engine<NoHooks>: the hooks inline to
+//                                  nothing.
+//   run_parallel                   Engine<NoHooks> as master, plus one shard
+//                                  engine per iteration range of a planned
+//                                  loop (see par_exec.hpp for the execution
+//                                  model).
 //
 // Layout of the address space during a parallel section:
 //
@@ -32,6 +38,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/task_group.hpp"
+#include "profiler/dep_recorder.hpp"
 #include "profiler/par_exec.hpp"
 
 namespace mvgnn::profiler {
@@ -368,8 +375,8 @@ struct ShardCtx {
 
 /// One instance is the master; shard instances share the master's memory
 /// image through pointers and resolve privatized cells in their ShardCtx.
-/// `Obs` receives every dynamic event: ExecObserver for profiler::run,
-/// NoHooks for the unobserved runs.
+/// `Obs` receives every dynamic event: DepRecorder or ExecObserver for
+/// profiler::run, NoHooks for the unobserved runs.
 template <class Obs>
 class Engine {
   static constexpr bool kObserved = !std::is_same_v<Obs, NoHooks>;
@@ -779,12 +786,17 @@ class Engine {
       Engine shard_engine(*this, *shards[s], pl.loop);
       shard_engine.run_shard(dfn, regs, loop.header);
     };
-    if (opts_.threads <= 1) {
+    // `threads` sets the fan-out width: worker r runs shards r, r + width,
+    // ... The shard set and the merge below do not depend on it.
+    const std::uint32_t width = std::clamp(opts_.threads, 1u, S);
+    if (width == 1) {
       for (std::uint32_t s = 0; s < S; ++s) run_one(s);
     } else {
       par::TaskGroup group;
-      for (std::uint32_t s = 0; s < S; ++s) {
-        group.run([&run_one, s] { run_one(s); });
+      for (std::uint32_t r = 0; r < width; ++r) {
+        group.run([&run_one, r, width, S] {
+          for (std::uint32_t s = r; s < S; s += width) run_one(s);
+        });
       }
       group.wait();  // rethrows the first shard failure
     }
@@ -1191,17 +1203,30 @@ ParOutput run_unobserved(const ir::Module& m, const std::string& entry,
   return out;
 }
 
+/// The observed sequential run behind both profiler::run overloads.
+template <class Obs>
+RunResult run_observed(const ir::Module& m, const std::string& entry,
+                       std::span<const ArgInit> args, Obs& obs,
+                       ObjectTable& objects, const InterpOptions& opts) {
+  OBS_SPAN("interp.run");
+  const RunResult res = Engine<Obs>(m, obs, objects, sequential(opts), nullptr)
+                            .run_entry(entry, args);
+  count_sequential_run(res.steps);
+  return res;
+}
+
 }  // namespace
 
 RunResult run(const ir::Module& m, const std::string& entry,
               std::span<const ArgInit> args, ExecObserver& obs,
               ObjectTable& objects, const InterpOptions& opts) {
-  OBS_SPAN("interp.run");
-  const RunResult res =
-      Engine<ExecObserver>(m, obs, objects, sequential(opts), nullptr)
-          .run_entry(entry, args);
-  count_sequential_run(res.steps);
-  return res;
+  return run_observed(m, entry, args, obs, objects, opts);
+}
+
+RunResult run(const ir::Module& m, const std::string& entry,
+              std::span<const ArgInit> args, DepRecorder& rec,
+              ObjectTable& objects, const InterpOptions& opts) {
+  return run_observed(m, entry, args, rec, objects, opts);
 }
 
 RunResult run(const ir::Module& m, const std::string& entry,

@@ -18,6 +18,8 @@
 
 namespace mvgnn::profiler {
 
+class DepRecorder;
+
 /// Thrown on runtime faults: out-of-bounds index, division by zero, missing
 /// entry function, step-budget exhaustion, call-depth overflow.
 struct InterpError : std::runtime_error {
@@ -91,6 +93,13 @@ struct CapturedRun {
 /// observer saw, and fetch argument arrays after the run.
 RunResult run(const ir::Module& m, const std::string& entry,
               std::span<const ArgInit> args, ExecObserver& obs,
+              ObjectTable& objects, const InterpOptions& opts = {});
+
+/// The same run on an engine instantiated on the concrete recorder: its
+/// hooks inline into the dispatch loop instead of being virtual calls. The
+/// call sites are unchanged; passing a DepRecorder selects this overload.
+RunResult run(const ir::Module& m, const std::string& entry,
+              std::span<const ArgInit> args, DepRecorder& rec,
               ObjectTable& objects, const InterpOptions& opts = {});
 
 /// Convenience overload that discards the object table.

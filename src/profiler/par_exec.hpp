@@ -106,9 +106,10 @@ struct ParPlan {
 };
 
 struct ParRunOptions : InterpOptions {
-  /// Worker threads the shards fan out over (<=1 runs them inline on the
-  /// caller). Outputs are bit-identical for every value; the shard count is
-  /// fixed by kParShards, not by this.
+  /// Worker tasks the shards fan out over: min(threads, kParShards) tasks
+  /// on the global pool, task r running shards r, r + width, ... (<=1 runs
+  /// them inline on the caller). Outputs are bit-identical for every value;
+  /// the shard count is fixed by kParShards, not by this.
   std::uint32_t threads = 1;
 };
 

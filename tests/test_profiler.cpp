@@ -203,6 +203,41 @@ void kernel(float[] acc) {
   EXPECT_TRUE(raw->loop_carried());
 }
 
+TEST(DepRecorder, WriteInFirstLoopReadAfterItIsNotCarried) {
+  // The root context (outside every loop) and a top-level loop's context
+  // share a parent. A write in the first loop instance read after the loop,
+  // at top level and inside a callee, is loop-independent.
+  auto r = prof(R"(
+float peek(float[] a) {
+  return a[3];
+}
+float kernel(float[] a) {
+  for (int i = 0; i < 8; i += 1) {
+    a[i] = 2.0;
+  }
+  float x = a[5];
+  return x + peek(a);
+}
+)",
+                {ArgInit::of_array(8)});
+  std::size_t raws = 0;
+  for (const DepEdge& e : r.dep.edges) {
+    if (e.type != DepType::RAW || r.dep.objects.object(e.object).name != "a") {
+      continue;
+    }
+    ++raws;
+    EXPECT_FALSE(e.loop_carried()) << "sink in @" << e.dst.fn->name;
+    EXPECT_EQ(e.intra_count, e.total_count);
+  }
+  EXPECT_EQ(raws, 2u);  // the top-level read and the callee's read
+  for (const auto& [loop, objs] : r.dep.loop_objects) {
+    for (const auto& [obj, sum] : objs) {
+      if (r.dep.objects.object(obj).name != "a") continue;
+      EXPECT_FALSE(sum.carried_raw);
+    }
+  }
+}
+
 TEST(Cu, Figure4ExampleYieldsTwoCus) {
   // The paper's Fig. 4 shape: x's read-compute-write chain and y's chain
   // form two separate CUs.

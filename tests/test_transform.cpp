@@ -10,6 +10,7 @@
 #include "analysis/suggest.hpp"
 #include "data/kernels.hpp"
 #include "frontend/lower.hpp"
+#include "obs/metrics.hpp"
 #include "profiler/par_exec.hpp"
 #include "profiler/profile.hpp"
 #include "transform/parallelize.hpp"
@@ -488,6 +489,56 @@ TEST(Parallelize, OutputsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(outs[t].run.return_value.i, outs[0].run.return_value.i);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(outs[t].run.return_value.f),
                 std::bit_cast<std::uint64_t>(outs[0].run.return_value.f));
+    }
+  }
+}
+
+TEST(Parallelize, ThreadsSetTheFanOutWidth) {
+  // One sharded loop instance fans out over min(threads, kParShards) pool
+  // tasks (none at one thread), and the outputs stay bit-identical across
+  // widths: the shard set and merge order do not depend on the width.
+  const ir::Module m = frontend::compile(R"(
+const int N = 64;
+float kernel(float[] a, float[] b) {
+  for (int i = 0; i < N; i += 1) {
+    b[i] = a[i] * 2.0 + 1.0;
+  }
+  return b[3];
+}
+)",
+                                         "width");
+  const std::vector<ArgInit> args = {ArgInit::of_array(64, 1),
+                                     ArgInit::of_array(64, 2)};
+  const PlannedRun pr = plan_of(m, args);
+  ASSERT_EQ(pr.plan.planned_loops(), 1u);
+  obs::Counter& submitted =
+      obs::Registry::global().counter("thread_pool.tasks_submitted_total");
+  std::vector<profiler::ParOutput> outs;
+  const std::pair<std::uint32_t, std::uint64_t> kWidths[] = {
+      {1, 0}, {2, 2}, {4, 4}, {64, profiler::kParShards}};
+  for (const auto& [threads, tasks] : kWidths) {
+    profiler::ParRunOptions opts;
+    opts.threads = threads;
+    const std::uint64_t before = submitted.value();
+    outs.push_back(profiler::run_parallel(m, "kernel", args, pr.plan.plan, opts));
+    EXPECT_EQ(submitted.value() - before, tasks) << "threads " << threads;
+    EXPECT_EQ(outs.back().parallel_loops, 1u);
+  }
+  for (std::size_t t = 1; t < outs.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(outs[t].run.return_value.f),
+              std::bit_cast<std::uint64_t>(outs[0].run.return_value.f));
+    EXPECT_EQ(outs[t].run.steps, outs[0].run.steps);
+    ASSERT_EQ(outs[t].arg_arrays.size(), outs[0].arg_arrays.size());
+    for (std::size_t a = 0; a < outs[0].arg_arrays.size(); ++a) {
+      const auto& x = outs[0].arg_arrays[a];
+      const auto& y = outs[t].arg_arrays[a];
+      ASSERT_EQ(x.size(), y.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].i, y[i].i) << "arg " << a << "[" << i << "]";
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i].f),
+                  std::bit_cast<std::uint64_t>(y[i].f))
+            << "arg " << a << "[" << i << "]";
+      }
     }
   }
 }
