@@ -6,6 +6,8 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "cache/cache.hpp"
 #include "obs/log.hpp"
@@ -16,12 +18,6 @@
 #include "transform/passes.hpp"
 
 namespace mvgnn::data {
-
-namespace {
-
-/// Sparse anonymous-walk ids per node of one sample (densified by the
-/// caller once the vocabulary size is final).
-using AwIds = std::vector<std::vector<std::uint32_t>>;
 
 pipe::PipelineConfig pipeline_config(const DatasetOptions& opts) {
   pipe::PipelineConfig cfg;
@@ -52,27 +48,95 @@ pipe::ItemSpec item_spec(const ProgramSpec& program, const std::string& variant,
   return is;
 }
 
-/// Replayed form of one item's samples: GraphSamples missing only the
-/// densified AW view (sparse ids are kept until the vocabulary freezes).
-struct ReplayedSamples {
-  std::vector<GraphSample> samples;
-  std::vector<AwIds> aw_ids;  // parallel to samples
+namespace {
+
+/// Walk -> id table keyed by the walk's bytes.
+using WalkIds = std::unordered_map<std::string_view, std::uint32_t>;
+
+std::string_view walk_key(const graph::AnonWalk& w) {
+  return {reinterpret_cast<const char*>(w.data()), w.size()};
+}
+
+/// One item's anonymous walks between the replay passes (build_dataset,
+/// phase 3): pass (a) fills everything but `aw_ids`, pass (b) fills
+/// `aw_ids`, pass (c) reads it all to form each node's AW view.
+struct ItemWalks {
+  /// Item-local walk id -> the walk's bytes, in first-appearance order
+  /// over (sample, node, walk). Short walks sit inline in the strings, so
+  /// pass (b) reads this vector instead of chasing one allocation per walk.
+  std::vector<std::string> walks;
+  /// (local id, walks drawn) per node, in first-appearance order within
+  /// the node. Node v of the item (samples in order, then nodes) owns
+  /// entries [node_first[v], node_first[v + 1]).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> counts;
+  std::vector<std::size_t> node_first{0};
+  /// Pass (b): local id -> global AW id.
+  std::vector<std::uint32_t> aw_ids;
 };
 
-/// Deterministic replay of one item's raw features against the dataset's
-/// vocabularies: resolves token ids, assembles node_static from the trained
-/// inst2vec table, and maps the stored anonymous walks through the AW
-/// vocabulary (growing it when `grow`). `tok_ids` must hold the vocab id of
-/// every ItemFeatures token, in order. This is the single featurization
-/// path for cache-off, cache-cold and cache-warm builds alike — which is
-/// what makes the three bit-identical.
-ReplayedSamples replay_item(const pipe::ItemFeatures& feats,
-                            const std::vector<std::uint32_t>& tok_ids,
-                            Dataset& ds, const DatasetOptions& opts,
-                            bool grow) {
-  ReplayedSamples out;
+/// Pass (a): the item's distinct walks and each node's walk counts. Reads
+/// only the item, so items run in parallel.
+ItemWalks distinct_walks(const pipe::ItemFeatures& feats) {
+  ItemWalks out;
+  WalkIds local;
+  for (const pipe::RawSample& rs : feats.samples) {
+    for (const std::vector<graph::AnonWalk>& node : rs.node_walks) {
+      const auto node_begin =
+          static_cast<std::ptrdiff_t>(out.node_first.back());
+      for (const graph::AnonWalk& w : node) {
+        const auto [it, fresh] = local.try_emplace(
+            walk_key(w), static_cast<std::uint32_t>(out.walks.size()));
+        if (fresh) out.walks.emplace_back(it->first);
+        const auto c = std::find_if(
+            out.counts.begin() + node_begin, out.counts.end(),
+            [&](const auto& e) { return e.first == it->second; });
+        if (c == out.counts.end()) {
+          out.counts.emplace_back(it->second, 1);
+        } else {
+          ++c->second;
+        }
+      }
+      out.node_first.push_back(out.counts.size());
+    }
+  }
+  return out;
+}
+
+/// Pass (b): global AW ids of the item's distinct walks, growing `vocab`
+/// when `grow`. Called item by item in item order, this assigns ids in the
+/// same first-appearance order as resolving every walk in turn. `resolved`
+/// remembers every walk already looked up, so each distinct walk reaches
+/// the vocabulary's ordered map once per build.
+void resolve_walks(ItemWalks& item, graph::AwVocab& vocab, bool grow,
+                   WalkIds& resolved) {
+  item.aw_ids.reserve(item.walks.size());
+  for (const std::string& w : item.walks) {
+    const auto [it, fresh] = resolved.try_emplace(w, 0);
+    if (fresh) {
+      it->second = vocab.id_of(graph::AnonWalk(w.begin(), w.end()), grow);
+    }
+    item.aw_ids.push_back(it->second);
+  }
+}
+
+/// Pass (c): the item's samples. Resolves token ids, assembles node_static
+/// from the trained inst2vec table, and forms each node's AW distribution
+/// over the frozen vocabulary: lround(dist[id] * gamma) copies of every id,
+/// dist[id] being its walk share summed one walk at a time
+/// (graph::aw_distribution), densified. `tok_ids` must hold the vocab id
+/// of every ItemFeatures token, in order. The three passes are the single
+/// featurization path for cache-off, cold and warm builds and for
+/// featurize_program, which is what makes them bit-identical.
+std::vector<GraphSample> assemble_samples(
+    const pipe::ItemFeatures& feats, const std::vector<std::uint32_t>& tok_ids,
+    const ItemWalks& walks, const Dataset& ds, std::uint32_t gamma) {
+  std::vector<GraphSample> out;
+  out.reserve(feats.samples.size());
   const std::uint32_t i2v_dim = ds.inst2vec.dim();
   const std::uint32_t kind_dims = 3;  // CU / Loop / Function one-hot
+  std::vector<std::uint32_t> node_tokens;
+  std::vector<std::uint32_t> count(ds.aw_vocab);  // walks, then copies, per id
+  std::size_t v = 0;  // node index within the item
 
   for (const pipe::RawSample& rs : feats.samples) {
     GraphSample s;
@@ -83,7 +147,6 @@ ReplayedSamples replay_item(const pipe::ItemFeatures& feats,
     // Node features.
     s.node_static.resize(s.n);
     s.node_dynamic.resize(s.n);
-    std::vector<std::uint32_t> node_tokens;
     for (std::uint32_t k = 0; k < s.n; ++k) {
       node_tokens.clear();
       node_tokens.reserve(rs.node_token_ix[k].size());
@@ -103,20 +166,37 @@ ReplayedSamples replay_item(const pipe::ItemFeatures& feats,
       s.token_seq.push_back(tok_ids[ix]);
     }
 
-    // Structural view: resolve the stored walks, keep sparse ids.
-    AwIds ids_per_node(s.n);
-    for (std::uint32_t k = 0; k < s.n; ++k) {
-      const auto dist =
-          graph::aw_distribution(rs.node_walks[k], ds.aw_vocab_table, grow);
-      std::vector<std::uint32_t> ids;
-      for (std::uint32_t id = 0; id < dist.size(); ++id) {
-        const auto cnt = static_cast<std::uint32_t>(
-            std::lround(dist[id] * opts.walk.gamma));
-        for (std::uint32_t c = 0; c < cnt; ++c) ids.push_back(id);
+    // Structural view. Several local ids share the unknown slot 0 when
+    // the vocabulary did not grow.
+    s.aw_dist.resize(s.n);
+    for (std::uint32_t k = 0; k < s.n; ++k, ++v) {
+      std::fill(count.begin(), count.end(), 0u);
+      std::uint32_t n_walks = 0;
+      for (std::size_t e = walks.node_first[v]; e < walks.node_first[v + 1];
+           ++e) {
+        const auto [local, c] = walks.counts[e];
+        count[walks.aw_ids[local]] += c;
+        n_walks += c;
       }
-      ids_per_node[k] = std::move(ids);
+      std::uint32_t copies = 0;
+      if (n_walks > 0) {
+        const float inv = 1.0f / static_cast<float>(n_walks);
+        for (std::uint32_t& c : count) {
+          float dist = 0.0f;
+          for (std::uint32_t w = 0; w < c; ++w) dist += inv;
+          c = static_cast<std::uint32_t>(std::lround(dist * gamma));
+          copies += c;
+        }
+      }
+      std::vector<float> d(ds.aw_vocab, 0.0f);
+      if (copies > 0) {
+        const float inv = 1.0f / static_cast<float>(copies);
+        for (std::uint32_t id = 0; id < ds.aw_vocab; ++id) {
+          for (std::uint32_t c = 0; c < count[id]; ++c) d[id] += inv;
+        }
+      }
+      s.aw_dist[k] = std::move(d);
     }
-    out.aw_ids.push_back(std::move(ids_per_node));
 
     // Labels and baselines were computed at the featurize stage from the
     // clean profile; the stored hand-crafted features are the degraded
@@ -128,22 +208,9 @@ ReplayedSamples replay_item(const pipe::ItemFeatures& feats,
     s.tool_pluto = rs.tool_pluto;
     s.tool_discopop = rs.tool_discopop;
     s.loop_line = rs.loop_line;
-    out.samples.push_back(std::move(s));
+    out.push_back(std::move(s));
   }
   return out;
-}
-
-/// Densifies one sample's AW distribution over `vocab_size` slots.
-void densify_aw(GraphSample& s, const AwIds& ids, std::uint32_t vocab_size) {
-  s.aw_dist.resize(s.n);
-  for (std::uint32_t k = 0; k < s.n; ++k) {
-    std::vector<float> d(vocab_size, 0.0f);
-    if (!ids[k].empty()) {
-      const float inv = 1.0f / static_cast<float>(ids[k].size());
-      for (const std::uint32_t id : ids[k]) d[id] += inv;
-    }
-    s.aw_dist[k] = std::move(d);
-  }
 }
 
 // ---- cached Embed stage --------------------------------------------------
@@ -374,38 +441,79 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
   embed_span.reset();
 
   // ---- Phase 3: one GraphSample per for-loop ---------------------------
-  // Anonymous-walk ids are collected sparse first (the vocabulary grows
-  // while resolving); distributions are densified after the freeze.
-  std::vector<AwIds> pending_ids;
-
+  // Three passes. (a) and (c) are per item and fan out over the pool; (b)
+  // is the only serial one and touches each item's distinct walks only.
+  // A failing item is quarantined, in item order, after the passes.
   const std::uint32_t kind_dims = 3;  // CU / Loop / Function one-hot
   ds.static_dim = opts.inst2vec_dim + kind_dims + 1;
 
-  for (std::size_t i = 0; i < built.size(); ++i) {
-    const ItemResult* b = built[i];
-    try {
-      ReplayedSamples rs =
-          replay_item(b->feats, tok_ids[i], ds, opts, /*grow=*/true);
-      for (std::size_t j = 0; j < rs.samples.size(); ++j) {
-        GraphSample& s = rs.samples[j];
-        s.suite = b->spec->suite;
-        s.app = b->spec->app;
-        s.kernel = b->spec->kernel.name;
-        s.variant = b->variant;
-        ds.samples.push_back(std::move(s));
-        pending_ids.push_back(std::move(rs.aw_ids[j]));
+  std::vector<ItemWalks> walks(built.size());
+  std::vector<std::vector<GraphSample>> samples(built.size());
+  std::vector<std::string> errors(built.size());
+  std::vector<char> failed(built.size(), 0);
+  auto per_item = [&](auto&& pass) {
+    par::parallel_for(
+        0, built.size(),
+        [&](std::size_t i) {
+          if (failed[i]) return;
+          try {
+            pass(i);
+          } catch (const std::exception& e) {
+            errors[i] = e.what();
+            failed[i] = 1;
+          }
+        },
+        par::ThreadPool::global(), /*grain=*/1);
+  };
+
+  // (a) Item-local tables of distinct walks.
+  per_item([&](std::size_t i) { walks[i] = distinct_walks(built[i]->feats); });
+  // (b) Global AW ids in item order: the vocabulary's growth order.
+  {
+    WalkIds resolved;
+    for (std::size_t i = 0; i < built.size(); ++i) {
+      if (!failed[i]) {
+        resolve_walks(walks[i], ds.aw_vocab_table, /*grow=*/true, resolved);
       }
-    } catch (const std::exception& e) {
-      quarantine(b->spec->kernel.name, b->variant, "featurize", e.what());
     }
   }
-
-  // ---- Phase 4: freeze the AW vocabulary and densify -------------------
   ds.aw_vocab_table.freeze();
   ds.aw_vocab = ds.aw_vocab_table.size();
-  for (std::size_t i = 0; i < ds.samples.size(); ++i) {
-    densify_aw(ds.samples[i], pending_ids[i], ds.aw_vocab);
+  // (c) The samples. Each item's raw features are freed as soon as its
+  // samples exist, on the pool, so the samples of the next items reuse
+  // that memory instead of growing the heap.
+  per_item([&](std::size_t i) {
+    ItemResult* b = built[i];
+    samples[i] = assemble_samples(b->feats, tok_ids[i], walks[i], ds,
+                                  opts.walk.gamma);
+    for (GraphSample& s : samples[i]) {
+      s.suite = b->spec->suite;
+      s.app = b->spec->app;
+      s.kernel = b->spec->kernel.name;
+      s.variant = b->variant;
+    }
+    b->feats = {};
+    walks[i] = {};
+  });
+
+  // Quarantine in item order, then move every item's samples into place.
+  std::vector<std::size_t> first_sample(built.size(), 0);
+  std::size_t n_samples = 0;
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    if (failed[i]) {
+      quarantine(built[i]->spec->kernel.name, built[i]->variant, "featurize",
+                 errors[i].c_str());
+      continue;
+    }
+    first_sample[i] = n_samples;
+    n_samples += samples[i].size();
   }
+  ds.samples.resize(n_samples);
+  per_item([&](std::size_t i) {
+    std::move(samples[i].begin(), samples[i].end(),
+              ds.samples.begin() + first_sample[i]);
+    samples[i] = {};
+  });
 
   if (skipped) *skipped = local_report.quarantined.size();
   if (report) *report = std::move(local_report);
@@ -419,21 +527,25 @@ std::vector<GraphSample> featurize_program(const ProgramSpec& program,
       item_spec(program, "", opts), pipeline_config(opts), opts.cache);
 
   // The vocabularies are frozen, so grow=false cannot mutate them; the
-  // const_cast only satisfies the shared replay helper's signature.
+  // const_cast only satisfies id_of's signature.
   Dataset& ref = const_cast<Dataset&>(reference);
   std::vector<std::uint32_t> tok_ids;
   tok_ids.reserve(feats.tokens.size());
   for (const std::string& t : feats.tokens) {
     tok_ids.push_back(ref.token_vocab.id_of(t, /*grow=*/false));
   }
-  ReplayedSamples rs = replay_item(feats, tok_ids, ref, opts, /*grow=*/false);
-  for (std::size_t i = 0; i < rs.samples.size(); ++i) {
-    rs.samples[i].suite = program.suite;
-    rs.samples[i].app = program.app;
-    rs.samples[i].kernel = program.kernel.name;
-    densify_aw(rs.samples[i], rs.aw_ids[i], reference.aw_vocab);
+  // The same three passes as build_dataset, over one item.
+  ItemWalks walks = distinct_walks(feats);
+  WalkIds resolved;
+  resolve_walks(walks, ref.aw_vocab_table, /*grow=*/false, resolved);
+  std::vector<GraphSample> samples =
+      assemble_samples(feats, tok_ids, walks, reference, opts.walk.gamma);
+  for (GraphSample& s : samples) {
+    s.suite = program.suite;
+    s.app = program.app;
+    s.kernel = program.kernel.name;
   }
-  return std::move(rs.samples);
+  return samples;
 }
 
 std::pair<std::vector<std::size_t>, std::vector<std::size_t>> split_by_kernel(

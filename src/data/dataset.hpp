@@ -18,6 +18,7 @@
 #include "embedding/normalizer.hpp"
 #include "embedding/skipgram.hpp"
 #include "graph/anon_walk.hpp"
+#include "pipe/item.hpp"
 
 namespace mvgnn::cache {
 class Cache;
@@ -128,6 +129,16 @@ struct Dataset {
   [[nodiscard]] std::vector<std::size_t> suite_indices(
       const std::string& suite) const;
 };
+
+/// The one rule that turns a (program, variant) pair into a pipeline item.
+/// Seeds hash (opts.seed, source, variant), never the corpus position, so
+/// featurize_program reproduces what build_dataset made of a program.
+[[nodiscard]] pipe::ItemSpec item_spec(const ProgramSpec& program,
+                                       const std::string& variant,
+                                       const DatasetOptions& opts);
+
+/// The pipeline knobs of `opts` (walks, dependence noise, profiler caps).
+[[nodiscard]] pipe::PipelineConfig pipeline_config(const DatasetOptions& opts);
 
 /// Builds the dataset from `programs`. A program (or variant) that throws
 /// anywhere along compile -> profile -> featurize is quarantined: skipped,

@@ -34,7 +34,7 @@ class EmbeddingTable {
     return {data_.data() + std::size_t{id} * dim_, dim_};
   }
   /// Mean of several rows (a node's instruction-set embedding); returns a
-  /// zero vector for an empty id list.
+  /// zero vector for an empty id list or a table without rows.
   [[nodiscard]] std::vector<float> mean_of(
       std::span<const std::uint32_t> ids) const;
   /// Cosine similarity between two vocabulary rows.
@@ -48,7 +48,8 @@ class EmbeddingTable {
 
 /// Trains skip-gram/negative-sampling embeddings from (center, context) id
 /// pairs. The unigram^0.75 negative-sampling distribution is estimated from
-/// the pair stream itself.
+/// the pair stream itself. Throws std::invalid_argument when `params.dim`
+/// is not 8, 16, 32 or 64, or when a pair id is not below `vocab_size`.
 [[nodiscard]] EmbeddingTable train_skipgram(
     std::uint32_t vocab_size,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,

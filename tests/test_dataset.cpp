@@ -2,11 +2,14 @@
 // sanity per pattern, split/balance invariants.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
 #include "data/dataset.hpp"
 #include "data/serialize.hpp"
+#include "pipe/item.hpp"
+#include "transform/passes.hpp"
 
 namespace {
 
@@ -166,6 +169,75 @@ TEST(Dataset, SplitKeepsKernelsDisjointAndBalanceWorks) {
   EXPECT_EQ(pos, neg);
 }
 
+TEST(Dataset, AwVocabGrowsInItemOrder) {
+  // The replay resolves each item's distinct walks, item by item; the
+  // vocabulary must grow exactly as resolving every walk in item -> sample
+  // -> node -> walk order would grow it, and every AW view must be the
+  // lround(share * gamma) copies of graph::aw_distribution, densified.
+  par::Rng rng(29);
+  std::vector<data::ProgramSpec> programs;
+  int i = 0;
+  for (const auto p : {data::Pattern::Jacobi2D, data::Pattern::ReduceSum,
+                       data::Pattern::IndirectScatter}) {
+    data::ProgramSpec ps;
+    ps.suite = "T";
+    ps.app = "t";
+    ps.pattern = p;
+    ps.kernel = data::generate_kernel(p, "aw_k" + std::to_string(i++), rng);
+    programs.push_back(std::move(ps));
+  }
+  data::DatasetOptions opts;
+  opts.seed = 23;
+  opts.walk.gamma = 12;
+  opts.use_ir_variants = true;
+  std::size_t skipped = 99;
+  const data::Dataset ds = data::build_dataset(programs, opts, &skipped);
+  ASSERT_EQ(skipped, 0u);
+
+  graph::AwVocab expected;
+  std::vector<std::vector<std::vector<std::uint32_t>>> expected_ids;
+  for (const data::ProgramSpec& ps : programs) {
+    for (const auto& pipeline : transform::variant_pipelines()) {
+      const pipe::ItemFeatures f =
+          pipe::run_item(data::item_spec(ps, pipeline.name, opts),
+                         data::pipeline_config(opts), nullptr);
+      for (const pipe::RawSample& rs : f.samples) {
+        auto& nodes = expected_ids.emplace_back();
+        for (const auto& walks : rs.node_walks) {
+          const auto dist = graph::aw_distribution(walks, expected, true);
+          std::vector<std::uint32_t> ids;
+          for (std::uint32_t id = 0; id < dist.size(); ++id) {
+            const auto cnt = static_cast<std::uint32_t>(
+                std::lround(dist[id] * opts.walk.gamma));
+            for (std::uint32_t c = 0; c < cnt; ++c) ids.push_back(id);
+          }
+          nodes.push_back(ids);  // densified below, once the size is final
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ds.aw_vocab_table.map(), expected.map());
+  ASSERT_EQ(ds.aw_vocab, expected.size());
+  ASSERT_EQ(ds.samples.size(), expected_ids.size());
+  for (std::size_t s = 0; s < ds.samples.size(); ++s) {
+    ASSERT_EQ(ds.samples[s].aw_dist.size(), expected_ids[s].size());
+    for (std::size_t k = 0; k < expected_ids[s].size(); ++k) {
+      const auto& ids = expected_ids[s][k];
+      std::vector<float> d(ds.aw_vocab, 0.0f);
+      if (!ids.empty()) {
+        const float inv = 1.0f / static_cast<float>(ids.size());
+        for (const std::uint32_t id : ids) d[id] += inv;
+      }
+      EXPECT_EQ(ds.samples[s].aw_dist[k], d) << "sample " << s << " node " << k;
+    }
+  }
+
+  std::stringstream a, b;
+  data::save_dataset(ds, a);
+  data::save_dataset(data::build_dataset(programs, opts), b);
+  EXPECT_EQ(a.str(), b.str());
+}
+
 }  // namespace
 
 namespace serialize_tests {
@@ -284,6 +356,54 @@ TEST(Featurize, UnseenProgramMatchesReferenceWidths) {
   }
   // Frozen vocabularies must not have grown.
   EXPECT_EQ(ds.aw_vocab_table.size(), ds.aw_vocab);
+}
+
+TEST(Featurize, UnseenWalksShareTheUnknownSlot) {
+  // A reference too small to have seen the walks of a 2-D stencil nest:
+  // several distinct walks resolve to slot 0 and must count as one id.
+  par::Rng rng(8);
+  data::ProgramSpec tiny;
+  tiny.suite = "T";
+  tiny.app = "t";
+  tiny.kernel = data::generate_kernel(data::Pattern::VecMap, "uw_ref", rng);
+  data::DatasetOptions opts;
+  opts.seed = 6;
+  opts.walk.gamma = 16;
+  const data::Dataset ds = data::build_dataset({tiny}, opts);
+
+  data::ProgramSpec fresh;
+  fresh.suite = "User";
+  fresh.app = "user";
+  fresh.kernel = data::generate_kernel(data::Pattern::Seidel2D, "uw_new", rng);
+  const auto samples = data::featurize_program(fresh, ds, opts);
+  const pipe::ItemFeatures f =
+      pipe::run_item(data::item_spec(fresh, "", opts),
+                     data::pipeline_config(opts), nullptr);
+  ASSERT_EQ(samples.size(), f.samples.size());
+  graph::AwVocab frozen = ds.aw_vocab_table;
+  bool saw_unknown = false;
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const auto& node_walks = f.samples[s].node_walks;
+    ASSERT_EQ(samples[s].aw_dist.size(), node_walks.size());
+    for (std::size_t k = 0; k < node_walks.size(); ++k) {
+      const auto dist = graph::aw_distribution(node_walks[k], frozen, false);
+      std::vector<std::uint32_t> ids;
+      for (std::uint32_t id = 0; id < dist.size(); ++id) {
+        const auto cnt = static_cast<std::uint32_t>(
+            std::lround(dist[id] * opts.walk.gamma));
+        for (std::uint32_t c = 0; c < cnt; ++c) ids.push_back(id);
+      }
+      std::vector<float> d(ds.aw_vocab, 0.0f);
+      if (!ids.empty()) {
+        const float inv = 1.0f / static_cast<float>(ids.size());
+        for (const std::uint32_t id : ids) d[id] += inv;
+      }
+      saw_unknown = saw_unknown || (!ids.empty() && ids.front() == 0);
+      EXPECT_EQ(samples[s].aw_dist[k], d) << "sample " << s << " node " << k;
+    }
+  }
+  EXPECT_TRUE(saw_unknown);
+  EXPECT_EQ(frozen.size(), ds.aw_vocab);
 }
 
 TEST(Featurize, WorksAfterDatasetReload) {
