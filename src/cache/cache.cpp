@@ -3,11 +3,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "fault/fault.hpp"
 #include "io/atomic_file.hpp"
-#include "io/checked_stream.hpp"
+#include "io/codec.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -45,6 +44,35 @@ Counters& counters() {
 }
 
 }  // namespace
+
+std::string encode_entry(std::string_view payload) {
+  io::ByteWriter w;
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.u64(payload.size());
+  w.bytes(payload);
+  w.u32(io::crc32(payload.data(), payload.size()));
+  return w.take();
+}
+
+std::string_view decode_entry(std::string_view file) {
+  io::ByteReader r(file, "cache entry");
+  if (r.u32() != kMagic) r.fail_at(0, "bad header");
+  if (r.u32() != kVersion) r.fail_at(4, "version mismatch");
+  const std::size_t len_at = r.offset();
+  const std::uint64_t len = r.count(kMaxPayload, "payload");
+  if (r.remaining() - len != sizeof(std::uint32_t)) {
+    r.fail_at(len_at, "payload length " + std::to_string(len) +
+                          " does not match the file size " +
+                          std::to_string(file.size()));
+  }
+  const std::string_view payload = r.bytes(len, "payload");
+  const std::size_t crc_at = r.offset();
+  if (r.u32() != io::crc32(payload.data(), payload.size())) {
+    r.fail_at(crc_at, "checksum mismatch");
+  }
+  return payload;
+}
 
 std::string Key::hex() const {
   char buf[33];
@@ -263,11 +291,23 @@ void Cache::evict_to_budget_locked() {
 
 std::optional<std::string> Cache::read_disk(const Key& key) {
   const std::string path = path_of(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;  // plain absence: not corruption
-
-  auto corrupt = [&](const char* what) -> std::optional<std::string> {
-    in.close();
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in) return std::nullopt;  // plain absence: not corruption
+    if (const auto size = in.tellg(); size > 0) {
+      file.resize(static_cast<std::size_t>(size));
+      in.seekg(0);
+      in.read(file.data(), size);
+      file.resize(static_cast<std::size_t>(in.gcount()));
+    }
+  }
+  if (fault::enabled() && fault::hit("cache.read.corrupt") && !file.empty()) {
+    file.back() = static_cast<char>(~file.back());  // flips a CRC byte
+  }
+  try {
+    return std::string(decode_entry(file));
+  } catch (const std::runtime_error& e) {
     std::error_code ec;
     std::uint64_t removed = 0;
     if (std::filesystem::exists(path, ec)) {
@@ -275,7 +315,7 @@ std::optional<std::string> Cache::read_disk(const Key& key) {
       std::filesystem::remove(path, ec);
     }
     obs::log_warn("evicting corrupt cache entry",
-                  {{"path", path}, {"reason", what}});
+                  {{"path", path}, {"reason", e.what()}});
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.corrupt;
     if (stats_.disk_entries > 0) --stats_.disk_entries;
@@ -283,41 +323,16 @@ std::optional<std::string> Cache::read_disk(const Key& key) {
     counters().corrupt.add(1);
     counters().disk_bytes.set(static_cast<double>(stats_.disk_bytes));
     return std::nullopt;
-  };
-
-  std::uint32_t magic = 0, version = 0;
-  std::uint64_t len = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-  in.read(reinterpret_cast<char*>(&len), sizeof len);
-  if (!in || magic != kMagic) return corrupt("bad header");
-  if (version != kVersion) return corrupt("version mismatch");
-  if (len > kMaxPayload) return corrupt("length exceeds cap");
-  std::string payload(len, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(len));
-  std::uint32_t want_crc = 0;
-  in.read(reinterpret_cast<char*>(&want_crc), sizeof want_crc);
-  if (!in) return corrupt("truncated");
-  std::uint32_t crc = io::crc32(payload.data(), payload.size());
-  if (fault::enabled() && fault::hit("cache.read.corrupt")) {
-    crc = ~crc;  // injected corruption: force the mismatch path
   }
-  if (crc != want_crc) return corrupt("checksum mismatch");
-  return payload;
 }
 
 void Cache::write_disk(const Key& key, std::string_view bytes) {
   const std::string path = path_of(key);
   try {
     fault::check("cache.write");
+    const std::string file = encode_entry(bytes);
     io::atomic_write_file(path, [&](std::ostream& os) {
-      const std::uint64_t len = bytes.size();
-      const std::uint32_t crc = io::crc32(bytes.data(), bytes.size());
-      os.write(reinterpret_cast<const char*>(&kMagic), sizeof kMagic);
-      os.write(reinterpret_cast<const char*>(&kVersion), sizeof kVersion);
-      os.write(reinterpret_cast<const char*>(&len), sizeof len);
-      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      os.write(reinterpret_cast<const char*>(&crc), sizeof crc);
+      os.write(file.data(), static_cast<std::streamsize>(file.size()));
     });
   } catch (const std::exception& e) {
     // A cache write failure degrades to "uncached", never to a build

@@ -29,12 +29,21 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <typeindex>
 #include <unordered_map>
 
 #include "cache/key.hpp"
 
 namespace mvgnn::cache {
+
+/// One disk-tier entry file: u32 magic "MVCC", u32 version, u64 payload
+/// length, the payload, u32 CRC32 of the payload.
+[[nodiscard]] std::string encode_entry(std::string_view payload);
+/// The payload inside an entry file. Throws std::runtime_error
+/// ("cache entry: <what> at offset N") on a bad header, a length that does
+/// not match the file size, or a checksum mismatch.
+[[nodiscard]] std::string_view decode_entry(std::string_view file);
 
 struct Config {
   /// Disk-tier directory; empty = memory-only cache.

@@ -4,12 +4,11 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "fault/fault.hpp"
 #include "io/atomic_file.hpp"
-#include "io/checked_stream.hpp"
+#include "io/codec.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/rng.hpp"
 
@@ -25,87 +24,32 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::uint64_t kMaxRngState = 1u << 16;
 constexpr std::uint64_t kMaxCurve = 1u << 20;
 
-std::uint64_t offset_of(std::istream& is) {
-  const auto pos = is.tellg();
-  return pos < 0 ? 0 : static_cast<std::uint64_t>(pos);
-}
-
-[[noreturn]] void fail_at(std::uint64_t offset, const std::string& what) {
-  throw std::runtime_error("checkpoint: " + what + " at offset " +
-                           std::to_string(offset));
-}
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_f64(std::ostream& os, double v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) fail_at(off, "truncated (u32)");
-  return v;
-}
-std::uint64_t get_u64(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) fail_at(off, "truncated (u64)");
-  return v;
-}
-double get_f64(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  double v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) fail_at(off, "truncated (f64)");
-  return v;
-}
-std::uint64_t get_len(std::istream& is, std::uint64_t cap, const char* what) {
-  const std::uint64_t off = offset_of(is);
-  const std::uint64_t n = get_u64(is);
-  if (n > cap) {
-    fail_at(off, std::string(what) + " length " + std::to_string(n) +
-                     " exceeds cap " + std::to_string(cap));
-  }
-  return n;
-}
-
-void put_payload(std::ostream& os, const CheckpointMeta& meta,
+void put_payload(io::ByteWriter& w, const CheckpointMeta& meta,
                  const nn::Module& model, const ag::Adam& opt) {
-  put_u64(os, meta.epoch);
-  put_u64(os, meta.step);
-  put_u64(os, meta.rng_state.size());
-  os.write(meta.rng_state.data(),
-           static_cast<std::streamsize>(meta.rng_state.size()));
-  put_u64(os, meta.curve.size());
+  w.u64(meta.epoch);
+  w.u64(meta.step);
+  w.str(meta.rng_state);
+  w.u64(meta.curve.size());
   for (const EpochStat& st : meta.curve) {
-    put_f64(os, st.loss);
-    put_f64(os, st.train_acc);
-    put_f64(os, st.test_acc);
+    w.f64(st.loss);
+    w.f64(st.train_acc);
+    w.f64(st.test_acc);
   }
-  nn::save_weights(model, os);
-  opt.save_state(os);
+  nn::save_weights(model, w);
+  opt.save_state(w);
 }
 
 }  // namespace
 
 std::string encode_checkpoint(const CheckpointMeta& meta,
                               const nn::Module& model, const ag::Adam& opt) {
-  std::ostringstream os(std::ios::binary);
-  put_u32(os, kMagic);
-  put_u32(os, kVersion);
-  io::Crc32OutStream crc_os(os);
-  put_payload(crc_os, meta, model, opt);
-  crc_os.flush();
-  put_u64(os, crc_os.bytes());
-  put_u32(os, crc_os.crc());
-  return std::move(os).str();
+  io::ByteWriter w;
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.begin_crc();
+  put_payload(w, meta, model, opt);
+  w.crc_footer();
+  return w.take();
 }
 
 void write_checkpoint_file(const std::string& path, const std::string& bytes) {
@@ -123,61 +67,40 @@ void save_checkpoint(const std::string& path, const CheckpointMeta& meta,
 
 CheckpointMeta load_checkpoint(std::istream& is, nn::Module& model,
                                ag::Adam& opt) {
-  if (get_u32(is) != kMagic) fail_at(0, "bad magic (not a checkpoint file)");
-  const std::uint32_t version = get_u32(is);
+  const std::string bytes = io::read_stream(is);
+  io::ByteReader r(bytes, "checkpoint");
+  if (r.u32() != kMagic) r.fail_at(0, "bad magic (not a checkpoint file)");
+  const std::uint32_t version = r.u32();
   if (version != kVersion) {
-    fail_at(4, "unsupported version " + std::to_string(version));
+    r.fail_at(4, "unsupported version " + std::to_string(version));
   }
 
-  io::Crc32InStream crc_is(is);
+  r.begin_crc();
   CheckpointMeta meta;
-  meta.epoch = get_u64(crc_is);
-  meta.step = get_u64(crc_is);
-  const std::uint64_t rng_len = get_len(crc_is, kMaxRngState, "rng state");
+  meta.epoch = r.u64();
+  meta.step = r.u64();
+  const std::uint64_t rng_len = r.count(kMaxRngState, "rng state");
   {
-    const std::uint64_t off = offset_of(crc_is);
-    meta.rng_state.resize(static_cast<std::size_t>(rng_len));
-    crc_is.read(meta.rng_state.data(), static_cast<std::streamsize>(rng_len));
-    if (!crc_is) fail_at(off, "truncated (rng state)");
+    const std::size_t at = r.offset();
+    meta.rng_state = std::string(r.bytes(rng_len, "rng state"));
     // Parse-check the field right here: resuming on a garbage generator
     // state would silently fork the training trajectory, so a state that
     // Rng::restore cannot accept is corruption, not something to hand to
     // the trainer.
     par::Rng probe(0);
-    if (!probe.restore(meta.rng_state)) fail_at(off, "malformed RNG state");
+    if (!probe.restore(meta.rng_state)) r.fail_at(at, "malformed RNG state");
   }
-  const std::uint64_t curve_len = get_len(crc_is, kMaxCurve, "curve");
+  const std::uint64_t curve_len =
+      r.count(kMaxCurve, "curve", 3 * sizeof(double));
   meta.curve.resize(static_cast<std::size_t>(curve_len));
   for (EpochStat& st : meta.curve) {
-    st.loss = get_f64(crc_is);
-    st.train_acc = get_f64(crc_is);
-    st.test_acc = get_f64(crc_is);
+    st.loss = r.f64();
+    st.train_acc = r.f64();
+    st.test_acc = r.f64();
   }
-  {
-    // load_weights / load_state throw their own (shape-checked) errors;
-    // wrap them so the message still carries where the payload stood.
-    const std::uint64_t off = offset_of(crc_is);
-    try {
-      nn::load_weights(model, crc_is);
-      opt.load_state(crc_is);
-    } catch (const std::runtime_error& e) {
-      fail_at(off, e.what());
-    }
-  }
-
-  // Footer lives outside the checksummed payload; read it off the raw
-  // stream and compare against what the payload pass accumulated.
-  const std::uint64_t footer_off = offset_of(is);
-  const std::uint64_t want_bytes = get_u64(is);
-  const std::uint32_t want_crc = get_u32(is);
-  if (want_bytes != crc_is.bytes()) {
-    fail_at(footer_off, "payload length mismatch: footer says " +
-                            std::to_string(want_bytes) + ", read " +
-                            std::to_string(crc_is.bytes()) + " bytes");
-  }
-  if (want_crc != crc_is.crc()) {
-    fail_at(footer_off, "CRC32 mismatch: payload is corrupt");
-  }
+  nn::load_weights(model, r);
+  opt.load_state(r);
+  r.crc_footer();
   return meta;
 }
 

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
 
 #include "cache/cache.hpp"
+#include "io/codec.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -217,62 +217,31 @@ std::vector<GraphSample> assemble_samples(
 
 constexpr std::uint32_t kEmbedFormat = 1;
 
+}  // namespace
+
 std::string serialize_embedding(const embedding::EmbeddingTable& t) {
-  std::string o;
-  auto put_u32 = [&o](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) o.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  put_u32(kEmbedFormat);
-  put_u32(t.vocab_size());
-  put_u32(t.dim());
-  for (std::uint32_t id = 0; id < t.vocab_size(); ++id) {
-    for (const float v : t.row(id)) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, &v, sizeof bits);
-      put_u32(bits);
-    }
-  }
-  return o;
+  io::ByteWriter w;
+  w.u32(kEmbedFormat);
+  w.u32(t.vocab_size());
+  w.u32(t.dim());
+  for (std::uint32_t id = 0; id < t.vocab_size(); ++id) w.f32s(t.row(id));
+  return w.take();
 }
 
 embedding::EmbeddingTable deserialize_embedding(std::string_view bytes,
                                                 std::uint32_t want_vocab,
                                                 std::uint32_t want_dim) {
-  std::size_t off = 0;
-  auto get_u32 = [&]() -> std::uint32_t {
-    if (bytes.size() - off < 4) {
-      throw std::runtime_error("embedding payload truncated");
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t{static_cast<unsigned char>(bytes[off + i])}
-           << (8 * i);
-    }
-    off += 4;
-    return v;
-  };
-  if (get_u32() != kEmbedFormat) {
-    throw std::runtime_error("embedding payload format mismatch");
-  }
-  const std::uint32_t vocab = get_u32();
-  const std::uint32_t dim = get_u32();
-  if (vocab != want_vocab || dim != want_dim) {
-    throw std::runtime_error("embedding payload shape mismatch");
-  }
+  io::ByteReader r(bytes, "embedding payload");
+  if (r.u32() != kEmbedFormat) r.fail_at(0, "format mismatch");
+  const std::uint32_t vocab = r.u32();
+  const std::uint32_t dim = r.u32();
+  if (vocab != want_vocab || dim != want_dim) r.fail_at(4, "shape mismatch");
+  r.fits(std::uint64_t{vocab} * dim, sizeof(float), 4, "embedding table");
   embedding::EmbeddingTable t(vocab, dim);
-  for (std::uint32_t id = 0; id < vocab; ++id) {
-    for (float& v : t.row(id)) {
-      const std::uint32_t bits = get_u32();
-      std::memcpy(&v, &bits, sizeof v);
-    }
-  }
-  if (off != bytes.size()) {
-    throw std::runtime_error("embedding payload trailing bytes");
-  }
+  for (std::uint32_t id = 0; id < vocab; ++id) r.f32s(t.row(id), "row");
+  r.expect_end();
   return t;
 }
-
-}  // namespace
 
 std::vector<std::size_t> Dataset::suite_indices(const std::string& suite) const {
   std::vector<std::size_t> out;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/corpus.hpp"
@@ -162,6 +163,15 @@ struct Dataset {
 [[nodiscard]] std::vector<GraphSample> featurize_program(
     const ProgramSpec& program, const Dataset& reference,
     const DatasetOptions& opts);
+
+/// The cached Embed-stage blob: u32 format, u32 vocab, u32 dim, then the
+/// table's floats row by row.
+[[nodiscard]] std::string serialize_embedding(
+    const embedding::EmbeddingTable& t);
+/// Inverse of serialize_embedding. Throws std::runtime_error unless the
+/// blob holds exactly a `want_vocab` x `want_dim` table.
+[[nodiscard]] embedding::EmbeddingTable deserialize_embedding(
+    std::string_view bytes, std::uint32_t want_vocab, std::uint32_t want_dim);
 
 /// Deterministic 75:25 split at kernel granularity ("no common objects in
 /// the training and testing sets"): all samples of one kernel land on the

@@ -1,12 +1,9 @@
 #include "data/serialize.hpp"
 
-#include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
-#include "io/checked_stream.hpp"
+#include "io/codec.hpp"
 
 namespace mvgnn::data {
 
@@ -31,304 +28,197 @@ constexpr std::uint64_t kMaxVocab = 1u << 24;      // token / walk entries
 constexpr std::uint64_t kMaxWalkLen = 1u << 10;    // steps per anon walk
 constexpr std::uint64_t kMaxTokenSeq = 1u << 24;   // tokens per loop body
 
-// ---- error reporting ------------------------------------------------------
+// ---- payload writer/reader ------------------------------------------------
 
-/// Offset of the next unread byte, captured *before* the read that might
-/// fail (a failed stream reports tellg() == -1).
-std::uint64_t offset_of(std::istream& is) {
-  const auto pos = is.tellg();
-  return pos < 0 ? 0 : static_cast<std::uint64_t>(pos);
+void put_f32_vec(io::ByteWriter& w, const std::vector<float>& v) {
+  w.u64(v.size());
+  w.f32s(v);
 }
 
-[[noreturn]] void fail_at(std::uint64_t offset, const std::string& what) {
-  throw std::runtime_error("dataset: " + what + " at offset " +
-                           std::to_string(offset));
-}
-
-// ---- primitive writers/readers --------------------------------------------
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_i32(std::ostream& os, std::int32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_f64(std::ostream& os, double v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_string(std::ostream& os, const std::string& s) {
-  put_u64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-void put_f32_vec(std::ostream& os, const std::vector<float>& v) {
-  put_u64(os, v.size());
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) fail_at(off, "truncated (u32)");
+std::vector<float> get_f32_vec(io::ByteReader& r) {
+  std::vector<float> v(r.count(kMaxVec, "f32 vector", sizeof(float)));
+  r.f32s(v, "f32 vec");
   return v;
 }
-std::uint64_t get_u64(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) fail_at(off, "truncated (u64)");
-  return v;
-}
-/// Length field with an explicit cap, checked before any allocation.
-std::uint64_t get_len(std::istream& is, std::uint64_t cap, const char* what) {
-  const std::uint64_t off = offset_of(is);
-  const std::uint64_t n = get_u64(is);
-  if (n > cap) {
-    fail_at(off, std::string(what) + " length " + std::to_string(n) +
-                     " exceeds cap " + std::to_string(cap));
+
+/// A per-node row count: it must equal the sample's node count `n`.
+void get_rows(io::ByteReader& r, std::uint32_t n, std::uint64_t row_bytes,
+              const char* what) {
+  const std::size_t at = r.offset();
+  const std::uint64_t rows = r.count(kMaxNodes, what, row_bytes);
+  if (rows != n) {
+    r.fail_at(at, std::string(what) + " rows " + std::to_string(rows) +
+                      " != node count " + std::to_string(n));
   }
-  return n;
-}
-std::int32_t get_i32(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  std::int32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) fail_at(off, "truncated (i32)");
-  return v;
-}
-double get_f64(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  double v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) fail_at(off, "truncated (f64)");
-  return v;
-}
-std::uint8_t get_u8(std::istream& is) {
-  const std::uint64_t off = offset_of(is);
-  char c = 0;
-  is.read(&c, 1);
-  if (!is) fail_at(off, "truncated (u8)");
-  return static_cast<std::uint8_t>(c);
-}
-std::string get_string(std::istream& is) {
-  const std::uint64_t n = get_len(is, kMaxString, "string");
-  const std::uint64_t off = offset_of(is);
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) fail_at(off, "truncated (string)");
-  return s;
-}
-std::vector<float> get_f32_vec(std::istream& is) {
-  const std::uint64_t n = get_len(is, kMaxVec, "f32 vector");
-  const std::uint64_t off = offset_of(is);
-  std::vector<float> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!is) fail_at(off, "truncated (f32 vec)");
-  return v;
 }
 
-void put_sample(std::ostream& os, const GraphSample& s) {
-  put_u32(os, s.n);
-  put_u64(os, s.edges.size());
+void put_sample(io::ByteWriter& w, const GraphSample& s) {
+  w.u32(s.n);
+  w.u64(s.edges.size());
   for (std::size_t e = 0; e < s.edges.size(); ++e) {
-    put_u32(os, s.edges[e].first);
-    put_u32(os, s.edges[e].second);
-    os.put(static_cast<char>(s.edge_kinds[e]));
+    w.u32(s.edges[e].first);
+    w.u32(s.edges[e].second);
+    w.u8(s.edge_kinds[e]);
   }
-  put_u64(os, s.node_static.size());
-  for (const auto& row : s.node_static) put_f32_vec(os, row);
-  put_u64(os, s.node_dynamic.size());
+  w.u64(s.node_static.size());
+  for (const auto& row : s.node_static) put_f32_vec(w, row);
+  w.u64(s.node_dynamic.size());
   for (const auto& row : s.node_dynamic) {
-    for (const double x : row) put_f64(os, x);
+    for (const double x : row) w.f64(x);
   }
-  put_u64(os, s.aw_dist.size());
-  for (const auto& row : s.aw_dist) put_f32_vec(os, row);
-  for (const double x : s.loop_features) put_f64(os, x);
-  put_u64(os, s.token_seq.size());
-  for (const std::uint32_t t : s.token_seq) put_u32(os, t);
-  put_i32(os, s.label);
-  put_i32(os, s.pattern_label);
-  os.put(static_cast<char>(s.tool_autopar));
-  os.put(static_cast<char>(s.tool_pluto));
-  os.put(static_cast<char>(s.tool_discopop));
-  put_string(os, s.suite);
-  put_string(os, s.app);
-  put_string(os, s.kernel);
-  put_string(os, s.variant);
-  put_i32(os, s.loop_line);
+  w.u64(s.aw_dist.size());
+  for (const auto& row : s.aw_dist) put_f32_vec(w, row);
+  for (const double x : s.loop_features) w.f64(x);
+  w.u64(s.token_seq.size());
+  for (const std::uint32_t t : s.token_seq) w.u32(t);
+  w.i32(s.label);
+  w.i32(s.pattern_label);
+  w.u8(s.tool_autopar);
+  w.u8(s.tool_pluto);
+  w.u8(s.tool_discopop);
+  w.str(s.suite);
+  w.str(s.app);
+  w.str(s.kernel);
+  w.str(s.variant);
+  w.i32(s.loop_line);
 }
 
-GraphSample get_sample(std::istream& is) {
+GraphSample get_sample(io::ByteReader& r) {
   GraphSample s;
   {
-    const std::uint64_t off = offset_of(is);
-    s.n = get_u32(is);
+    const std::size_t at = r.offset();
+    s.n = r.u32();
     if (s.n > kMaxNodes) {
-      fail_at(off, "node count " + std::to_string(s.n) + " exceeds cap " +
-                       std::to_string(kMaxNodes));
+      r.fail_at(at, "node count " + std::to_string(s.n) + " exceeds cap " +
+                        std::to_string(kMaxNodes));
     }
   }
-  // Note: no reserve() from on-disk counts anywhere below — vectors grow
-  // only as bytes actually arrive, so a corrupt count field costs a parse
-  // error, not a giant allocation.
-  const std::uint64_t n_edges = get_len(is, kMaxEdges, "edge list");
+  // Every count below is checked against its cap and the bytes left before
+  // anything is sized from it.
+  const std::uint64_t n_edges = r.count(kMaxEdges, "edge list", 9);
   for (std::uint64_t e = 0; e < n_edges; ++e) {
-    const std::uint64_t off = offset_of(is);
-    const std::uint32_t a = get_u32(is);
-    const std::uint32_t b = get_u32(is);
+    const std::size_t at = r.offset();
+    const std::uint32_t a = r.u32();
+    const std::uint32_t b = r.u32();
     if (a >= s.n || b >= s.n) {
-      fail_at(off, "edge endpoint (" + std::to_string(a) + "," +
-                       std::to_string(b) + ") out of range [0," +
-                       std::to_string(s.n) + ")");
+      r.fail_at(at, "edge endpoint (" + std::to_string(a) + "," +
+                        std::to_string(b) + ") out of range [0," +
+                        std::to_string(s.n) + ")");
     }
     s.edges.emplace_back(a, b);
-    const std::uint8_t kind = get_u8(is);
+    const std::uint8_t kind = r.u8();
     if (kind >= GraphSample::kNumRelations) {
-      fail_at(off, "edge kind " + std::to_string(kind) + " out of range");
+      r.fail_at(at, "edge kind " + std::to_string(kind) + " out of range");
     }
     s.edge_kinds.push_back(kind);
   }
-  {
-    const std::uint64_t off = offset_of(is);
-    const std::uint64_t rows = get_len(is, kMaxNodes, "node_static");
-    if (rows != s.n) {
-      fail_at(off, "node_static rows " + std::to_string(rows) +
-                       " != node count " + std::to_string(s.n));
-    }
-  }
+  get_rows(r, s.n, sizeof(std::uint64_t), "node_static");
   s.node_static.resize(s.n);
-  for (auto& row : s.node_static) row = get_f32_vec(is);
-  {
-    const std::uint64_t off = offset_of(is);
-    const std::uint64_t rows = get_len(is, kMaxNodes, "node_dynamic");
-    if (rows != s.n) {
-      fail_at(off, "node_dynamic rows " + std::to_string(rows) +
-                       " != node count " + std::to_string(s.n));
-    }
-  }
+  for (auto& row : s.node_static) row = get_f32_vec(r);
+  get_rows(r, s.n, sizeof(s.node_dynamic[0]), "node_dynamic");
   s.node_dynamic.resize(s.n);
   for (auto& row : s.node_dynamic) {
-    for (double& x : row) x = get_f64(is);
+    for (double& x : row) x = r.f64();
   }
-  {
-    const std::uint64_t off = offset_of(is);
-    const std::uint64_t rows = get_len(is, kMaxNodes, "aw_dist");
-    if (rows != s.n) {
-      fail_at(off, "aw_dist rows " + std::to_string(rows) +
-                       " != node count " + std::to_string(s.n));
-    }
-  }
+  get_rows(r, s.n, sizeof(std::uint64_t), "aw_dist");
   s.aw_dist.resize(s.n);
-  for (auto& row : s.aw_dist) row = get_f32_vec(is);
-  for (double& x : s.loop_features) x = get_f64(is);
-  const std::uint64_t n_tokens = get_len(is, kMaxTokenSeq, "token sequence");
-  for (std::uint64_t t = 0; t < n_tokens; ++t) {
-    s.token_seq.push_back(get_u32(is));
-  }
-  s.label = get_i32(is);
-  s.pattern_label = get_i32(is);
-  s.tool_autopar = get_u8(is) != 0;
-  s.tool_pluto = get_u8(is) != 0;
-  s.tool_discopop = get_u8(is) != 0;
-  s.suite = get_string(is);
-  s.app = get_string(is);
-  s.kernel = get_string(is);
-  s.variant = get_string(is);
-  s.loop_line = get_i32(is);
+  for (auto& row : s.aw_dist) row = get_f32_vec(r);
+  for (double& x : s.loop_features) x = r.f64();
+  const std::uint64_t n_tokens =
+      r.count(kMaxTokenSeq, "token sequence", sizeof(std::uint32_t));
+  for (std::uint64_t t = 0; t < n_tokens; ++t) s.token_seq.push_back(r.u32());
+  s.label = r.i32();
+  s.pattern_label = r.i32();
+  s.tool_autopar = r.u8() != 0;
+  s.tool_pluto = r.u8() != 0;
+  s.tool_discopop = r.u8() != 0;
+  s.suite = r.str(kMaxString);
+  s.app = r.str(kMaxString);
+  s.kernel = r.str(kMaxString);
+  s.variant = r.str(kMaxString);
+  s.loop_line = r.i32();
   return s;
 }
 
 /// The whole dataset body, between the (magic, version) header and the
 /// (bytes, crc) footer. Shared by both versions — v1 simply has no footer.
-void put_payload(std::ostream& os, const Dataset& ds) {
-  put_u32(os, ds.static_dim);
-  put_u32(os, ds.aw_vocab);
+void put_payload(io::ByteWriter& w, const Dataset& ds) {
+  w.u32(ds.static_dim);
+  w.u32(ds.aw_vocab);
 
   // inst2vec table.
-  put_u32(os, ds.inst2vec.vocab_size());
-  put_u32(os, ds.inst2vec.dim());
+  w.u32(ds.inst2vec.vocab_size());
+  w.u32(ds.inst2vec.dim());
   for (std::uint32_t v = 0; v < ds.inst2vec.vocab_size(); ++v) {
-    const auto row = ds.inst2vec.row(v);
-    os.write(reinterpret_cast<const char*>(row.data()),
-             static_cast<std::streamsize>(row.size() * sizeof(float)));
+    w.f32s(ds.inst2vec.row(v));
   }
 
   // Token vocabulary.
-  put_u64(os, ds.token_vocab.map().size());
+  w.u64(ds.token_vocab.map().size());
   for (const auto& [token, id] : ds.token_vocab.map()) {
-    put_string(os, token);
-    put_u32(os, id);
+    w.str(token);
+    w.u32(id);
   }
-  os.put(static_cast<char>(ds.token_vocab.frozen()));
+  w.u8(ds.token_vocab.frozen());
 
   // Anonymous-walk vocabulary.
-  put_u64(os, ds.aw_vocab_table.map().size());
+  w.u64(ds.aw_vocab_table.map().size());
   for (const auto& [walk, id] : ds.aw_vocab_table.map()) {
-    put_u64(os, walk.size());
-    os.write(reinterpret_cast<const char*>(walk.data()),
-             static_cast<std::streamsize>(walk.size()));
-    put_u32(os, id);
+    w.u64(walk.size());
+    for (const std::uint8_t step : walk) w.u8(step);
+    w.u32(id);
   }
-  os.put(static_cast<char>(ds.aw_vocab_table.frozen()));
+  w.u8(ds.aw_vocab_table.frozen());
 
   // Samples.
-  put_u64(os, ds.samples.size());
-  for (const GraphSample& s : ds.samples) put_sample(os, s);
+  w.u64(ds.samples.size());
+  for (const GraphSample& s : ds.samples) put_sample(w, s);
 }
 
-Dataset get_payload(std::istream& is) {
+Dataset get_payload(io::ByteReader& r) {
   Dataset ds;
-  ds.static_dim = get_u32(is);
-  ds.aw_vocab = get_u32(is);
+  ds.static_dim = r.u32();
+  ds.aw_vocab = r.u32();
 
   {
-    const std::uint64_t off = offset_of(is);
-    const std::uint32_t i2v_vocab = get_u32(is);
-    const std::uint32_t i2v_dim = get_u32(is);
+    const std::size_t at = r.offset();
+    const std::uint32_t i2v_vocab = r.u32();
+    const std::uint32_t i2v_dim = r.u32();
     if (i2v_vocab > kMaxVocab || i2v_dim > kMaxVec) {
-      fail_at(off, "inst2vec table " + std::to_string(i2v_vocab) + "x" +
-                       std::to_string(i2v_dim) + " exceeds cap");
+      r.fail_at(at, "inst2vec table " + std::to_string(i2v_vocab) + "x" +
+                        std::to_string(i2v_dim) + " exceeds cap");
     }
+    r.fits(std::uint64_t{i2v_vocab} * i2v_dim, sizeof(float), at,
+           "inst2vec table");
     ds.inst2vec = embedding::EmbeddingTable(i2v_vocab, i2v_dim);
-    const std::uint64_t row_off = offset_of(is);
     for (std::uint32_t v = 0; v < i2v_vocab; ++v) {
-      auto row = ds.inst2vec.row(v);
-      is.read(reinterpret_cast<char*>(row.data()),
-              static_cast<std::streamsize>(row.size() * sizeof(float)));
+      r.f32s(ds.inst2vec.row(v), "inst2vec");
     }
-    if (!is) fail_at(row_off, "truncated (inst2vec)");
   }
 
   std::unordered_map<std::string, std::uint32_t> tokens;
-  const std::uint64_t n_tokens = get_len(is, kMaxVocab, "token vocabulary");
+  const std::uint64_t n_tokens = r.count(kMaxVocab, "token vocabulary", 12);
   for (std::uint64_t i = 0; i < n_tokens; ++i) {
-    std::string token = get_string(is);
-    const std::uint32_t id = get_u32(is);
+    std::string token = r.str(kMaxString);
+    const std::uint32_t id = r.u32();
     tokens.emplace(std::move(token), id);
   }
-  ds.token_vocab.restore(std::move(tokens), get_u8(is) != 0);
+  ds.token_vocab.restore(std::move(tokens), r.u8() != 0);
 
   std::map<graph::AnonWalk, std::uint32_t> walks;
-  const std::uint64_t n_walks = get_len(is, kMaxVocab, "walk vocabulary");
+  const std::uint64_t n_walks = r.count(kMaxVocab, "walk vocabulary", 12);
   for (std::uint64_t i = 0; i < n_walks; ++i) {
-    graph::AnonWalk walk(get_len(is, kMaxWalkLen, "anonymous walk"));
-    const std::uint64_t off = offset_of(is);
-    is.read(reinterpret_cast<char*>(walk.data()),
-            static_cast<std::streamsize>(walk.size()));
-    if (!is) fail_at(off, "truncated (walk)");
-    const std::uint32_t id = get_u32(is);
+    const std::uint64_t len = r.count(kMaxWalkLen, "anonymous walk");
+    const std::string_view steps = r.bytes(len, "walk");
+    graph::AnonWalk walk(steps.begin(), steps.end());
+    const std::uint32_t id = r.u32();
     walks.emplace(std::move(walk), id);
   }
-  ds.aw_vocab_table.restore(std::move(walks), get_u8(is) != 0);
+  ds.aw_vocab_table.restore(std::move(walks), r.u8() != 0);
 
-  const std::uint64_t n_samples = get_len(is, kMaxSamples, "sample list");
+  const std::uint64_t n_samples = r.count(kMaxSamples, "sample list");
   for (std::uint64_t i = 0; i < n_samples; ++i) {
-    ds.samples.push_back(get_sample(is));
+    ds.samples.push_back(get_sample(r));
   }
   return ds;
 }
@@ -336,13 +226,13 @@ Dataset get_payload(std::istream& is) {
 }  // namespace
 
 void save_dataset(const Dataset& ds, std::ostream& os) {
-  put_u32(os, kMagic);
-  put_u32(os, kVersion);
-  io::Crc32OutStream crc_os(os);
-  put_payload(crc_os, ds);
-  crc_os.flush();
-  put_u64(os, crc_os.bytes());
-  put_u32(os, crc_os.crc());
+  io::ByteWriter w(os);
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.begin_crc();
+  put_payload(w, ds);
+  w.crc_footer();
+  w.flush();
   if (!os) throw std::runtime_error("dataset write failed");
 }
 
@@ -353,32 +243,18 @@ void save_dataset(const Dataset& ds, const std::string& path) {
 }
 
 Dataset load_dataset(std::istream& is) {
-  if (get_u32(is) != kMagic) throw std::runtime_error("not a dataset file");
-  const std::uint32_t version = get_u32(is);
+  const std::string bytes = io::read_stream(is);
+  io::ByteReader r(bytes, "dataset");
+  if (r.u32() != kMagic) r.fail_at(0, "bad magic (not a dataset file)");
+  const std::uint32_t version = r.u32();
   if (version != 1 && version != kVersion) {
-    throw std::runtime_error("dataset version " + std::to_string(version) +
-                             " unsupported (expected " +
-                             std::to_string(kVersion) + ")");
+    r.fail_at(4, "version " + std::to_string(version) +
+                     " unsupported (expected " + std::to_string(kVersion) +
+                     ")");
   }
-  io::Crc32InStream crc_is(is);
-  Dataset ds = get_payload(crc_is);
-  if (version == kVersion) {
-    // Footer lives on the raw stream, right after the payload the wrapper
-    // consumed byte-for-byte.
-    const std::uint64_t off = offset_of(is);
-    const std::uint64_t want_bytes = get_u64(is);
-    const std::uint32_t want_crc = get_u32(is);
-    if (crc_is.bytes() != want_bytes) {
-      fail_at(off, "payload length mismatch: read " +
-                       std::to_string(crc_is.bytes()) + " bytes, footer says " +
-                       std::to_string(want_bytes));
-    }
-    if (crc_is.crc() != want_crc) {
-      fail_at(off, "checksum mismatch: payload crc32 " +
-                       std::to_string(crc_is.crc()) + ", footer says " +
-                       std::to_string(want_crc));
-    }
-  }
+  r.begin_crc();
+  Dataset ds = get_payload(r);
+  if (version == kVersion) r.crc_footer();
   return ds;
 }
 

@@ -15,7 +15,7 @@
 //
 // Well-known sites (see docs/robustness.md):
 //   io.write          atomic_write_file fails between temp write and rename
-//   io.read.truncate  checked input streams deliver only N bytes, then EOF
+//   io.read.truncate  io::read_stream delivers only N bytes, then EOF
 //   interp.trap       interpreter traps at dynamic instruction N
 //   trainer.step      trainer throws before optimizer step N (kill test)
 //   ckpt.write        checkpoint save fails before writing

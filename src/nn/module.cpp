@@ -1,9 +1,9 @@
 #include "nn/module.hpp"
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
+#include <string>
+
+#include "io/codec.hpp"
 
 namespace mvgnn::nn {
 
@@ -11,43 +11,56 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4D56474EU;  // "MVGN"
 }
 
-void save_weights(const Module& m, std::ostream& os) {
+void save_weights(const Module& m, io::ByteWriter& w) {
   const auto params = m.parameters();
-  const std::uint32_t magic = kMagic;
-  const std::uint32_t count = static_cast<std::uint32_t>(params.size());
-  os.write(reinterpret_cast<const char*>(&magic), sizeof magic);
-  os.write(reinterpret_cast<const char*>(&count), sizeof count);
+  w.u32(kMagic);
+  w.u32(static_cast<std::uint32_t>(params.size()));
   for (const ag::Tensor& p : params) {
-    const std::uint64_t r = p.rows(), c = p.cols();
-    os.write(reinterpret_cast<const char*>(&r), sizeof r);
-    os.write(reinterpret_cast<const char*>(&c), sizeof c);
-    os.write(reinterpret_cast<const char*>(p.data()),
-             static_cast<std::streamsize>(p.numel() * sizeof(float)));
+    w.u64(p.rows());
+    w.u64(p.cols());
+    w.f32s({p.data(), p.numel()});
+  }
+}
+
+void save_weights(const Module& m, std::ostream& os) {
+  io::ByteWriter w(os);
+  save_weights(m, w);
+  w.flush();
+}
+
+void load_weights(Module& m, io::ByteReader& r) {
+  auto params = m.parameters();
+  const std::size_t magic_at = r.offset();
+  if (r.u32() != kMagic) r.fail_at(magic_at, "bad weights header");
+  const std::size_t count_at = r.offset();
+  const std::uint32_t count = r.u32();
+  if (count != params.size()) {
+    r.fail_at(count_at, "weights hold " + std::to_string(count) +
+                            " tensors, model has " +
+                            std::to_string(params.size()));
+  }
+  for (ag::Tensor& p : params) {
+    const std::size_t at = r.offset();
+    const std::uint64_t rows = r.u64();
+    const std::uint64_t cols = r.u64();
+    if (rows != p.rows() || cols != p.cols()) {
+      r.fail_at(at, "weights shape " + std::to_string(rows) + "x" +
+                        std::to_string(cols) + " != parameter shape " +
+                        std::to_string(p.rows()) + "x" +
+                        std::to_string(p.cols()));
+    }
+    r.f32s({p.data(), p.numel()}, "weights");
   }
 }
 
 void load_weights(Module& m, std::istream& is) {
-  auto params = m.parameters();
-  std::uint32_t magic = 0, count = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  is.read(reinterpret_cast<char*>(&count), sizeof count);
-  if (!is || magic != kMagic) {
-    throw std::runtime_error("load_weights: bad header");
+  std::uint64_t record = 2 * sizeof(std::uint32_t);
+  for (const ag::Tensor& p : m.parameters()) {
+    record += 2 * sizeof(std::uint64_t) + p.numel() * sizeof(float);
   }
-  if (count != params.size()) {
-    throw std::runtime_error("load_weights: parameter count mismatch");
-  }
-  for (ag::Tensor& p : params) {
-    std::uint64_t r = 0, c = 0;
-    is.read(reinterpret_cast<char*>(&r), sizeof r);
-    is.read(reinterpret_cast<char*>(&c), sizeof c);
-    if (!is || r != p.rows() || c != p.cols()) {
-      throw std::runtime_error("load_weights: shape mismatch");
-    }
-    is.read(reinterpret_cast<char*>(p.data()),
-            static_cast<std::streamsize>(p.numel() * sizeof(float)));
-    if (!is) throw std::runtime_error("load_weights: truncated file");
-  }
+  const std::string bytes = io::read_stream(is, record);
+  io::ByteReader r(bytes, "load_weights");
+  load_weights(m, r);
 }
 
 }  // namespace mvgnn::nn

@@ -6,6 +6,11 @@
 
 #include "tensor/tensor.hpp"
 
+namespace mvgnn::io {
+class ByteReader;
+class ByteWriter;
+}  // namespace mvgnn::io
+
 namespace mvgnn::nn {
 
 class Module {
@@ -23,8 +28,14 @@ class Module {
   }
 };
 
-/// Writes/reads all parameter buffers in order. Shapes are checked on load.
+/// Writes/reads all parameter buffers in order: u32 magic "MVGN", u32
+/// tensor count, then per tensor u64 rows, u64 cols and the floats. Shapes
+/// are checked on load. The stream form of load_weights reads exactly one
+/// record (its size follows from m's shapes), so records can sit back to
+/// back in one stream.
+void save_weights(const Module& m, io::ByteWriter& w);
 void save_weights(const Module& m, std::ostream& os);
+void load_weights(Module& m, io::ByteReader& r);
 void load_weights(Module& m, std::istream& is);
 
 }  // namespace mvgnn::nn

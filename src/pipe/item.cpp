@@ -1,7 +1,6 @@
 #include "pipe/item.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -13,6 +12,7 @@
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "graph/peg.hpp"
+#include "io/codec.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "parallel/rng.hpp"
@@ -36,6 +36,12 @@ constexpr std::uint64_t kMaxNodes = 1ull << 20;
 constexpr std::uint64_t kMaxEdges = 1ull << 24;
 constexpr std::uint64_t kMaxWalks = 1ull << 20;
 constexpr std::uint64_t kMaxWalkLen = 255;
+// Smallest encodings, for the remaining-bytes check on counts: a node is
+// its kind, token count, 7 dynamic features and walk count; a sample with
+// no nodes, edges or tokens is n, edge count, 7 loop features, sequence
+// length, label, pattern, three tool flags and the loop line.
+constexpr std::uint64_t kMinNodeBytes = 1 + 8 + 7 * 8 + 8;
+constexpr std::uint64_t kMinSampleBytes = 4 + 8 + 7 * 8 + 8 + 4 + 4 + 3 + 4;
 
 /// Simulates input sensitivity: drops aggregated dependence edges with
 /// probability `p`. Loop runtime, CU structure and object tables stay.
@@ -63,82 +69,6 @@ std::array<double, 7> squash(const profiler::LoopFeatures& f) {
   out[6] = std::log1p(v[6]);  // outgoing
   return out;
 }
-
-// ---- payload writer/reader (little-endian, length-prefixed) --------------
-
-void put_u8(std::string& o, std::uint8_t v) {
-  o.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& o, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(o, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::string& o, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(o, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_i32(std::string& o, std::int32_t v) {
-  put_u32(o, static_cast<std::uint32_t>(v));
-}
-void put_f64(std::string& o, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(o, bits);
-}
-void put_str(std::string& o, const std::string& s) {
-  put_u64(o, s.size());
-  o.append(s);
-}
-
-struct Reader {
-  const unsigned char* p;
-  std::size_t size;
-  std::size_t off = 0;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error("item features payload: " + std::string(what) +
-                             " at offset " + std::to_string(off));
-  }
-  void need(std::size_t n) const {
-    if (size - off < n) fail("truncated");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return p[off++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[off + i]} << (8 * i);
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[off + i]} << (8 * i);
-    off += 8;
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::uint64_t count(std::uint64_t cap, const char* what) {
-    const std::uint64_t n = u64();
-    if (n > cap) fail(what);
-    return n;
-  }
-  std::string str() {
-    const std::uint64_t n = count(kMaxStr, "oversized string");
-    need(static_cast<std::size_t>(n));
-    std::string s(reinterpret_cast<const char*>(p + off),
-                  static_cast<std::size_t>(n));
-    off += static_cast<std::size_t>(n);
-    return s;
-  }
-};
 
 std::size_t approx_profile_bytes(const CompiledProfile& cp) {
   std::size_t bytes = sizeof(CompiledProfile);
@@ -221,81 +151,86 @@ StageKeys stage_keys(const ItemSpec& spec, const PipelineConfig& cfg) {
 }
 
 std::string serialize_features(const ItemFeatures& f) {
-  std::string o;
-  put_u32(o, kFormat);
-  put_u64(o, f.tokens.size());
-  for (const std::string& t : f.tokens) put_str(o, t);
-  put_u64(o, f.context_pairs.size());
+  io::ByteWriter w;
+  w.u32(kFormat);
+  w.u64(f.tokens.size());
+  for (const std::string& t : f.tokens) w.str(t);
+  w.u64(f.context_pairs.size());
   for (const auto& [a, b] : f.context_pairs) {
-    put_u32(o, a);
-    put_u32(o, b);
+    w.u32(a);
+    w.u32(b);
   }
-  put_u64(o, f.samples.size());
+  w.u64(f.samples.size());
   for (const RawSample& s : f.samples) {
-    put_u32(o, s.n);
-    put_u64(o, s.edges.size());
+    w.u32(s.n);
+    w.u64(s.edges.size());
     for (const auto& [a, b] : s.edges) {
-      put_u32(o, a);
-      put_u32(o, b);
+      w.u32(a);
+      w.u32(b);
     }
-    for (const std::uint8_t k : s.edge_kinds) put_u8(o, k);
-    for (const std::uint8_t k : s.node_kinds) put_u8(o, k);
+    for (const std::uint8_t k : s.edge_kinds) w.u8(k);
+    for (const std::uint8_t k : s.node_kinds) w.u8(k);
     for (const auto& ix : s.node_token_ix) {
-      put_u64(o, ix.size());
-      for (const std::uint32_t t : ix) put_u32(o, t);
+      w.u64(ix.size());
+      for (const std::uint32_t t : ix) w.u32(t);
     }
     for (const auto& d : s.node_dynamic) {
-      for (const double v : d) put_f64(o, v);
+      for (const double v : d) w.f64(v);
     }
     for (const auto& walks : s.node_walks) {
-      put_u64(o, walks.size());
-      for (const graph::AnonWalk& w : walks) {
-        put_u64(o, w.size());
-        for (const std::uint8_t step : w) put_u8(o, step);
+      w.u64(walks.size());
+      for (const graph::AnonWalk& walk : walks) {
+        w.u64(walk.size());
+        for (const std::uint8_t step : walk) w.u8(step);
       }
     }
-    for (const double v : s.loop_features) put_f64(o, v);
-    put_u64(o, s.token_seq_ix.size());
-    for (const std::uint32_t t : s.token_seq_ix) put_u32(o, t);
-    put_i32(o, s.label);
-    put_i32(o, s.pattern_label);
-    put_u8(o, s.tool_autopar ? 1 : 0);
-    put_u8(o, s.tool_pluto ? 1 : 0);
-    put_u8(o, s.tool_discopop ? 1 : 0);
-    put_i32(o, s.loop_line);
+    for (const double v : s.loop_features) w.f64(v);
+    w.u64(s.token_seq_ix.size());
+    for (const std::uint32_t t : s.token_seq_ix) w.u32(t);
+    w.i32(s.label);
+    w.i32(s.pattern_label);
+    w.u8(s.tool_autopar);
+    w.u8(s.tool_pluto);
+    w.u8(s.tool_discopop);
+    w.i32(s.loop_line);
   }
-  return o;
+  return w.take();
 }
 
 ItemFeatures deserialize_features(std::string_view bytes) {
-  Reader r{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
-  if (r.u32() != kFormat) r.fail("format version mismatch");
+  io::ByteReader r(bytes, "item features payload");
+  if (r.u32() != kFormat) r.fail_at(0, "format version mismatch");
   ItemFeatures f;
-  const std::uint64_t n_tokens = r.count(kMaxTokens, "too many tokens");
+  const std::uint64_t n_tokens = r.count(kMaxTokens, "token list", 8);
   f.tokens.reserve(static_cast<std::size_t>(n_tokens));
-  for (std::uint64_t i = 0; i < n_tokens; ++i) f.tokens.push_back(r.str());
-  const std::uint64_t n_pairs = r.count(kMaxPairs, "too many pairs");
+  for (std::uint64_t i = 0; i < n_tokens; ++i) f.tokens.push_back(r.str(kMaxStr));
+  const std::uint64_t n_pairs = r.count(kMaxPairs, "pair list", 8);
   f.context_pairs.reserve(static_cast<std::size_t>(n_pairs));
   for (std::uint64_t i = 0; i < n_pairs; ++i) {
+    const std::size_t at = r.offset();
     const std::uint32_t a = r.u32();
     const std::uint32_t b = r.u32();
     if (a >= f.tokens.size() || b >= f.tokens.size()) {
-      r.fail("pair index out of range");
+      r.fail_at(at, "pair index out of range");
     }
     f.context_pairs.emplace_back(a, b);
   }
-  const std::uint64_t n_samples = r.count(kMaxSamples, "too many samples");
+  const std::uint64_t n_samples =
+      r.count(kMaxSamples, "sample list", kMinSampleBytes);
   f.samples.reserve(static_cast<std::size_t>(n_samples));
   for (std::uint64_t si = 0; si < n_samples; ++si) {
     RawSample s;
+    const std::size_t n_at = r.offset();
     s.n = r.u32();
-    if (s.n > kMaxNodes) r.fail("too many nodes");
-    const std::uint64_t n_edges = r.count(kMaxEdges, "too many edges");
+    if (s.n > kMaxNodes) r.fail_at(n_at, "too many nodes");
+    r.fits(s.n, kMinNodeBytes, n_at, "node list");
+    const std::uint64_t n_edges = r.count(kMaxEdges, "edge list", 9);
     s.edges.reserve(static_cast<std::size_t>(n_edges));
     for (std::uint64_t i = 0; i < n_edges; ++i) {
+      const std::size_t at = r.offset();
       const std::uint32_t a = r.u32();
       const std::uint32_t b = r.u32();
-      if (a >= s.n || b >= s.n) r.fail("edge index out of range");
+      if (a >= s.n || b >= s.n) r.fail_at(at, "edge index out of range");
       s.edges.emplace_back(a, b);
     }
     s.edge_kinds.resize(static_cast<std::size_t>(n_edges));
@@ -304,11 +239,12 @@ ItemFeatures deserialize_features(std::string_view bytes) {
     for (auto& k : s.node_kinds) k = r.u8();
     s.node_token_ix.resize(s.n);
     for (auto& ix : s.node_token_ix) {
-      const std::uint64_t nt = r.count(kMaxTokens, "too many node tokens");
+      const std::uint64_t nt = r.count(kMaxTokens, "node token list", 4);
       ix.reserve(static_cast<std::size_t>(nt));
       for (std::uint64_t i = 0; i < nt; ++i) {
+        const std::size_t at = r.offset();
         const std::uint32_t t = r.u32();
-        if (t >= f.tokens.size()) r.fail("token index out of range");
+        if (t >= f.tokens.size()) r.fail_at(at, "token index out of range");
         ix.push_back(t);
       }
     }
@@ -318,22 +254,21 @@ ItemFeatures deserialize_features(std::string_view bytes) {
     }
     s.node_walks.resize(s.n);
     for (auto& walks : s.node_walks) {
-      const std::uint64_t nw = r.count(kMaxWalks, "too many walks");
+      const std::uint64_t nw = r.count(kMaxWalks, "walk list", 8);
       walks.reserve(static_cast<std::size_t>(nw));
       for (std::uint64_t i = 0; i < nw; ++i) {
-        const std::uint64_t len = r.count(kMaxWalkLen, "walk too long");
-        graph::AnonWalk w;
-        w.reserve(static_cast<std::size_t>(len));
-        for (std::uint64_t j = 0; j < len; ++j) w.push_back(r.u8());
-        walks.push_back(std::move(w));
+        const std::uint64_t len = r.count(kMaxWalkLen, "walk");
+        const std::string_view steps = r.bytes(len, "walk");
+        walks.emplace_back(steps.begin(), steps.end());
       }
     }
     for (double& v : s.loop_features) v = r.f64();
-    const std::uint64_t n_seq = r.count(kMaxTokens, "token sequence too long");
+    const std::uint64_t n_seq = r.count(kMaxTokens, "token sequence", 4);
     s.token_seq_ix.reserve(static_cast<std::size_t>(n_seq));
     for (std::uint64_t i = 0; i < n_seq; ++i) {
+      const std::size_t at = r.offset();
       const std::uint32_t t = r.u32();
-      if (t >= f.tokens.size()) r.fail("token index out of range");
+      if (t >= f.tokens.size()) r.fail_at(at, "token index out of range");
       s.token_seq_ix.push_back(t);
     }
     s.label = r.i32();
@@ -344,7 +279,7 @@ ItemFeatures deserialize_features(std::string_view bytes) {
     s.loop_line = r.i32();
     f.samples.push_back(std::move(s));
   }
-  if (r.off != r.size) r.fail("trailing bytes");
+  r.expect_end();
   return f;
 }
 

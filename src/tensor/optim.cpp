@@ -3,40 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "io/codec.hpp"
+
 namespace mvgnn::ag {
-
-namespace {
-
-template <typename T>
-void put_raw(std::ostream& os, T v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-T get_raw(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("Adam::load_state: truncated state");
-  return v;
-}
-
-void put_floats(std::ostream& os, const std::vector<float>& v) {
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
-void get_floats(std::istream& is, std::vector<float>& v) {
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(float)));
-  if (!is) throw std::runtime_error("Adam::load_state: truncated state");
-}
-
-}  // namespace
 
 GradAccumulator::GradAccumulator(const std::vector<Tensor>& params) {
   g_.reserve(params.size());
@@ -152,19 +124,26 @@ void Adam::step() {
   }
 }
 
-void Adam::save_state(std::ostream& os) const {
-  put_raw(os, static_cast<std::int64_t>(t_));
-  put_raw(os, static_cast<std::uint64_t>(m_.size()));
+void Adam::save_state(io::ByteWriter& w) const {
+  w.i64(t_);
+  w.u64(m_.size());
   for (std::size_t k = 0; k < m_.size(); ++k) {
-    put_raw(os, static_cast<std::uint64_t>(m_[k].size()));
-    put_floats(os, m_[k]);
-    put_floats(os, v_[k]);
+    w.u64(m_[k].size());
+    w.f32s(m_[k]);
+    w.f32s(v_[k]);
   }
 }
 
-void Adam::load_state(std::istream& is) {
-  const auto t = get_raw<std::int64_t>(is);
-  const auto count = get_raw<std::uint64_t>(is);
+void Adam::save_state(std::ostream& os) const {
+  io::ByteWriter w(os);
+  save_state(w);
+  w.flush();
+}
+
+void Adam::load_state(io::ByteReader& r) {
+  const std::int64_t t = r.i64();
+  const std::size_t count_at = r.offset();
+  const std::uint64_t count = r.u64();
   if (count == 0) {
     // Checkpoint was taken before the first step(); start fresh.
     t_ = static_cast<long>(t);
@@ -173,28 +152,33 @@ void Adam::load_state(std::istream& is) {
     return;
   }
   if (count != params_.size()) {
-    throw std::runtime_error("Adam::load_state: state holds " +
-                             std::to_string(count) + " buffers but " +
-                             std::to_string(params_.size()) +
-                             " params are registered");
+    r.fail_at(count_at, "Adam state holds " + std::to_string(count) +
+                            " buffers but " + std::to_string(params_.size()) +
+                            " params are registered");
   }
   std::vector<std::vector<float>> m(count), v(count);
   for (std::size_t k = 0; k < count; ++k) {
-    const auto n = get_raw<std::uint64_t>(is);
+    const std::size_t at = r.offset();
+    const std::uint64_t n = r.u64();
     if (n != params_[k].numel()) {
-      throw std::runtime_error("Adam::load_state: buffer " +
-                               std::to_string(k) + " has " +
-                               std::to_string(n) + " elements, param has " +
-                               std::to_string(params_[k].numel()));
+      r.fail_at(at, "Adam buffer " + std::to_string(k) + " has " +
+                        std::to_string(n) + " elements, param has " +
+                        std::to_string(params_[k].numel()));
     }
     m[k].resize(static_cast<std::size_t>(n));
     v[k].resize(static_cast<std::size_t>(n));
-    get_floats(is, m[k]);
-    get_floats(is, v[k]);
+    r.f32s(m[k], "Adam moments");
+    r.f32s(v[k], "Adam moments");
   }
   t_ = static_cast<long>(t);
   m_ = std::move(m);
   v_ = std::move(v);
+}
+
+void Adam::load_state(std::istream& is) {
+  const std::string bytes = io::read_stream(is);
+  io::ByteReader r(bytes, "Adam::load_state");
+  load_state(r);
 }
 
 }  // namespace mvgnn::ag

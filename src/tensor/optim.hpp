@@ -7,6 +7,11 @@
 
 #include "tensor/tensor.hpp"
 
+namespace mvgnn::io {
+class ByteReader;
+class ByteWriter;
+}  // namespace mvgnn::io
+
 namespace mvgnn::ag {
 
 /// Dense per-parameter gradient stash for data-parallel training
@@ -112,10 +117,13 @@ class Adam final : public Optimizer {
   /// checkpoint can restore the exact update trajectory. Layout: i64 t,
   /// u64 buffer count, then per buffer u64 numel followed by m and v floats.
   /// A never-stepped optimizer round-trips as an empty state.
+  void save_state(io::ByteWriter& w) const;
   void save_state(std::ostream& os) const;
 
   /// Restores a state written by save_state(). The buffers must match the
-  /// registered parameters; throws std::runtime_error on any mismatch.
+  /// registered parameters; throws std::runtime_error on any mismatch. The
+  /// stream form reads the rest of `is`.
+  void load_state(io::ByteReader& r);
   void load_state(std::istream& is);
 
  private:

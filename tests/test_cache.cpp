@@ -175,6 +175,33 @@ TEST(Cache, CorruptDiskEntryIsEvictedAndMisses) {
   EXPECT_TRUE(c2.get(k).has_value());
 }
 
+TEST(Cache, CorruptLengthFieldIsRejectedBeforeAllocating) {
+  TempDir dir("length");
+  const cache::Key k = cache::Hasher().str("bad-length").digest();
+  fs::path entry;
+  {
+    cache::Cache c(cache::Config{dir.str(), 64ull << 20});
+    c.put(k, "small payload");
+    for (const auto& e : fs::directory_iterator(dir.path)) entry = e.path();
+  }
+  ASSERT_FALSE(entry.empty());
+  // The u64 payload length sits at offset 8. 2^31 is under the 2^32 cap
+  // but does not match the file size, so the read must fail before a
+  // payload buffer of that size exists.
+  {
+    const std::uint64_t huge = 1ull << 31;
+    char le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<char>(huge >> (8 * i));
+    std::fstream f(entry, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.write(le, sizeof le);
+  }
+  cache::Cache c2(cache::Config{dir.str(), 64ull << 20});
+  EXPECT_FALSE(c2.get(k).has_value());
+  EXPECT_EQ(c2.stats().corrupt, 1u);
+  EXPECT_FALSE(fs::exists(entry));
+}
+
 TEST(Cache, ClearDropsMemoryAndDisk) {
   TempDir dir("clear");
   cache::Cache c(cache::Config{dir.str(), 64ull << 20});

@@ -24,7 +24,7 @@
 #include "fault/fault.hpp"
 #include "frontend/lower.hpp"
 #include "io/atomic_file.hpp"
-#include "io/checked_stream.hpp"
+#include "io/codec.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/rng.hpp"
 #include "profiler/par_exec.hpp"
@@ -381,6 +381,23 @@ TEST(Corruption, DatasetLoaderRejectsAbsurdLengthsBeforeAllocating) {
     EXPECT_NE(std::string(e.what()).find("exceeds cap"), std::string::npos)
         << e.what();
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
+  }
+  // One flipped byte in the inst2vec vocabulary (byte 18) or dimension
+  // (byte 22) leaves the field under its own cap but makes the table need
+  // far more bytes than the file holds. That must fail before the table is
+  // allocated (gigabytes, zero-filled), not after.
+  for (const std::size_t flip : {std::size_t{18}, std::size_t{22}}) {
+    std::string damaged = buf.str();
+    damaged[flip] = static_cast<char>(damaged[flip] ^ 0xFF);
+    std::stringstream flipped(damaged);
+    try {
+      (void)data::load_dataset(flipped);
+      FAIL() << "flip at " << flip << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("exceeds"), std::string::npos) << what;
+      EXPECT_NE(what.find("offset"), std::string::npos) << what;
+    }
   }
 }
 
