@@ -1,18 +1,19 @@
 // Substrate ablation: instrumentation overhead of the dependence profiler —
-// unobserved runs (run_capture), interpretation through the observer
-// interface (NullObserver) and full shadow-memory dependence recording: the
-// classic static-vs-dynamic-analysis cost trade-off the paper's section II
-// discusses.
+// unobserved runs (run_capture) against full shadow-memory dependence
+// recording: the classic static-vs-dynamic-analysis cost trade-off the
+// paper's section II discusses.
 //
-//   BM_InterpPlain            virtual no-op hooks (Engine<ExecObserver>)
 //   BM_RunCapture             no hooks at all (Engine<NoHooks>)
 //   BM_InterpWithDepRecorder  the recorder on Engine<DepRecorder>, inlined
-//   BM_RecorderSplit/*        the recorder behind a virtual forwarding
-//                             observer that passes on one group of hooks
-//                             only (instruction counting, loop hooks, or
-//                             loads and stores), or all of them: the
-//                             per-hook split of its cost, and with /all
-//                             the cost of the virtual calls
+//   BM_RecorderSplit/*        the recorder behind a forwarding observer on
+//                             its own engine (Engine<SplitObserver>) that
+//                             passes on one group of hooks only
+//                             (instruction counting, loop hooks, or loads
+//                             and stores), or all of them: the per-hook
+//                             split of its cost. Each hook tests the
+//                             runtime hook set, so /all is the recorder
+//                             plus those tests, not a second measure of
+//                             BM_InterpWithDepRecorder
 //   BM_FullProfilePipeline    profiler::profile on the matmul
 //   BM_ProfileUnit12          profiler::profile on a 12-loop unit of the
 //                             shape the serve benchmark sends
@@ -23,6 +24,7 @@
 #include "bench/gbench_report.hpp"
 #include "frontend/lower.hpp"
 #include "profiler/dep_recorder.hpp"
+#include "profiler/engine.hpp"
 #include "profiler/profile.hpp"
 
 namespace {
@@ -54,21 +56,6 @@ std::vector<profiler::ArgInit> matmul_args() {
           profiler::ArgInit::of_array(24 * 24, 3)};
 }
 
-void BM_InterpPlain(benchmark::State& state) {
-  const auto& m = matmul_module();
-  const auto args = matmul_args();
-  profiler::NullObserver obs;
-  std::uint64_t steps = 0;
-  for (auto _ : state) {
-    const auto r = profiler::run(m, "kernel", args, obs);
-    steps = r.steps;
-    benchmark::DoNotOptimize(r.return_value);
-  }
-  state.counters["dyn_instrs"] = static_cast<double>(steps);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
-}
-BENCHMARK(BM_InterpPlain);
-
 // The unobserved engine (Engine<NoHooks>) behind run_capture and
 // run_parallel: no hooks at all, so items_per_s is the dispatch loop's own
 // speed in dynamic instructions per second.
@@ -81,6 +68,7 @@ void BM_RunCapture(benchmark::State& state) {
     steps = r.run.steps;
     benchmark::DoNotOptimize(r.run.return_value);
   }
+  state.counters["dyn_instrs"] = static_cast<double>(steps);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * steps));
 }
 BENCHMARK(BM_RunCapture);
@@ -105,33 +93,33 @@ BENCHMARK(BM_InterpWithDepRecorder);
 enum HookSet : int { kCounting = 1, kLoops = 2, kAccesses = 4 };
 
 /// Forwards the hooks of `set` to a DepRecorder and drops the rest. Each
-/// forwarded hook is one virtual call plus the recorder's own work, so the
-/// difference to BM_InterpPlain is the cost of that group of hooks. Without
-/// the loop hooks every access sits in the root context, so accesses alone
-/// record no carried dependence.
-class SplitObserver final : public profiler::ExecObserver {
+/// hook is a test of `set` plus, when forwarded, the recorder's own work,
+/// so the difference to BM_RunCapture is the cost of that group of hooks.
+/// Without the loop hooks every access sits in the root context, so
+/// accesses alone record no carried dependence.
+class SplitObserver {
  public:
   SplitObserver(const profiler::ObjectTable& objects, int set)
       : rec_(objects), set_(set) {}
 
-  void on_instr(const ir::Function& fn, ir::InstrId id) override {
+  void on_instr(const ir::Function& fn, ir::InstrId id) {
     if (set_ & kCounting) rec_.on_instr(fn, id);
   }
   void on_load(const ir::Function& fn, ir::InstrId id,
-               profiler::Addr addr) override {
+               profiler::Addr addr) {
     if (set_ & kAccesses) rec_.on_load(fn, id, addr);
   }
   void on_store(const ir::Function& fn, ir::InstrId id,
-                profiler::Addr addr) override {
+                profiler::Addr addr) {
     if (set_ & kAccesses) rec_.on_store(fn, id, addr);
   }
-  void on_loop_enter(const ir::Function& fn, ir::LoopId loop) override {
+  void on_loop_enter(const ir::Function& fn, ir::LoopId loop) {
     if (set_ & kLoops) rec_.on_loop_enter(fn, loop);
   }
-  void on_loop_iter(const ir::Function& fn, ir::LoopId loop) override {
+  void on_loop_iter(const ir::Function& fn, ir::LoopId loop) {
     if (set_ & kLoops) rec_.on_loop_iter(fn, loop);
   }
-  void on_loop_exit(const ir::Function& fn, ir::LoopId loop) override {
+  void on_loop_exit(const ir::Function& fn, ir::LoopId loop) {
     if (set_ & kLoops) rec_.on_loop_exit(fn, loop);
   }
 
@@ -147,9 +135,7 @@ void BM_RecorderSplit(benchmark::State& state, int set) {
   for (auto _ : state) {
     profiler::ObjectTable objects;
     SplitObserver obs(objects, set);
-    // Through the ExecObserver reference: the virtual engine.
-    profiler::ExecObserver& virt = obs;
-    const auto r = profiler::run(m, "kernel", args, virt, objects);
+    const auto r = profiler::run(m, "kernel", args, obs, objects);
     steps = r.steps;
     benchmark::DoNotOptimize(r.steps);
   }

@@ -299,14 +299,11 @@ int main(int argc, char** argv) {
   std::printf("building serving context (corpus %d) ...\n", loops);
   serve::ServingContext ctx =
       serve::build_serving_context(loops, &stage_cache);
-  auto [train_raw, val] = data::split_by_kernel(ctx.ds, 0.85, 5);
-  const std::vector<std::size_t> train =
-      data::oversample_balance(ctx.ds, train_raw, 5);
   core::Featurizer feats(ctx.ds, ctx.norm);
   core::TrainConfig tc;
   tc.epochs = 1;
   core::MvGnnTrainer trainer(feats, ctx.model_cfg, tc);
-  trainer.fit(train, {});
+  trainer.fit(ctx.train, {});
   ag::Adam opt(1e-3f);
   opt.add_params(trainer.model_mutable().parameters());
   core::CheckpointMeta meta;

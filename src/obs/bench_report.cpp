@@ -23,13 +23,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 const char* goal_name(MetricGoal g) {
   switch (g) {
     case MetricGoal::Lower: return "lower";
@@ -108,7 +101,7 @@ void BenchReport::config(const std::string& key, double value) {
 
 void BenchReport::config(const std::string& key, const std::string& value) {
   std::string quoted = "\"";
-  append_escaped(quoted, value);
+  quoted += json_escape(value);
   quoted += '"';
   config_.emplace_back(key, std::move(quoted));
 }
@@ -134,14 +127,14 @@ void BenchReport::metric(const std::string& key, double value, MetricGoal goal,
 std::string BenchReport::to_json() const {
   std::string out;
   out += "{\n  \"bench\": \"";
-  append_escaped(out, name_);
+  out += json_escape(name_);
   out += "\",\n  \"schema\": 1,\n  \"config\": {";
   bool first = true;
   for (const auto& [key, rendered] : config_) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    append_escaped(out, key);
+    out += json_escape(key);
     out += "\": ";
     out += rendered;
   }
@@ -152,7 +145,7 @@ std::string BenchReport::to_json() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    append_escaped(out, m.key);
+    out += json_escape(m.key);
     out += "\": {\"value\": ";
     out += fmt_double(m.value);
     if (const char* g = goal_name(m.goal)) {
@@ -162,7 +155,7 @@ std::string BenchReport::to_json() const {
     }
     if (!m.unit.empty()) {
       out += ", \"unit\": \"";
-      append_escaped(out, m.unit);
+      out += json_escape(m.unit);
       out += '"';
     }
     out += '}';

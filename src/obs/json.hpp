@@ -90,3 +90,14 @@ class Value {
 Value parse(std::string_view text);
 
 }  // namespace mvgnn::obs::json
+
+namespace mvgnn::obs {
+
+/// `s` as the body of a JSON string (no surrounding quotes): `"`, `\`,
+/// newline, carriage return and tab as short escapes, every other byte
+/// below 0x20 as `\u00XX`, everything else verbatim. The one escaper of
+/// every JSON writer in the repo (traces, metrics, reports, bench reports,
+/// sampler rows, serve responses).
+[[nodiscard]] std::string json_escape(std::string_view s);
+
+}  // namespace mvgnn::obs

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "io/atomic_file.hpp"
+#include "obs/json.hpp"
 
 namespace mvgnn::obs {
 
@@ -230,20 +231,22 @@ std::string Registry::to_json() const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": " << c->value();
+    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
+       << "\": " << c->value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name
+    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
        << "\": " << fmt_double(g->value());
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": {\"bounds\": [";
+    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
+       << "\": {\"bounds\": [";
     const auto& bounds = h->bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       os << (i ? ", " : "") << fmt_double(bounds[i]);

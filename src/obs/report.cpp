@@ -81,13 +81,6 @@ std::string fmt_bytes(double b) {
   return buf;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 }  // namespace
 
 Report build_report(const std::vector<SpanEvent>& events,
@@ -411,7 +404,7 @@ std::string render_json(const Report& r) {
     const StageStat& s = r.stages[i];
     out += i ? ",\n    {" : "\n    {";
     out += "\"stage\": \"";
-    append_json_escaped(out, s.stage);
+    out += json_escape(s.stage);
     std::snprintf(buf, sizeof buf,
                   "\", \"self_ns\": %llu, \"pct\": %.4f, \"spans\": %llu}",
                   static_cast<unsigned long long>(s.self_ns), s.pct,
@@ -423,7 +416,7 @@ std::string render_json(const Report& r) {
     const SpanStat& s = r.spans[i];
     out += i ? ",\n    {" : "\n    {";
     out += "\"name\": \"";
-    append_json_escaped(out, s.name);
+    out += json_escape(s.name);
     std::snprintf(buf, sizeof buf,
                   "\", \"count\": %llu, \"total_ns\": %llu, "
                   "\"self_ns\": %llu, \"p50_ns\": %llu, \"p99_ns\": %llu}",

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 
 namespace mvgnn::obs {
@@ -16,13 +17,6 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
 }
 
 void append_num(std::string& out, double v) {
@@ -144,7 +138,7 @@ void MetricsSampler::sample_once(std::uint64_t t_ms) {
     if (!first) row += ", ";
     first = false;
     row += '"';
-    append_escaped(row, name);
+    row += json_escape(name);
     row += "\": {\"v\": ";
     append_u64(row, v);
     row += ", \"d\": ";
@@ -158,7 +152,7 @@ void MetricsSampler::sample_once(std::uint64_t t_ms) {
     if (!first) row += ", ";
     first = false;
     row += '"';
-    append_escaped(row, name);
+    row += json_escape(name);
     row += "\": ";
     append_num(row, v);
   }
@@ -173,7 +167,7 @@ void MetricsSampler::sample_once(std::uint64_t t_ms) {
     if (!first) row += ", ";
     first = false;
     row += '"';
-    append_escaped(row, h.name);
+    row += json_escape(h.name);
     row += "\": {\"count\": ";
     append_u64(row, h.count);
     row += ", \"d_count\": ";

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "io/atomic_file.hpp"
+#include "obs/json.hpp"
 
 namespace mvgnn::obs {
 
@@ -23,26 +24,6 @@ std::uint64_t now_ns() {
 std::uint64_t span_id(std::uint32_t tid, std::int32_t index) {
   return (static_cast<std::uint64_t>(tid) + 1) << 40 |
          (static_cast<std::uint64_t>(index) + 1);
-}
-
-/// Minimal escaping; span names are identifiers but don't trust them.
-void append_escaped(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    switch (*s) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(*s) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", *s);
-          out += buf;
-        } else {
-          out += *s;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -111,7 +92,7 @@ std::string TraceRecorder::to_chrome_json() const {
     if (!first) out += ",\n";
     first = false;
     out += "  {\"name\": \"";
-    append_escaped(out, e.name);
+    out += json_escape(e.name);
     std::snprintf(buf, sizeof buf,
                   "\", \"cat\": \"mvgnn\", \"ph\": \"X\", \"ts\": %.3f, "
                   "\"dur\": %.3f, \"pid\": 1, \"tid\": %u, "
@@ -122,7 +103,7 @@ std::string TraceRecorder::to_chrome_json() const {
     out += buf;
     for (std::uint32_t i = 0; i < e.nargs; ++i) {
       out += ", \"";
-      append_escaped(out, e.args[i].key);
+      out += json_escape(e.args[i].key);
       std::snprintf(buf, sizeof buf, "\": %llu",
                     static_cast<unsigned long long>(e.args[i].value));
       out += buf;

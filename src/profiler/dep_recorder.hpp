@@ -21,28 +21,29 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "profiler/dep_graph.hpp"
-#include "profiler/observer.hpp"
+#include "profiler/interp.hpp"
 
 namespace mvgnn::profiler {
 
-class DepRecorder final : public ExecObserver {
+class DepRecorder final {
  public:
   /// `objects` must be the same table the interpreter allocates from.
   explicit DepRecorder(const ObjectTable& objects);
 
-  // The hooks are defined below the class so that Engine<DepRecorder>
-  // (profiler::run's DepRecorder overload) inlines them into its dispatch
-  // loop; only their rare slow paths are calls into dep_recorder.cpp.
-  void on_instr(const ir::Function& fn, ir::InstrId id) override;
-  void on_load(const ir::Function& fn, ir::InstrId id, Addr addr) override;
-  void on_store(const ir::Function& fn, ir::InstrId id, Addr addr) override;
-  void on_loop_enter(const ir::Function& fn, ir::LoopId loop) override;
-  void on_loop_iter(const ir::Function& fn, ir::LoopId loop) override;
-  void on_loop_exit(const ir::Function& fn, ir::LoopId loop) override;
+  // The ExecObserver hooks. They are defined below the class so that
+  // Engine<DepRecorder> inlines them into its dispatch loop; only their rare
+  // slow paths are calls into dep_recorder.cpp.
+  void on_instr(const ir::Function& fn, ir::InstrId id);
+  void on_load(const ir::Function& fn, ir::InstrId id, Addr addr);
+  void on_store(const ir::Function& fn, ir::InstrId id, Addr addr);
+  void on_loop_enter(const ir::Function& fn, ir::LoopId loop);
+  void on_loop_iter(const ir::Function& fn, ir::LoopId loop);
+  void on_loop_exit(const ir::Function& fn, ir::LoopId loop);
 
   /// Builds the aggregated profile. Call once, after the run; `objects` is
   /// copied into the result so the profile owns everything it references.
@@ -317,5 +318,17 @@ inline std::uint32_t DepRecorder::carrier(NodeId a, NodeId b) const {
   }
   record_carried(*stat, loop, src, dst, type, obj);
 }
+
+// The recorder stays a concrete type without a vtable: an overridable hook
+// would turn every event into an indirect call again.
+static_assert(ExecObserver<DepRecorder> &&
+              !std::is_polymorphic_v<DepRecorder>);
+
+// The one engine behind profiler::profile, instantiated in engine.cpp.
+extern template RunResult run<DepRecorder>(const ir::Module&,
+                                           const std::string&,
+                                           std::span<const ArgInit>,
+                                           DepRecorder&, ObjectTable&,
+                                           const InterpOptions&);
 
 }  // namespace mvgnn::profiler

@@ -1,134 +1,20 @@
-// The MiniC IR interpreter behind profiler::run, run_capture and
-// run_parallel: one pre-decoded micro-op engine, templated on its observer.
-//
-//   profiler::run (DepRecorder&)   Engine<DepRecorder>: the recorder's hooks
-//                                  inline into the dispatch loop. This is
-//                                  the run behind profiler::profile.
-//   profiler::run (ExecObserver&)  Engine<ExecObserver>: every hook is a
-//                                  virtual call into the caller's observer
-//                                  (test and bench observers).
-//   run_capture                    Engine<NoHooks>: the hooks inline to
-//                                  nothing.
-//   run_parallel                   Engine<NoHooks> as master, plus one shard
-//                                  engine per iteration range of a planned
-//                                  loop (see par_exec.hpp for the execution
-//                                  model).
-//
-// Layout of the address space during a parallel section:
-//
-//   [0, high_water)            shared memory image, owned by the master
-//   [kArenaBase * (s+1), ...)  shard s's private allocation arena
-//
-// The shared image never grows while shards run (shard Alloca/AllocArr go
-// to the arena), so concurrent shards index a stable vector and the
-// planner's iteration-disjointness guarantee makes their shared writes
-// race-free. Privatized cells are resolved in the shard overlay before the
-// shared image is consulted.
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <limits>
-#include <map>
-#include <memory>
-#include <string_view>
-#include <type_traits>
-#include <utility>
+// Out-of-line parts of the micro-op engine (engine.hpp): decode, the run
+// counters, and the library's two instantiations, Engine<DepRecorder>
+// behind profiler::run and Engine<NoHooks> behind run_capture and
+// run_parallel.
+#include "profiler/engine.hpp"
 
-#include "fault/fault.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "parallel/task_group.hpp"
+#include <bit>
+#include <map>
+#include <string_view>
+
 #include "profiler/dep_recorder.hpp"
-#include "profiler/par_exec.hpp"
 
 namespace mvgnn::profiler {
 
+namespace detail {
+
 namespace {
-
-using ir::Function;
-using ir::Instruction;
-using ir::InstrId;
-using ir::LoopId;
-using ir::Opcode;
-using ir::TypeKind;
-using ir::Value;
-
-using Cell = MemCell;
-
-/// Shard arenas start far above any shared address (the shared image is
-/// capped at max_mem_cells <= 2^24 cells in practice; anything at or above
-/// kArenaBase is arena-resident by construction).
-constexpr Addr kArenaBase = 1ull << 40;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-Cell reduce_identity(ParReduceOp op) {
-  Cell c;
-  switch (op) {
-    case ParReduceOp::Sum:
-      c.i = 0;
-      c.f = 0.0;
-      break;
-    case ParReduceOp::Product:
-      c.i = 1;
-      c.f = 1.0;
-      break;
-    case ParReduceOp::Min:
-      c.i = std::numeric_limits<std::int64_t>::max();
-      c.f = std::numeric_limits<double>::infinity();
-      break;
-    case ParReduceOp::Max:
-      c.i = std::numeric_limits<std::int64_t>::min();
-      c.f = -std::numeric_limits<double>::infinity();
-      break;
-  }
-  return c;  // both sides are set; the access type picks one
-}
-
-void reduce_into(Cell& a, const Cell& b, ParReduceOp op, bool is_float) {
-  switch (op) {
-    case ParReduceOp::Sum:
-      if (is_float) a.f += b.f; else a.i += b.i;
-      break;
-    case ParReduceOp::Product:
-      if (is_float) a.f *= b.f; else a.i *= b.i;
-      break;
-    case ParReduceOp::Min:
-      if (is_float) a.f = std::fmin(a.f, b.f); else a.i = std::min(a.i, b.i);
-      break;
-    case ParReduceOp::Max:
-      if (is_float) a.f = std::fmax(a.f, b.f); else a.i = std::max(a.i, b.i);
-      break;
-  }
-}
-
-// ---- pre-decoded program form --------------------------------------------
-//
-// The engine never executes ir::Instruction directly: each function is
-// decoded once per run into one contiguous micro-op array with pre-resolved
-// operands and callees. That removes the two dependent loads per step
-// (block -> instr id -> arena slot), the heap hop into each instruction's
-// operand vector, and the per-call builtin-name string compares.
-//
-// Operands are frame slots. A frame is laid out as
-//
-//   [0, arg_base)             instruction registers (indexed by InstrId)
-//   [arg_base, const_base)    the call's arguments
-//   [const_base, frame_size)  the function's constant pool
-//
-// so every value operand — register, argument or immediate — is one slot
-// read, with no kind dispatch. Branch operands are code offsets. Every
-// block ends in a kEndOfBlock sentinel, so the dispatch loop needs no
-// bounds compare: running off a block executes the sentinel, which traps.
-
-enum class BuiltinId : std::uint8_t {
-  Sqrt, Exp, Log, Sin, Cos, Fabs, Pow, Fmin, Fmax, Imin, Imax, Iabs, None
-};
 
 /// Builtin of a call target, or None for a user function. Names are listed
 /// in BuiltinId order.
@@ -142,1042 +28,131 @@ BuiltinId builtin_id(const std::string& name) {
   return BuiltinId::None;
 }
 
-/// Decode-only micro-op codes, numbered past the last ir::Opcode: the
-/// sentinel closing every block, and the trap that replaces an instruction
-/// whose operand names no value (executing it faults, as reading the
-/// operand did before decode resolved it).
-constexpr std::uint8_t kFirstEngineOp =
-    static_cast<std::uint8_t>(Opcode::LoopExit) + 1;
-constexpr Opcode kEndOfBlock = static_cast<Opcode>(kFirstEngineOp);
-constexpr Opcode kBadOperand = static_cast<Opcode>(kFirstEngineOp + 1);
+enum class Role : std::uint8_t { Value, Block, Unread };
 
-struct MicroOp {
-  Opcode op = Opcode::Ret;
-  TypeKind type = TypeKind::Void;
-  std::uint8_t nops = 0;
-  BuiltinId builtin = BuiltinId::None;
-  InstrId id = 0;                  // result register (kEndOfBlock: slot 0)
-  LoopId loop = ir::kNoLoop;       // loop markers only
-  /// Frame slots of value operands; code offsets of branch targets. User
-  /// calls leave them unset and spill through fn.instr(id).
-  std::uint32_t ops[3] = {};
-};
-
-struct DecodedFn {
-  const Function* fn = nullptr;
-  /// Every block's micro-ops back to back, each closed by a kEndOfBlock.
-  std::vector<MicroOp> code;
-  std::vector<std::uint32_t> block_start;  // code offset, indexed by BlockId
-  /// Pre-resolved user-call targets, indexed by InstrId (call sites only).
-  std::vector<const DecodedFn*> callees;
-  std::uint32_t arg_base = 0;    // == fn->instrs.size()
-  std::uint32_t const_base = 0;  // == arg_base + fn->params.size()
-  std::vector<RtVal> consts;     // copied to [const_base, ...) of each frame
-
-  /// Slot count of one frame (at least 1: the sentinel writes no register
-  /// but names slot 0).
-  [[nodiscard]] std::size_t frame_size() const {
-    return std::max<std::size_t>(1, const_base + consts.size());
+/// How the dispatch loop reads operand `k` of `mop`.
+Role operand_role(const MicroOp& mop, std::size_t k) {
+  switch (mop.op) {
+    case Opcode::Br:
+      return Role::Block;
+    case Opcode::CondBr:
+      return k == 0 ? Role::Value : Role::Block;
+    case Opcode::Call:  // user calls spill through the IR operands
+      return mop.builtin == BuiltinId::None ? Role::Unread : Role::Value;
+    case Opcode::Alloca:
+    case Opcode::LoopEnter:
+    case Opcode::LoopHead:
+    case Opcode::LoopExit:
+      return Role::Unread;
+    default:
+      return Role::Value;
   }
-};
-
-/// Every function of the module, decoded in module order.
-struct DecodedModule {
-  std::vector<DecodedFn> fns;
-
-  explicit DecodedModule(const ir::Module& m) : fns(m.functions.size()) {
-    for (std::size_t f = 0; f < fns.size(); ++f) fns[f].fn = m.functions[f].get();
-    for (DecodedFn& d : fns) decode(d);
-  }
-
-  [[nodiscard]] const DecodedFn* find(const Function* fn) const {
-    for (const DecodedFn& d : fns) {
-      if (d.fn == fn) return &d;
-    }
-    return nullptr;
-  }
-
- private:
-  const DecodedFn* find(const std::string& name) const {
-    for (const DecodedFn& d : fns) {
-      if (d.fn->name == name) return &d;
-    }
-    return nullptr;
-  }
-
-  void decode(DecodedFn& d) {
-    const Function& fn = *d.fn;
-    d.arg_base = static_cast<std::uint32_t>(fn.instrs.size());
-    d.const_base = d.arg_base + static_cast<std::uint32_t>(fn.params.size());
-    d.callees.assign(fn.instrs.size(), nullptr);
-    d.block_start.resize(fn.blocks.size());
-    std::size_t ncode = 0;
-    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-      d.block_start[b] = static_cast<std::uint32_t>(ncode);
-      ncode += fn.blocks[b].instrs.size() + 1;
-    }
-    d.code.reserve(ncode);
-
-    // One constant-pool slot per distinct immediate (kind and bit pattern).
-    std::map<std::pair<bool, std::uint64_t>, std::uint32_t> pool;
-    auto const_slot = [&](const Value& v) {
-      const bool is_float = v.kind == Value::Kind::ImmFloat;
-      const std::uint64_t bits =
-          is_float ? std::bit_cast<std::uint64_t>(v.imm_float)
-                   : static_cast<std::uint64_t>(v.imm_int);
-      const auto [it, fresh] = pool.try_emplace(
-          {is_float, bits}, d.const_base + static_cast<std::uint32_t>(
-                                               d.consts.size()));
-      if (fresh) {
-        RtVal c;
-        c.kind = is_float ? RtVal::Kind::Float : RtVal::Kind::Int;
-        if (is_float) c.f = v.imm_float; else c.i = v.imm_int;
-        d.consts.push_back(c);
-      }
-      return it->second;
-    };
-    // Frame slot of a value operand; false when it names no value.
-    auto value_slot = [&](const Value& v, std::uint32_t& slot) {
-      switch (v.kind) {
-        case Value::Kind::Reg:
-          slot = v.reg;
-          return v.reg < d.arg_base;
-        case Value::Kind::Arg:
-          slot = d.arg_base + v.arg;
-          return slot < d.const_base;
-        case Value::Kind::ImmInt:
-        case Value::Kind::ImmFloat:
-          slot = const_slot(v);
-          return true;
-        default:
-          return false;
-      }
-    };
-
-    for (const ir::BasicBlock& bb : fn.blocks) {
-      for (const InstrId id : bb.instrs) {
-        const Instruction& in = fn.instr(id);
-        MicroOp mop;
-        mop.op = in.op;
-        mop.type = in.type;
-        mop.id = id;
-        mop.loop = in.loop;
-        mop.nops = static_cast<std::uint8_t>(
-            std::min<std::size_t>(in.operands.size(), 3));
-        if (in.op == Opcode::Call) {
-          mop.builtin = builtin_id(in.callee);
-          if (mop.builtin == BuiltinId::None) d.callees[id] = find(in.callee);
-        }
-        bool ok = true;
-        for (std::size_t k = 0; k < mop.nops && ok; ++k) {
-          const Value& v = in.operands[k];
-          switch (operand_role(mop, k)) {
-            case Role::Value:
-              ok = value_slot(v, mop.ops[k]);
-              break;
-            case Role::Block:
-              ok = v.is_block() && v.block < fn.blocks.size();
-              if (ok) mop.ops[k] = d.block_start[v.block];
-              break;
-            case Role::Unread:
-              break;
-          }
-        }
-        if (!ok) mop.op = kBadOperand;
-        d.code.push_back(mop);
-      }
-      MicroOp end;
-      end.op = kEndOfBlock;
-      d.code.push_back(end);
-    }
-  }
-
-  enum class Role : std::uint8_t { Value, Block, Unread };
-
-  /// How the dispatch loop reads operand `k` of `mop`.
-  static Role operand_role(const MicroOp& mop, std::size_t k) {
-    switch (mop.op) {
-      case Opcode::Br:
-        return Role::Block;
-      case Opcode::CondBr:
-        return k == 0 ? Role::Value : Role::Block;
-      case Opcode::Call:  // user calls spill through the IR operands
-        return mop.builtin == BuiltinId::None ? Role::Unread : Role::Value;
-      case Opcode::Alloca:
-      case Opcode::LoopEnter:
-      case Opcode::LoopHead:
-      case Opcode::LoopExit:
-        return Role::Unread;
-      default:
-        return Role::Value;
-    }
-  }
-};
-
-// ---- observer policies ---------------------------------------------------
-
-/// Observer policy of unobserved runs: every hook inlines to nothing.
-struct NoHooks {
-  void on_instr(const Function&, InstrId) {}
-  void on_load(const Function&, InstrId, Addr) {}
-  void on_store(const Function&, InstrId, Addr) {}
-  void on_loop_enter(const Function&, LoopId) {}
-  void on_loop_iter(const Function&, LoopId) {}
-  void on_loop_exit(const Function&, LoopId) {}
-};
-
-// ---- per-shard execution context -----------------------------------------
-
-struct PrivCell {
-  Addr addr = 0;
-  Cell cell;
-  bool stored = false;
-};
-
-struct PrivRange {
-  Addr base = 0;
-  std::uint64_t size = 0;
-  bool stored = false;
-  std::vector<Cell> cells;  // copy-in of the shared range
-};
-
-struct RedCell {
-  Addr addr = 0;
-  ParReduceOp op = ParReduceOp::Sum;
-  bool is_float = false;
-  Cell acc;  // starts at the identity
-};
-
-struct RedRange {
-  Addr base = 0;
-  std::uint64_t size = 0;
-  ParReduceOp op = ParReduceOp::Sum;
-  bool is_float = false;
-  std::vector<Cell> cells;  // identity-initialized partial
-};
-
-struct ShardCtx {
-  Addr iv_addr = 0;
-  Cell iv;
-  std::uint64_t quota = 0;   // iterations this shard owns
-  std::uint64_t heads = 0;   // LoopHead count at shard depth 0
-  std::size_t overlay = 0;   // total privatized/reduced targets (0 = none)
-  std::vector<PrivCell> priv;
-  std::vector<PrivRange> priv_ranges;
-  std::vector<RedCell> reds;
-  std::vector<RedRange> red_ranges;
-  Addr arena_base = 0;
-  std::vector<Cell> arena;
-  std::uint64_t steps = 0;
-};
-
-// ---- the engine ----------------------------------------------------------
-
-/// One instance is the master; shard instances share the master's memory
-/// image through pointers and resolve privatized cells in their ShardCtx.
-/// `Obs` receives every dynamic event: DepRecorder or ExecObserver for
-/// profiler::run, NoHooks for the unobserved runs.
-template <class Obs>
-class Engine {
-  static constexpr bool kObserved = !std::is_same_v<Obs, NoHooks>;
-
- public:
-  /// Master. `plan` is null for sequential runs; `objects` receives every
-  /// allocation so callers can resolve the addresses the observer saw.
-  Engine(const ir::Module& m, Obs& obs, ObjectTable& objects,
-         const ParRunOptions& opts, const ParPlan* plan)
-      : m_(m), obs_(obs), opts_(opts), plan_(plan), objects_(&objects) {}
-
-  // Shard: shares the master's memory image, intercepts nothing, and never
-  // arms the injected trap.
-  Engine(const Engine& master, ShardCtx& ctx, LoopId loop)
-      : m_(master.m_),
-        obs_(master.obs_),
-        opts_(master.opts_),
-        mem_(master.mem_),
-        code_(master.code_),
-        shard_(&ctx),
-        shard_loop_(loop),
-        step_limit_(fuel_limit()) {}
-
-  RunResult run_entry(const std::string& entry,
-                      std::span<const ArgInit> inits) {
-    // Fault injection: the armed trap step joins the fuel limit, so the
-    // step path keeps a single compare (out_of_steps picks the message).
-    step_limit_ = std::min(fuel_limit(),
-                           fault::armed_nth("interp.trap").value_or(
-                               std::numeric_limits<std::uint64_t>::max()));
-    const Function* fn = m_.find(entry);
-    if (!fn) throw InterpError("entry function '" + entry + "' not found");
-    if (inits.size() != fn->params.size()) {
-      throw InterpError("argument count mismatch for '" + entry + "'");
-    }
-    entry_fn_ = fn;
-    mem_ = &owned_mem_;
-    auto code = std::make_shared<const DecodedModule>(m_);
-    const DecodedFn& dfn = *code->find(fn);
-    code_ = std::move(code);
-    entry_args_.clear();
-    entry_args_.reserve(inits.size());
-    for (std::size_t i = 0; i < inits.size(); ++i) {
-      entry_args_.push_back(make_arg(fn->params[i], inits[i]));
-    }
-    RunResult res;
-    res.return_value = exec(dfn, entry_args_, 0);
-    res.steps = steps_;
-    return res;
-  }
-
-  /// Final contents of every entry array argument (empty for scalars).
-  [[nodiscard]] std::vector<std::vector<Cell>> arg_arrays() const {
-    std::vector<std::vector<Cell>> out;
-    out.reserve(entry_args_.size());
-    for (const RtVal& a : entry_args_) {
-      std::vector<Cell> cells;
-      if (a.kind == RtVal::Kind::ArrayRef) {
-        cells.assign(
-            owned_mem_.begin() + static_cast<std::ptrdiff_t>(a.base),
-            owned_mem_.begin() + static_cast<std::ptrdiff_t>(a.base + a.size));
-      }
-      out.push_back(std::move(cells));
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::uint64_t parallel_loops() const { return parallel_loops_; }
-
-  /// Shard entry: runs iterations [k0, k0+quota) of the planned loop,
-  /// starting at the header block with the context's private induction
-  /// value. `frame` is a copy of the master's entry frame (arguments and
-  /// constants included). Returns the shard's dynamic step count.
-  std::uint64_t run_shard(const DecodedFn& dfn, std::vector<RtVal> frame,
-                          ir::BlockId header) {
-    shard_regs_ = std::move(frame);
-    exec(dfn, {}, header, &shard_regs_);
-    shard_->steps = steps_;
-    return steps_;
-  }
-
- private:
-  /// First step count past the fuel budget (saturating).
-  [[nodiscard]] std::uint64_t fuel_limit() const {
-    return opts_.max_steps == std::numeric_limits<std::uint64_t>::max()
-               ? opts_.max_steps
-               : opts_.max_steps + 1;
-  }
-
-  /// The fault of a block's kEndOfBlock sentinel.
-  [[noreturn]] static void fell_off(const Function& fn) {
-    throw InterpError("fell off block in @" + fn.name);
-  }
-
-  /// Slow path of the step compare: the count reached the fuel budget or
-  /// the injected trap. Fuel wins when both fall on the same step.
-  [[noreturn]] void out_of_steps(const Function& fn) const {
-    if (steps_ > opts_.max_steps) {
-      obs::Registry::global().counter("interp.fuel_exhausted_total").add(1);
-      throw InterpError("fuel exhausted: step budget " +
-                        std::to_string(opts_.max_steps) + " exceeded in @" +
-                        fn.name);
-    }
-    throw InterpError("injected trap at step " + std::to_string(steps_) +
-                      " in @" + fn.name);
-  }
-
-  RtVal make_arg(const ir::Param& p, const ArgInit& init) {
-    RtVal v;
-    switch (p.type) {
-      case TypeKind::Int:
-        v.kind = RtVal::Kind::Int;
-        v.i = init.int_val;
-        return v;
-      case TypeKind::Float:
-        v.kind = RtVal::Kind::Float;
-        v.f = init.float_val;
-        return v;
-      case TypeKind::ArrInt:
-      case TypeKind::ArrFloat: {
-        MemObject obj;
-        obj.kind = ObjKind::ArgArray;
-        obj.name = p.name;
-        const Addr base = objects_->allocate(obj, init.array_size);
-        ensure_mem();
-        // Deterministic fill. Int arrays get in-range indices so indirect
-        // subscripts (A[B[i]]) stay in bounds; float arrays get values in
-        // [0.5, 1.5) to keep reductions numerically tame.
-        for (std::uint64_t k = 0; k < init.array_size; ++k) {
-          const std::uint64_t h = splitmix64(init.fill_seed * 0x9E37 + k);
-          Cell& c = owned_mem_[base + k];
-          if (p.type == TypeKind::ArrInt) {
-            c.i = init.array_size
-                      ? static_cast<std::int64_t>(h % init.array_size)
-                      : 0;
-          } else {
-            c.f = 0.5 + static_cast<double>(h % (1u << 20)) / (1u << 20);
-          }
-        }
-        v.kind = RtVal::Kind::ArrayRef;
-        v.base = base;
-        v.size = init.array_size;
-        v.elem = ir::element_type(p.type);
-        return v;
-      }
-      case TypeKind::Void:
-        throw InterpError("void parameter");
-    }
-    return v;
-  }
-
-  void ensure_mem() {
-    const Addr hw = objects_->high_water();
-    if (hw > opts_.max_mem_cells) {
-      obs::Registry::global().counter("interp.mem_cap_exceeded_total").add(1);
-      throw InterpError("memory cap exceeded: " + std::to_string(hw) +
-                        " cells > cap " + std::to_string(opts_.max_mem_cells));
-    }
-    if (owned_mem_.size() < hw) owned_mem_.resize(hw);
-  }
-
-  [[noreturn]] static void fault(const Function& fn, InstrId id,
-                                 const std::string& msg) {
-    throw InterpError("@" + fn.name + " line " +
-                      std::to_string(fn.instr(id).loc.line) + ": " + msg);
-  }
-
-  /// Resolves an address. Shards consult their overlay first; `overlay ==
-  /// 0` (pure DOALL over shared arrays) skips the scans. A store marks a
-  /// privatized target so the master copies out from the last shard that
-  /// stored.
-  template <bool kStore>
-  Cell& cell(Addr a) {
-    if (shard_) {
-      ShardCtx& c = *shard_;
-      if (a >= c.arena_base) return c.arena[a - c.arena_base];
-      if (a == c.iv_addr) return c.iv;
-      if (c.overlay != 0) {
-        for (PrivCell& p : c.priv) {
-          if (p.addr == a) {
-            if constexpr (kStore) p.stored = true;
-            return p.cell;
-          }
-        }
-        for (RedCell& r : c.reds) {
-          if (r.addr == a) return r.acc;
-        }
-        for (RedRange& r : c.red_ranges) {
-          if (a >= r.base && a < r.base + r.size) return r.cells[a - r.base];
-        }
-        for (PrivRange& r : c.priv_ranges) {
-          if (a >= r.base && a < r.base + r.size) {
-            if constexpr (kStore) r.stored = true;
-            return r.cells[a - r.base];
-          }
-        }
-      }
-    }
-    return (*mem_)[a];
-  }
-
-  /// Allocates `n` cells: shards use their private arena (the shared image
-  /// must not grow while shards run), the master the shared object table.
-  RtVal allocate(const Function& fn, InstrId id, std::uint64_t n,
-                 ObjKind kind) {
-    const Instruction& in = fn.instr(id);
-    RtVal out;
-    out.kind = RtVal::Kind::ArrayRef;
-    out.size = n;
-    out.elem = (in.op == Opcode::Alloca) ? in.type : ir::element_type(in.type);
-    if (shard_) {
-      ShardCtx& c = *shard_;
-      if (c.arena.size() + n > opts_.max_mem_cells) {
-        throw InterpError("memory cap exceeded in parallel shard");
-      }
-      out.base = c.arena_base + c.arena.size();
-      c.arena.resize(c.arena.size() + std::max<std::uint64_t>(n, 1));
-      return out;
-    }
-    MemObject obj;
-    obj.kind = kind;
-    obj.name = in.name;
-    obj.fn = &fn;
-    obj.alloca_id = id;
-    out.base = objects_->allocate(obj, n);
-    ensure_mem();
-    for (std::uint64_t k = 0; k < n; ++k) owned_mem_[out.base + k] = Cell{};
-    return out;
-  }
-
-  // ---- bound evaluation --------------------------------------------------
-
-  /// Re-evaluates the (loop-invariant, planner-validated) bound expression
-  /// at LoopEnter: immediates, integer arguments, loads of scalar slots and
-  /// integer arithmetic over those. Walks the IR, not the decoded operands.
-  std::int64_t eval_bound(const DecodedFn& dfn, const Value& v,
-                          const std::vector<RtVal>& regs) {
-    const Function& fn = *dfn.fn;
-    switch (v.kind) {
-      case Value::Kind::ImmInt:
-        return v.imm_int;
-      case Value::Kind::Arg:
-        return regs[dfn.arg_base + v.arg].i;
-      case Value::Kind::Reg: {
-        const Instruction& in = fn.instr(v.reg);
-        switch (in.op) {
-          case Opcode::Load: {
-            const Value& slot = in.operands[0];
-            if (!slot.is_reg()) break;
-            const RtVal& s = regs[slot.reg];
-            if (s.kind != RtVal::Kind::ArrayRef) {
-              throw InterpError("bound slot not materialized at LoopEnter");
-            }
-            return (*mem_)[s.base].i;
-          }
-          case Opcode::Add:
-            return eval_bound(dfn, in.operands[0], regs) +
-                   eval_bound(dfn, in.operands[1], regs);
-          case Opcode::Sub:
-            return eval_bound(dfn, in.operands[0], regs) -
-                   eval_bound(dfn, in.operands[1], regs);
-          case Opcode::Mul:
-            return eval_bound(dfn, in.operands[0], regs) *
-                   eval_bound(dfn, in.operands[1], regs);
-          case Opcode::Neg:
-            return -eval_bound(dfn, in.operands[0], regs);
-          default:
-            break;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    throw InterpError("unsupported bound expression in parallel plan");
-  }
-
-  /// Exact trip count of `for (iv = lo; iv CMP bound; iv += step)`.
-  static std::int64_t trip_count(std::int64_t lo, std::int64_t bound,
-                                 Opcode cmp, std::int64_t step) {
-    switch (cmp) {
-      case Opcode::CmpLt:
-        return bound > lo ? (bound - lo - 1) / step + 1 : 0;
-      case Opcode::CmpLe:
-        return bound >= lo ? (bound - lo) / step + 1 : 0;
-      case Opcode::CmpGt:
-        return lo > bound ? (lo - bound - 1) / (-step) + 1 : 0;
-      case Opcode::CmpGe:
-        return lo >= bound ? (lo - bound) / (-step) + 1 : 0;
-      default:
-        return 0;
-    }
-  }
-
-  // ---- the parallel section ----------------------------------------------
-
-  const ParLoop* planned(const Function& fn, LoopId l) const {
-    if (!plan_ || &fn != entry_fn_) return nullptr;
-    for (const ParLoop& pl : plan_->loops) {
-      if (pl.loop == l) return &pl;
-    }
-    return nullptr;
-  }
-
-  /// Resolves a plan-level array reference against the live frame.
-  RtVal resolve_array(const DecodedFn& dfn, const ParArrayRef& ref,
-                      const std::vector<RtVal>& regs) {
-    const RtVal v = regs[ref.is_arg ? dfn.arg_base + ref.arg : ref.alloca_id];
-    if (v.kind != RtVal::Kind::ArrayRef) {
-      throw InterpError("@" + dfn.fn->name +
-                        ": planned array not materialized at LoopEnter");
-    }
-    return v;
-  }
-
-  /// Executes one instance of a planned loop as kParShards iteration-range
-  /// shards. On return the shared image holds the merged result; the caller
-  /// jumps to the loop's exit block.
-  void parallel_loop(const DecodedFn& dfn, const ParLoop& pl,
-                     const std::vector<RtVal>& regs) {
-    const Function& fn = *dfn.fn;
-    const ir::LoopInfo& loop = fn.loops[pl.loop];
-    const RtVal ivr = regs[loop.induction_slot];
-    if (ivr.kind != RtVal::Kind::ArrayRef) {
-      throw InterpError("@" + fn.name +
-                        ": induction slot not materialized at LoopEnter");
-    }
-    const Addr iv_addr = ivr.base;
-    const std::int64_t lo = (*mem_)[iv_addr].i;
-    const std::int64_t bound = eval_bound(dfn, pl.bound.value, regs);
-    const std::int64_t trip = trip_count(lo, bound, pl.bound.cmp, pl.step);
-    if (trip <= 0) return;  // zero-trip: the body never ran, iv stays lo
-    ++parallel_loops_;
-
-    // Resolve privatization targets once against the live frame.
-    std::vector<std::pair<Addr, Cell>> priv_init;
-    priv_init.reserve(pl.private_slots.size());
-    for (const InstrId slot : pl.private_slots) {
-      const RtVal s = regs[slot];
-      if (s.kind != RtVal::Kind::ArrayRef) {
-        throw InterpError("@" + fn.name +
-                          ": privatized slot not materialized at LoopEnter");
-      }
-      priv_init.emplace_back(s.base, (*mem_)[s.base]);
-    }
-    std::vector<RedCell> red_init;
-    for (const ParScalarReduction& r : pl.scalar_reductions) {
-      const RtVal s = regs[r.slot];
-      if (s.kind != RtVal::Kind::ArrayRef) {
-        throw InterpError("@" + fn.name +
-                          ": reduction slot not materialized at LoopEnter");
-      }
-      RedCell rc;
-      rc.addr = s.base;
-      rc.op = r.op;
-      rc.is_float = r.is_float;
-      rc.acc = reduce_identity(r.op);
-      red_init.push_back(rc);
-    }
-    std::vector<RedRange> red_range_init;
-    for (const ParArrayReduction& r : pl.array_reductions) {
-      const RtVal a = resolve_array(dfn, r.array, regs);
-      RedRange rr;
-      rr.base = a.base;
-      rr.size = a.size;
-      rr.op = r.op;
-      rr.is_float = r.is_float;
-      rr.cells.assign(a.size, reduce_identity(r.op));
-      red_range_init.push_back(std::move(rr));
-    }
-    std::vector<PrivRange> priv_range_init;
-    for (const ParArrayRef& r : pl.private_arrays) {
-      const RtVal a = resolve_array(dfn, r, regs);
-      PrivRange pr;
-      pr.base = a.base;
-      pr.size = a.size;
-      pr.cells.assign(
-          mem_->begin() + static_cast<std::ptrdiff_t>(a.base),
-          mem_->begin() + static_cast<std::ptrdiff_t>(a.base + a.size));
-      priv_range_init.push_back(std::move(pr));
-    }
-
-    // Build the fixed shard set. Shard s owns [trip*s/S, trip*(s+1)/S).
-    const std::uint32_t S = kParShards;
-    std::vector<std::unique_ptr<ShardCtx>> shards(S);
-    for (std::uint32_t s = 0; s < S; ++s) {
-      auto ctx = std::make_unique<ShardCtx>();
-      const std::int64_t k0 = trip * s / S;
-      const std::int64_t k1 = trip * (s + 1) / S;
-      ctx->quota = static_cast<std::uint64_t>(k1 - k0);
-      ctx->iv_addr = iv_addr;
-      ctx->iv.i = lo + k0 * pl.step;
-      for (const auto& [addr, c] : priv_init) {
-        ctx->priv.push_back(PrivCell{addr, c, false});
-      }
-      ctx->reds = red_init;
-      ctx->red_ranges = red_range_init;
-      ctx->priv_ranges = priv_range_init;
-      ctx->overlay = ctx->priv.size() + ctx->reds.size() +
-                     ctx->red_ranges.size() + ctx->priv_ranges.size();
-      ctx->arena_base = kArenaBase * (s + 1);
-      shards[s] = std::move(ctx);
-    }
-
-    auto run_one = [&](std::uint32_t s) {
-      if (shards[s]->quota == 0) return;
-      Engine shard_engine(*this, *shards[s], pl.loop);
-      shard_engine.run_shard(dfn, regs, loop.header);
-    };
-    // `threads` sets the fan-out width: worker r runs shards r, r + width,
-    // ... The shard set and the merge below do not depend on it.
-    const std::uint32_t width = std::clamp(opts_.threads, 1u, S);
-    if (width == 1) {
-      for (std::uint32_t s = 0; s < S; ++s) run_one(s);
-    } else {
-      par::TaskGroup group;
-      for (std::uint32_t r = 0; r < width; ++r) {
-        group.run([&run_one, r, width, S] {
-          for (std::uint32_t s = r; s < S; s += width) run_one(s);
-        });
-      }
-      group.wait();  // rethrows the first shard failure
-    }
-    obs::Registry::global()
-        .counter("interp.parallel_shards_total")
-        .add(S);
-
-    // ---- deterministic merge (shard order is fixed, threads are not) ----
-    for (const auto& ctx : shards) steps_ += ctx->steps;
-
-    // Privatized scalars and temp arrays: ascending shard order, so the
-    // last shard that stored wins — the shard owning the final iterations.
-    for (const auto& ctx : shards) {
-      for (std::size_t p = 0; p < ctx->priv.size(); ++p) {
-        if (ctx->priv[p].stored) (*mem_)[ctx->priv[p].addr] = ctx->priv[p].cell;
-      }
-      for (const PrivRange& r : ctx->priv_ranges) {
-        if (!r.stored) continue;
-        std::copy(r.cells.begin(), r.cells.end(),
-                  mem_->begin() + static_cast<std::ptrdiff_t>(r.base));
-      }
-    }
-
-    // Reductions: stride-doubling tree merge across shard partials (the
-    // ag::tree_merge order), then one fold into the shared cell.
-    auto merge_into = [&](Cell& dst, auto&& partial, ParReduceOp op,
-                          bool isf) {
-      Cell parts[kParShards];
-      for (std::uint32_t s = 0; s < S; ++s) parts[s] = partial(*shards[s]);
-      for (std::uint32_t stride = 1; stride < S; stride *= 2) {
-        for (std::uint32_t i = 0; i + stride < S; i += 2 * stride) {
-          reduce_into(parts[i], parts[i + stride], op, isf);
-        }
-      }
-      reduce_into(dst, parts[0], op, isf);
-    };
-    for (std::size_t r = 0; r < red_init.size(); ++r) {
-      merge_into((*mem_)[red_init[r].addr],
-                 [&](const ShardCtx& c) { return c.reds[r].acc; },
-                 red_init[r].op, red_init[r].is_float);
-    }
-    for (std::size_t r = 0; r < red_range_init.size(); ++r) {
-      const RedRange& proto = red_range_init[r];
-      for (std::uint64_t j = 0; j < proto.size; ++j) {
-        merge_into((*mem_)[proto.base + j],
-                   [&](const ShardCtx& c) { return c.red_ranges[r].cells[j]; },
-                   proto.op, proto.is_float);
-      }
-    }
-
-    // The induction variable ends where the sequential loop left it.
-    (*mem_)[iv_addr].i = lo + trip * pl.step;
-  }
-
-  // ---- the dispatch loop ---------------------------------------------------
-
-  /// Interprets `fn` from block `start`. `frame_regs` non-null reuses an
-  /// existing frame (shard entry into the middle of the entry function);
-  /// otherwise a fresh frame is created and `args` and the constant pool
-  /// are copied into its tail.
-  RtVal exec(const DecodedFn& dfn, std::span<const RtVal> args,
-             ir::BlockId start, std::vector<RtVal>* frame_regs = nullptr) {
-    const Function& fn = *dfn.fn;
-    if (++depth_ > opts_.max_call_depth) {
-      throw InterpError("call depth exceeded in @" + fn.name);
-    }
-    std::vector<RtVal> local_regs;
-    if (!frame_regs) {
-      local_regs.resize(dfn.frame_size());
-      std::copy_n(args.begin(),
-                  std::min<std::size_t>(args.size(),
-                                        dfn.const_base - dfn.arg_base),
-                  local_regs.begin() + dfn.arg_base);
-      std::copy(dfn.consts.begin(), dfn.consts.end(),
-                local_regs.begin() + dfn.const_base);
-      frame_regs = &local_regs;
-    }
-    // The frame never resizes while this call runs, so its base and the
-    // code base stay in registers.
-    RtVal* const regs = frame_regs->data();
-    const MicroOp* const code = dfn.code.data();
-    const MicroOp* pc = code + dfn.block_start[start];
-    RtVal ret;
-
-    // Full resolution of an IR operand: the user-call spill path, whose
-    // arguments decode leaves in the IR.
-    auto operand = [&](const Value& v) -> RtVal {
-      switch (v.kind) {
-        case Value::Kind::Reg: return regs[v.reg];
-        case Value::Kind::ImmInt: {
-          RtVal r;
-          r.kind = RtVal::Kind::Int;
-          r.i = v.imm_int;
-          return r;
-        }
-        case Value::Kind::ImmFloat: {
-          RtVal r;
-          r.kind = RtVal::Kind::Float;
-          r.f = v.imm_float;
-          return r;
-        }
-        case Value::Kind::Arg:
-          if (dfn.arg_base + v.arg < dfn.const_base) {
-            return regs[dfn.arg_base + v.arg];
-          }
-          break;
-        default:
-          break;
-      }
-      throw InterpError("bad operand kind at runtime");
-    };
-    // Decoded operands are frame slots: one read each. An immediate's slot
-    // holds it on its own side only (typed IR never reads the other side,
-    // which stays 0).
-    auto as_int = [regs](std::uint32_t s) { return regs[s].i; };
-    auto as_float = [regs](std::uint32_t s) { return regs[s].f; };
-    // Runtime kind of a stored value (stores carry no result type).
-    auto val_is_float = [regs](std::uint32_t s) {
-      return regs[s].kind == RtVal::Kind::Float;
-    };
-    auto slot_base = [regs](std::uint32_t s) { return regs[s].base; };
-    // Bounds-checked address of an indexed access's element.
-    auto element = [&](const MicroOp& mop) -> Addr {
-      const RtVal& arr = regs[mop.ops[0]];
-      const std::int64_t idx = as_int(mop.ops[1]);
-      if (idx < 0 || static_cast<std::uint64_t>(idx) >= arr.size) {
-        fault(fn, mop.id,
-              "index " + std::to_string(idx) + " out of bounds [0," +
-                  std::to_string(arr.size) + ")");
-      }
-      return arr.base + static_cast<Addr>(idx);
-    };
-    // Typed memory access at a resolved address, reported before its effect.
-    auto load = [&](RtVal& out, const MicroOp& mop, Addr a) {
-      obs_.on_load(fn, mop.id, a);
-      const Cell& c = cell<false>(a);
-      if (mop.type == TypeKind::Float) {
-        out.kind = RtVal::Kind::Float;
-        out.f = c.f;
-      } else {
-        out.kind = RtVal::Kind::Int;
-        out.i = c.i;
-      }
-    };
-    auto store = [&](const MicroOp& mop, Addr a, std::uint32_t v) {
-      obs_.on_store(fn, mop.id, a);
-      Cell& c = cell<true>(a);
-      if (val_is_float(v)) {
-        c.f = as_float(v);
-      } else {
-        c.i = as_int(v);
-      }
-    };
-
-    // The step counter stays in a register for the dispatch loop and is
-    // flushed to the member at every exit (faults abort the run, so a stale
-    // member there is harmless).
-    std::uint64_t steps = steps_;
-    const std::uint64_t step_limit = step_limit_;
-
-    for (;;) {
-      const MicroOp& mop = *pc++;
-      // Running off a block traps before the step count would: the slow
-      // path of the fuel compare checks for the sentinel first.
-      if (++steps >= step_limit) {
-        steps_ = steps;
-        if (mop.op == kEndOfBlock) fell_off(fn);
-        out_of_steps(fn);
-      }
-      if constexpr (kObserved) {
-        // The sentinel is no instruction: the hooks must not see it.
-        if (mop.op == kEndOfBlock) fell_off(fn);
-      }
-      obs_.on_instr(fn, mop.id);
-      RtVal& out = regs[mop.id];
-
-      switch (mop.op) {
-        // ---- integer arithmetic ----
-        case Opcode::Add: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) + as_int(mop.ops[1]); break;
-        case Opcode::Sub: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) - as_int(mop.ops[1]); break;
-        case Opcode::Mul: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) * as_int(mop.ops[1]); break;
-        case Opcode::Div: {
-          const std::int64_t d = as_int(mop.ops[1]);
-          if (d == 0) fault(fn, mop.id, "integer division by zero");
-          out.kind = RtVal::Kind::Int;
-          out.i = as_int(mop.ops[0]) / d;
-          break;
-        }
-        case Opcode::Rem: {
-          const std::int64_t d = as_int(mop.ops[1]);
-          if (d == 0) fault(fn, mop.id, "integer modulo by zero");
-          out.kind = RtVal::Kind::Int;
-          out.i = as_int(mop.ops[0]) % d;
-          break;
-        }
-        case Opcode::Neg: out.kind = RtVal::Kind::Int; out.i = -as_int(mop.ops[0]); break;
-
-        // ---- float arithmetic ----
-        case Opcode::FAdd: out.kind = RtVal::Kind::Float; out.f = as_float(mop.ops[0]) + as_float(mop.ops[1]); break;
-        case Opcode::FSub: out.kind = RtVal::Kind::Float; out.f = as_float(mop.ops[0]) - as_float(mop.ops[1]); break;
-        case Opcode::FMul: out.kind = RtVal::Kind::Float; out.f = as_float(mop.ops[0]) * as_float(mop.ops[1]); break;
-        case Opcode::FDiv: out.kind = RtVal::Kind::Float; out.f = as_float(mop.ops[0]) / as_float(mop.ops[1]); break;
-        case Opcode::FNeg: out.kind = RtVal::Kind::Float; out.f = -as_float(mop.ops[0]); break;
-
-        // ---- comparisons ----
-        case Opcode::CmpEq: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) == as_int(mop.ops[1]); break;
-        case Opcode::CmpNe: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) != as_int(mop.ops[1]); break;
-        case Opcode::CmpLt: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) < as_int(mop.ops[1]); break;
-        case Opcode::CmpLe: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) <= as_int(mop.ops[1]); break;
-        case Opcode::CmpGt: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) > as_int(mop.ops[1]); break;
-        case Opcode::CmpGe: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) >= as_int(mop.ops[1]); break;
-        case Opcode::FCmpEq: out.kind = RtVal::Kind::Int; out.i = as_float(mop.ops[0]) == as_float(mop.ops[1]); break;
-        case Opcode::FCmpNe: out.kind = RtVal::Kind::Int; out.i = as_float(mop.ops[0]) != as_float(mop.ops[1]); break;
-        case Opcode::FCmpLt: out.kind = RtVal::Kind::Int; out.i = as_float(mop.ops[0]) < as_float(mop.ops[1]); break;
-        case Opcode::FCmpLe: out.kind = RtVal::Kind::Int; out.i = as_float(mop.ops[0]) <= as_float(mop.ops[1]); break;
-        case Opcode::FCmpGt: out.kind = RtVal::Kind::Int; out.i = as_float(mop.ops[0]) > as_float(mop.ops[1]); break;
-        case Opcode::FCmpGe: out.kind = RtVal::Kind::Int; out.i = as_float(mop.ops[0]) >= as_float(mop.ops[1]); break;
-
-        // ---- logic ----
-        case Opcode::And: out.kind = RtVal::Kind::Int; out.i = (as_int(mop.ops[0]) != 0) && (as_int(mop.ops[1]) != 0); break;
-        case Opcode::Or: out.kind = RtVal::Kind::Int; out.i = (as_int(mop.ops[0]) != 0) || (as_int(mop.ops[1]) != 0); break;
-        case Opcode::Not: out.kind = RtVal::Kind::Int; out.i = as_int(mop.ops[0]) == 0; break;
-
-        // ---- conversions ----
-        case Opcode::IntToFloat: out.kind = RtVal::Kind::Float; out.f = static_cast<double>(as_int(mop.ops[0])); break;
-        case Opcode::FloatToInt: out.kind = RtVal::Kind::Int; out.i = static_cast<std::int64_t>(as_float(mop.ops[0])); break;
-
-        // ---- memory ----
-        case Opcode::Alloca:
-          out = allocate(fn, mop.id, 1, ObjKind::ScalarLocal);
-          break;
-        case Opcode::AllocArr: {
-          const std::int64_t n = as_int(mop.ops[0]);
-          if (n < 0) fault(fn, mop.id, "negative array size");
-          out = allocate(fn, mop.id, static_cast<std::uint64_t>(n),
-                         ObjKind::ArrayLocal);
-          break;
-        }
-        case Opcode::Load: load(out, mop, slot_base(mop.ops[0])); break;
-        case Opcode::Store: store(mop, slot_base(mop.ops[0]), mop.ops[1]); break;
-        case Opcode::LoadIdx: load(out, mop, element(mop)); break;
-        case Opcode::StoreIdx: store(mop, element(mop), mop.ops[2]); break;
-
-        // ---- control ----
-        case Opcode::Br:
-          pc = code + mop.ops[0];
-          break;
-        case Opcode::CondBr:
-          pc = code + mop.ops[as_int(mop.ops[0]) != 0 ? 1 : 2];
-          break;
-        case Opcode::Ret:
-          if (mop.nops != 0) ret = regs[mop.ops[0]];
-          steps_ = steps;
-          if (shard_ && depth_ == 1) {
-            throw InterpError("parallel shard returned from @" + fn.name +
-                              " (planned loop has an early exit)");
-          }
-          --depth_;
-          return ret;
-
-        // ---- calls ----
-        case Opcode::Call: {
-          if (mop.builtin != BuiltinId::None) {
-            out = eval_builtin(mop, as_int, as_float);
-          } else if (const DecodedFn* callee = dfn.callees[mop.id]) {
-            const Instruction& in = fn.instr(mop.id);
-            std::vector<RtVal> cargs;
-            cargs.reserve(in.operands.size());
-            for (const Value& v : in.operands) cargs.push_back(operand(v));
-            steps_ = steps;
-            out = exec(*callee, cargs, 0);
-            steps = steps_;
-          } else {
-            fault(fn, mop.id,
-                  "unknown function '" + fn.instr(mop.id).callee + "'");
-          }
-          break;
-        }
-
-        // ---- loop markers ----
-        case Opcode::LoopEnter: {
-          obs_.on_loop_enter(fn, mop.loop);
-          if (const ParLoop* pl = planned(fn, mop.loop); pl && depth_ == 1) {
-            steps_ = steps;
-            parallel_loop(dfn, *pl, *frame_regs);
-            steps = steps_;
-            pc = code + dfn.block_start[fn.loops[mop.loop].exit];
-          }
-          break;
-        }
-        case Opcode::LoopHead:
-          obs_.on_loop_iter(fn, mop.loop);
-          if (shard_ && mop.loop == shard_loop_ && depth_ == 1) {
-            if (++shard_->heads > shard_->quota) {
-              steps_ = steps;
-              --depth_;
-              return ret;  // this shard's iteration range is exhausted
-            }
-          }
-          break;
-        case Opcode::LoopExit:
-          obs_.on_loop_exit(fn, mop.loop);
-          if (shard_ && mop.loop == shard_loop_ && depth_ == 1) {
-            steps_ = steps;
-            --depth_;
-            return ret;  // natural loop exit inside the shard's range
-          }
-          break;
-
-        // ---- decode-only micro-ops (past the last ir::Opcode) ----
-        default:
-          if (mop.op == kEndOfBlock) fell_off(fn);
-          throw InterpError("bad operand kind at runtime");
-      }
-    }
-  }
-
-  template <typename IntFn, typename FloatFn>
-  RtVal eval_builtin(const MicroOp& mop, IntFn&& iop, FloatFn&& fop) const {
-    RtVal out;
-    auto farg = [&](std::size_t i) { return fop(mop.ops[i]); };
-    auto iarg = [&](std::size_t i) { return iop(mop.ops[i]); };
-    out.kind = RtVal::Kind::Float;
-    switch (mop.builtin) {
-      case BuiltinId::Sqrt: out.f = std::sqrt(farg(0)); break;
-      case BuiltinId::Exp: out.f = std::exp(farg(0)); break;
-      case BuiltinId::Log: out.f = std::log(farg(0)); break;
-      case BuiltinId::Sin: out.f = std::sin(farg(0)); break;
-      case BuiltinId::Cos: out.f = std::cos(farg(0)); break;
-      case BuiltinId::Fabs: out.f = std::fabs(farg(0)); break;
-      case BuiltinId::Pow: out.f = std::pow(farg(0), farg(1)); break;
-      case BuiltinId::Fmin: out.f = std::fmin(farg(0), farg(1)); break;
-      case BuiltinId::Fmax: out.f = std::fmax(farg(0), farg(1)); break;
-      case BuiltinId::Imin:
-        out.kind = RtVal::Kind::Int;
-        out.i = std::min(iarg(0), iarg(1));
-        break;
-      case BuiltinId::Imax:
-        out.kind = RtVal::Kind::Int;
-        out.i = std::max(iarg(0), iarg(1));
-        break;
-      case BuiltinId::Iabs:
-        out.kind = RtVal::Kind::Int;
-        out.i = std::llabs(iarg(0));
-        break;
-      case BuiltinId::None:
-        throw InterpError("unreachable builtin dispatch");
-    }
-    return out;
-  }
-
-  const ir::Module& m_;
-  Obs& obs_;
-  const ParRunOptions opts_;
-  const ParPlan* plan_ = nullptr;       // master only
-  ObjectTable* objects_ = nullptr;      // master only
-  const Function* entry_fn_ = nullptr;  // master only
-  std::vector<Cell> owned_mem_;         // master only
-  std::vector<Cell>* mem_ = nullptr;    // shared image (points at master's)
-  std::shared_ptr<const DecodedModule> code_;  // built by the master
-  ShardCtx* shard_ = nullptr;           // shard only
-  LoopId shard_loop_ = ir::kNoLoop;     // shard only
-  std::vector<RtVal> shard_regs_;       // shard only: entry-frame registers
-  std::vector<RtVal> entry_args_;       // master only
-  std::uint64_t steps_ = 0;
-  /// min(max_steps + 1, armed trap step): the single per-step compare.
-  std::uint64_t step_limit_ = 0;
-  std::uint32_t depth_ = 0;
-  std::uint64_t parallel_loops_ = 0;
-};
-
-/// The caps of a sequential run, as parallel-run options at one thread.
-ParRunOptions sequential(const InterpOptions& opts) {
-  ParRunOptions p;
-  static_cast<InterpOptions&>(p) = opts;
-  return p;
 }
 
-/// Counts one finished sequential run. Instructions are counted in the
-/// engine's step counter and flushed here once per run, so the dispatch
-/// loop never touches a shared atomic.
+const DecodedFn* find_by_name(const std::vector<DecodedFn>& fns,
+                              const std::string& name) {
+  for (const DecodedFn& d : fns) {
+    if (d.fn->name == name) return &d;
+  }
+  return nullptr;
+}
+
+void decode(DecodedFn& d, const std::vector<DecodedFn>& fns) {
+  const Function& fn = *d.fn;
+  d.arg_base = static_cast<std::uint32_t>(fn.instrs.size());
+  d.const_base = d.arg_base + static_cast<std::uint32_t>(fn.params.size());
+  d.callees.assign(fn.instrs.size(), nullptr);
+  d.block_start.resize(fn.blocks.size());
+  std::size_t ncode = 0;
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    d.block_start[b] = static_cast<std::uint32_t>(ncode);
+    ncode += fn.blocks[b].instrs.size() + 1;
+  }
+  d.code.reserve(ncode);
+
+  // One constant-pool slot per distinct immediate (kind and bit pattern).
+  std::map<std::pair<bool, std::uint64_t>, std::uint32_t> pool;
+  auto const_slot = [&](const Value& v) {
+    const bool is_float = v.kind == Value::Kind::ImmFloat;
+    const std::uint64_t bits =
+        is_float ? std::bit_cast<std::uint64_t>(v.imm_float)
+                 : static_cast<std::uint64_t>(v.imm_int);
+    const auto [it, fresh] = pool.try_emplace(
+        {is_float, bits}, d.const_base + static_cast<std::uint32_t>(
+                                             d.consts.size()));
+    if (fresh) {
+      RtVal c;
+      c.kind = is_float ? RtVal::Kind::Float : RtVal::Kind::Int;
+      if (is_float) c.f = v.imm_float; else c.i = v.imm_int;
+      d.consts.push_back(c);
+    }
+    return it->second;
+  };
+  // Frame slot of a value operand; false when it names no value.
+  auto value_slot = [&](const Value& v, std::uint32_t& slot) {
+    switch (v.kind) {
+      case Value::Kind::Reg:
+        slot = v.reg;
+        return v.reg < d.arg_base;
+      case Value::Kind::Arg:
+        slot = d.arg_base + v.arg;
+        return slot < d.const_base;
+      case Value::Kind::ImmInt:
+      case Value::Kind::ImmFloat:
+        slot = const_slot(v);
+        return true;
+      default:
+        return false;
+    }
+  };
+
+  for (const ir::BasicBlock& bb : fn.blocks) {
+    for (const InstrId id : bb.instrs) {
+      const Instruction& in = fn.instr(id);
+      MicroOp mop;
+      mop.op = in.op;
+      mop.type = in.type;
+      mop.id = id;
+      mop.loop = in.loop;
+      mop.nops = static_cast<std::uint8_t>(
+          std::min<std::size_t>(in.operands.size(), 3));
+      if (in.op == Opcode::Call) {
+        mop.builtin = builtin_id(in.callee);
+        if (mop.builtin == BuiltinId::None) {
+          d.callees[id] = find_by_name(fns, in.callee);
+        }
+      }
+      bool ok = true;
+      for (std::size_t k = 0; k < mop.nops && ok; ++k) {
+        const Value& v = in.operands[k];
+        switch (operand_role(mop, k)) {
+          case Role::Value:
+            ok = value_slot(v, mop.ops[k]);
+            break;
+          case Role::Block:
+            ok = v.is_block() && v.block < fn.blocks.size();
+            if (ok) mop.ops[k] = d.block_start[v.block];
+            break;
+          case Role::Unread:
+            break;
+        }
+      }
+      if (!ok) mop.op = kBadOperand;
+      d.code.push_back(mop);
+    }
+    MicroOp end;
+    end.op = kEndOfBlock;
+    d.code.push_back(end);
+  }
+}
+
+}  // namespace
+
+DecodedModule::DecodedModule(const ir::Module& m) : fns(m.functions.size()) {
+  for (std::size_t f = 0; f < fns.size(); ++f) fns[f].fn = m.functions[f].get();
+  for (DecodedFn& d : fns) decode(d, fns);
+}
+
 void count_sequential_run(std::uint64_t steps) {
   struct InterpMetrics {
     obs::Counter& runs = obs::Registry::global().counter("interp.runs_total");
@@ -1188,6 +163,8 @@ void count_sequential_run(std::uint64_t steps) {
   metrics.runs.add(1);
   metrics.instrs.add(steps);
 }
+
+namespace {
 
 /// The unobserved run behind run_capture (no plan) and run_parallel.
 ParOutput run_unobserved(const ir::Module& m, const std::string& entry,
@@ -1203,45 +180,21 @@ ParOutput run_unobserved(const ir::Module& m, const std::string& entry,
   return out;
 }
 
-/// The observed sequential run behind both profiler::run overloads.
-template <class Obs>
-RunResult run_observed(const ir::Module& m, const std::string& entry,
-                       std::span<const ArgInit> args, Obs& obs,
-                       ObjectTable& objects, const InterpOptions& opts) {
-  OBS_SPAN("interp.run");
-  const RunResult res = Engine<Obs>(m, obs, objects, sequential(opts), nullptr)
-                            .run_entry(entry, args);
-  count_sequential_run(res.steps);
-  return res;
-}
-
 }  // namespace
 
-RunResult run(const ir::Module& m, const std::string& entry,
-              std::span<const ArgInit> args, ExecObserver& obs,
-              ObjectTable& objects, const InterpOptions& opts) {
-  return run_observed(m, entry, args, obs, objects, opts);
-}
+}  // namespace detail
 
-RunResult run(const ir::Module& m, const std::string& entry,
-              std::span<const ArgInit> args, DepRecorder& rec,
-              ObjectTable& objects, const InterpOptions& opts) {
-  return run_observed(m, entry, args, rec, objects, opts);
-}
-
-RunResult run(const ir::Module& m, const std::string& entry,
-              std::span<const ArgInit> args, ExecObserver& obs,
-              const InterpOptions& opts) {
-  ObjectTable objects;
-  return run(m, entry, args, obs, objects, opts);
-}
+template RunResult run<DepRecorder>(const ir::Module&, const std::string&,
+                                     std::span<const ArgInit>, DepRecorder&,
+                                     ObjectTable&, const InterpOptions&);
 
 CapturedRun run_capture(const ir::Module& m, const std::string& entry,
                         std::span<const ArgInit> args,
                         const InterpOptions& opts) {
   OBS_SPAN("interp.run");
-  CapturedRun out = run_unobserved(m, entry, args, nullptr, sequential(opts));
-  count_sequential_run(out.run.steps);
+  CapturedRun out = detail::run_unobserved(m, entry, args, nullptr,
+                                          detail::sequential(opts));
+  detail::count_sequential_run(out.run.steps);
   return out;
 }
 
@@ -1253,7 +206,7 @@ ParOutput run_parallel(const ir::Module& m, const std::string& entry,
                       "' but entry is '" + entry + "'");
   }
   OBS_SPAN("interp.run_parallel");
-  ParOutput out = run_unobserved(m, entry, args, &plan, opts);
+  ParOutput out = detail::run_unobserved(m, entry, args, &plan, opts);
   struct ParMetrics {
     obs::Counter& runs =
         obs::Registry::global().counter("interp.parallel_runs_total");

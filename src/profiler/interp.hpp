@@ -2,8 +2,8 @@
 //
 // Stands in for "compile with clang + run the DiscoPoP-instrumented binary":
 // it executes MiniC IR directly and reports every memory access and loop
-// event to an ExecObserver. Determinism: given the same module, entry and
-// argument seeds, a run is bit-reproducible.
+// event to an observer (observer.hpp). Determinism: given the same module,
+// entry and argument seeds, a run is bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +17,6 @@
 #include "profiler/observer.hpp"
 
 namespace mvgnn::profiler {
-
-class DepRecorder;
 
 /// Thrown on runtime faults: out-of-bounds index, division by zero, missing
 /// entry function, step-budget exhaustion, call-depth overflow.
@@ -90,21 +88,12 @@ struct CapturedRun {
 
 /// Executes `entry(args...)` of `m`, reporting events to `obs`. The object
 /// table is an in/out parameter so callers can resolve the addresses the
-/// observer saw, and fetch argument arrays after the run.
+/// observer saw, and fetch argument arrays after the run. Defined in
+/// engine.hpp: the library instantiates it for DepRecorder (declared next to
+/// the recorder); a test or bench with its own observer includes engine.hpp.
+template <ExecObserver Obs>
 RunResult run(const ir::Module& m, const std::string& entry,
-              std::span<const ArgInit> args, ExecObserver& obs,
-              ObjectTable& objects, const InterpOptions& opts = {});
-
-/// The same run on an engine instantiated on the concrete recorder: its
-/// hooks inline into the dispatch loop instead of being virtual calls. The
-/// call sites are unchanged; passing a DepRecorder selects this overload.
-RunResult run(const ir::Module& m, const std::string& entry,
-              std::span<const ArgInit> args, DepRecorder& rec,
-              ObjectTable& objects, const InterpOptions& opts = {});
-
-/// Convenience overload that discards the object table.
-RunResult run(const ir::Module& m, const std::string& entry,
-              std::span<const ArgInit> args, ExecObserver& obs,
+              std::span<const ArgInit> args, Obs& obs, ObjectTable& objects,
               const InterpOptions& opts = {});
 
 /// Unobserved sequential run that captures the final contents of the array

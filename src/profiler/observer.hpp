@@ -1,55 +1,33 @@
-// Instrumentation interface: the interpreter calls back into an observer at
+// Instrumentation contract: the interpreter calls back into an observer at
 // every dynamic event, mirroring how DiscoPoP's LLVM pass injects runtime
 // hooks into the compiled program.
 #pragma once
-
-#include <cstdint>
 
 #include "ir/function.hpp"
 #include "profiler/mem_object.hpp"
 
 namespace mvgnn::profiler {
 
-class ExecObserver {
- public:
-  virtual ~ExecObserver() = default;
-
-  /// Every executed instruction (before its effect).
-  virtual void on_instr(const ir::Function& fn, ir::InstrId id) {
-    (void)fn;
-    (void)id;
-  }
-  /// Scalar or array-element read at `addr` by instruction `id`.
-  virtual void on_load(const ir::Function& fn, ir::InstrId id, Addr addr) {
-    (void)fn;
-    (void)id;
-    (void)addr;
-  }
-  /// Scalar or array-element write at `addr` by instruction `id`.
-  virtual void on_store(const ir::Function& fn, ir::InstrId id, Addr addr) {
-    (void)fn;
-    (void)id;
-    (void)addr;
-  }
-  /// A dynamic loop instance begins (LoopEnter marker).
-  virtual void on_loop_enter(const ir::Function& fn, ir::LoopId loop) {
-    (void)fn;
-    (void)loop;
-  }
-  /// A new iteration of the innermost active instance begins (LoopHead).
-  virtual void on_loop_iter(const ir::Function& fn, ir::LoopId loop) {
-    (void)fn;
-    (void)loop;
-  }
-  /// The instance ends (LoopExit marker).
-  virtual void on_loop_exit(const ir::Function& fn, ir::LoopId loop) {
-    (void)fn;
-    (void)loop;
-  }
+/// A type the micro-op engine can report to. The engine is instantiated on
+/// the concrete observer and calls its hooks directly, so they inline into
+/// the dispatch loop: there is no base class and no indirect call.
+/// DepRecorder is the library's observer; the unobserved runs use hooks
+/// that do nothing.
+template <class Obs>
+concept ExecObserver = requires(Obs& obs, const ir::Function& fn,
+                                ir::InstrId id, Addr addr, ir::LoopId loop) {
+  // Every executed instruction (before its effect).
+  obs.on_instr(fn, id);
+  // Scalar or array-element read at `addr` by instruction `id`.
+  obs.on_load(fn, id, addr);
+  // Scalar or array-element write at `addr` by instruction `id`.
+  obs.on_store(fn, id, addr);
+  // A dynamic loop instance begins (LoopEnter marker).
+  obs.on_loop_enter(fn, loop);
+  // A new iteration of the innermost active instance begins (LoopHead).
+  obs.on_loop_iter(fn, loop);
+  // The instance ends (LoopExit marker).
+  obs.on_loop_exit(fn, loop);
 };
-
-/// No-op observer used to measure plain interpretation cost in the
-/// profiler-overhead ablation bench.
-class NullObserver final : public ExecObserver {};
 
 }  // namespace mvgnn::profiler

@@ -36,6 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace mvgnn::serve {
 
 /// Typed request-level failure classes. Every failed request is answered
@@ -109,7 +111,7 @@ struct LoopVerdict {
     const std::string& id, ErrorCode code, const std::string& message,
     std::optional<std::uint64_t> offset = std::nullopt);
 
-/// JSON string-escapes `s` (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(const std::string& s);
+/// JSON string-escapes `s`: the shared escaper of obs/json.hpp.
+using obs::json_escape;
 
 }  // namespace mvgnn::serve

@@ -122,9 +122,9 @@ ServingContext build_serving_context(int corpus_loops, cache::Cache* cache) {
   ctx.ds = data::build_dataset(
       data::build_generated_corpus(corpus_loops, 2024), opts);
   auto [train_raw, val] = data::split_by_kernel(ctx.ds, 0.85, 5);
-  const std::vector<std::size_t> train =
-      data::oversample_balance(ctx.ds, train_raw, 5);
-  ctx.norm = core::Normalizer::fit(ctx.ds, train);
+  ctx.train = data::oversample_balance(ctx.ds, train_raw, 5);
+  ctx.val = std::move(val);
+  ctx.norm = core::Normalizer::fit(ctx.ds, ctx.train);
   const core::Featurizer feats(ctx.ds, ctx.norm);
   ctx.model_cfg = core::default_config(feats);
   ctx.feat_opts = opts;

@@ -65,12 +65,16 @@ namespace mvgnn::serve {
 
 /// Everything checkpoint weights alone cannot provide: the frozen
 /// vocabularies, inst2vec table and normalizer the model was trained
-/// against. Rebuilt deterministically from the same corpus recipe
-/// `mvgnn train` uses, so a checkpoint produced by `mvgnn train --corpus N`
-/// serves correctly under `mvgnn serve --corpus N` (a mismatched corpus
-/// changes feature widths and the checkpoint loader rejects the shapes).
+/// against. `mvgnn train` builds its training set through the same
+/// function, so a checkpoint produced by `mvgnn train --corpus N` serves
+/// correctly under `mvgnn serve --corpus N` (a mismatched corpus changes
+/// feature widths and the checkpoint loader rejects the shapes).
 struct ServingContext {
   data::Dataset ds;
+  /// The training split (oversampled to balance) the normalizer was fit
+  /// on, and the held-out validation split.
+  std::vector<std::size_t> train;
+  std::vector<std::size_t> val;
   core::Normalizer norm;
   core::MvGnnConfig model_cfg;
   /// featurize_program options for incoming requests: the training recipe
@@ -78,10 +82,11 @@ struct ServingContext {
   data::DatasetOptions feat_opts;
 };
 
-/// Rebuilds the `mvgnn train` featurization context for `corpus_loops`
-/// (corpus seed 2024, dataset seed 5, split 0.85/seed 5 — the exact
-/// cmd_train recipe). `cache` feeds the stage cache so a warm --cache-dir
-/// makes startup cheap.
+/// Builds the training and featurization context for `corpus_loops`: corpus
+/// seed 2024, dataset seed 5, split 0.85/seed 5, balanced oversampling of
+/// the training split, normalizer fit on it. The one recipe behind both
+/// `mvgnn train` and `mvgnn serve`. `cache` feeds the stage cache so a warm
+/// --cache-dir makes startup cheap.
 [[nodiscard]] ServingContext build_serving_context(int corpus_loops,
                                                    cache::Cache* cache);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "profiler/engine.hpp"
+
 namespace mvgnn::profiler::reference {
 
 void DepRecorder::on_instr(const ir::Function& fn, ir::InstrId id) {
@@ -162,3 +164,11 @@ DepProfile DepRecorder::finalize() const {
 }
 
 }  // namespace mvgnn::profiler::reference
+
+namespace mvgnn::profiler {
+
+template RunResult run<reference::DepRecorder>(
+    const ir::Module&, const std::string&, std::span<const ArgInit>,
+    reference::DepRecorder&, ObjectTable&, const InterpOptions&);
+
+}  // namespace mvgnn::profiler

@@ -1,7 +1,9 @@
 // Test-only reference: the hash-map dependence recorder that
 // profiler::DepRecorder replaced, kept verbatim (only moved into the
-// `reference` namespace) so test_profiler can check the production recorder
-// against it on every generator family.
+// `reference` namespace, and its hooks no longer override a base class) so
+// test_profiler can check the production recorder against it on every
+// generator family. It runs on its own engine instantiation
+// (reference_dep_recorder.cpp).
 //
 // Shadow-memory dependence recorder (DiscoPoP phase-1 equivalent).
 //
@@ -17,21 +19,21 @@
 #include <vector>
 
 #include "profiler/dep_graph.hpp"
-#include "profiler/observer.hpp"
+#include "profiler/interp.hpp"
 
 namespace mvgnn::profiler::reference {
 
-class DepRecorder final : public ExecObserver {
+class DepRecorder final {
  public:
   /// `objects` must be the same table the interpreter allocates from.
   explicit DepRecorder(const ObjectTable& objects) : objects_(objects) {}
 
-  void on_instr(const ir::Function& fn, ir::InstrId id) override;
-  void on_load(const ir::Function& fn, ir::InstrId id, Addr addr) override;
-  void on_store(const ir::Function& fn, ir::InstrId id, Addr addr) override;
-  void on_loop_enter(const ir::Function& fn, ir::LoopId loop) override;
-  void on_loop_iter(const ir::Function& fn, ir::LoopId loop) override;
-  void on_loop_exit(const ir::Function& fn, ir::LoopId loop) override;
+  void on_instr(const ir::Function& fn, ir::InstrId id);
+  void on_load(const ir::Function& fn, ir::InstrId id, Addr addr);
+  void on_store(const ir::Function& fn, ir::InstrId id, Addr addr);
+  void on_loop_enter(const ir::Function& fn, ir::LoopId loop);
+  void on_loop_iter(const ir::Function& fn, ir::LoopId loop);
+  void on_loop_exit(const ir::Function& fn, ir::LoopId loop);
 
   /// Builds the aggregated profile. Call once, after the run; `objects` is
   /// copied into the result so the profile owns everything it references.
@@ -102,3 +104,11 @@ class DepRecorder final : public ExecObserver {
 };
 
 }  // namespace mvgnn::profiler::reference
+
+namespace mvgnn::profiler {
+
+extern template RunResult run<reference::DepRecorder>(
+    const ir::Module&, const std::string&, std::span<const ArgInit>,
+    reference::DepRecorder&, ObjectTable&, const InterpOptions&);
+
+}  // namespace mvgnn::profiler

@@ -189,17 +189,17 @@ TEST_P(FuzzPipeline, WholePipelineSurvivesRandomPrograms) {
     ASSERT_NO_THROW(m = frontend::compile(source, "fuzz")) << source;
 
     // Every transform pipeline keeps it valid and semantics-stable.
-    profiler::NullObserver obs;
     const std::vector<profiler::ArgInit> args = {
         profiler::ArgInit::of_array(64, 1), profiler::ArgInit::of_array(64, 2)};
     double reference = 0.0;
-    ASSERT_NO_THROW(reference =
-                        profiler::run(m, "kernel", args, obs).return_value.f);
+    ASSERT_NO_THROW(
+        reference =
+            profiler::run_capture(m, "kernel", args).run.return_value.f);
     for (const auto& pipeline : transform::variant_pipelines()) {
       ir::Module v = frontend::compile(source, pipeline.name);
       ASSERT_NO_THROW(transform::run_pipeline(v, pipeline)) << pipeline.name;
       double out = 0.0;
-      ASSERT_NO_THROW(out = profiler::run(v, "kernel", args, obs)
+      ASSERT_NO_THROW(out = profiler::run_capture(v, "kernel", args).run
                                 .return_value.f)
           << pipeline.name;
       EXPECT_DOUBLE_EQ(out, reference) << pipeline.name << "\n" << source;

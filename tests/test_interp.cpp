@@ -5,6 +5,7 @@
 
 #include "frontend/lower.hpp"
 #include "ir/builder.hpp"
+#include "profiler/dep_recorder.hpp"
 #include "profiler/interp.hpp"
 #include "profiler/par_exec.hpp"
 
@@ -16,14 +17,12 @@ using profiler::InterpError;
 
 double run_f(const std::string& body, std::vector<ArgInit> args = {}) {
   const ir::Module m = frontend::compile(body, "t");
-  profiler::NullObserver obs;
-  return profiler::run(m, "kernel", args, obs).return_value.f;
+  return profiler::run_capture(m, "kernel", args).run.return_value.f;
 }
 
 std::int64_t run_i(const std::string& body, std::vector<ArgInit> args = {}) {
   const ir::Module m = frontend::compile(body, "t");
-  profiler::NullObserver obs;
-  return profiler::run(m, "kernel", args, obs).return_value.i;
+  return profiler::run_capture(m, "kernel", args).run.return_value.i;
 }
 
 TEST(Interp, IntegerArithmetic) {
@@ -144,9 +143,9 @@ float kernel(float[] a) {
 }
 )",
                                          "t");
-  profiler::NullObserver obs;
   std::vector<ArgInit> args = {ArgInit::of_array(4)};
-  EXPECT_DOUBLE_EQ(profiler::run(m, "kernel", args, obs).return_value.f, 3.0);
+  EXPECT_DOUBLE_EQ(
+      profiler::run_capture(m, "kernel", args).run.return_value.f, 3.0);
 }
 
 TEST(Interp, DeterministicArgumentFill) {
@@ -208,10 +207,10 @@ int kernel() {
 }
 )",
                                          "t");
-  profiler::NullObserver obs;
   profiler::InterpOptions opts;
   opts.max_steps = 10'000;
-  EXPECT_THROW(profiler::run(m, "kernel", {}, obs, opts), InterpError);
+  EXPECT_THROW((void)profiler::run_capture(m, "kernel", {}, opts),
+               InterpError);
 }
 
 TEST(Interp, CallDepthLimitStopsInfiniteRecursion) {
@@ -220,19 +219,27 @@ int rec(int n) { return rec(n + 1); }
 int kernel() { return rec(0); }
 )",
                                          "t");
-  profiler::NullObserver obs;
   profiler::InterpOptions opts;
   opts.max_call_depth = 64;
-  EXPECT_THROW(profiler::run(m, "kernel", {}, obs, opts), InterpError);
+  EXPECT_THROW((void)profiler::run_capture(m, "kernel", {}, opts),
+               InterpError);
 }
 
-// Every entry point of the micro-op engine: observed run, unobserved
-// capture, and a parallel run whose empty plan shards nothing.
+/// The observed run that profiles: profiler::run on Engine<DepRecorder>.
+profiler::RunResult run_recorded(const ir::Module& m, const std::string& entry,
+                                 const std::vector<ArgInit>& args,
+                                 const profiler::InterpOptions& opts = {}) {
+  profiler::ObjectTable objects;
+  profiler::DepRecorder rec(objects);
+  return profiler::run(m, entry, args, rec, objects, opts);
+}
+
+// Every entry point of the micro-op engine: the recorder's observed run,
+// unobserved capture, and a parallel run whose empty plan shards nothing.
 template <typename Check>
 void for_each_entry_point(const ir::Module& m, const std::string& entry,
                           const std::vector<ArgInit>& args, Check&& check) {
-  profiler::NullObserver obs;
-  check("run", [&] { return profiler::run(m, entry, args, obs); });
+  check("run", [&] { return run_recorded(m, entry, args); });
   check("run_capture",
         [&] { return profiler::run_capture(m, entry, args).run; });
   check("run_parallel", [&] {
@@ -266,11 +273,10 @@ TEST(Interp, BlockWithoutTerminatorFallsOffAtEveryEntryPoint) {
   });
   // The sentinel is checked before the step count: with the budget ending
   // exactly on it, running off the block still wins over fuel exhaustion.
-  profiler::NullObserver obs;
   profiler::InterpOptions one_step;
   one_step.max_steps = 1;
   try {
-    (void)profiler::run(m, "f", {}, obs, one_step);
+    (void)run_recorded(m, "f", {}, one_step);
     ADD_FAILURE() << "run ran off the block without a fault";
   } catch (const InterpError& e) {
     EXPECT_STREQ(e.what(), "fell off block in @f");
@@ -325,10 +331,9 @@ int kernel(int n, float f, int[] a) {
 
 TEST(Interp, MissingEntryAndArgMismatch) {
   const ir::Module m = frontend::compile("void f() {}", "t");
-  profiler::NullObserver obs;
-  EXPECT_THROW(profiler::run(m, "kernel", {}, obs), InterpError);
+  EXPECT_THROW((void)profiler::run_capture(m, "kernel", {}), InterpError);
   std::vector<ArgInit> extra = {ArgInit::of_int(1)};
-  EXPECT_THROW(profiler::run(m, "f", extra, obs), InterpError);
+  EXPECT_THROW((void)profiler::run_capture(m, "f", extra), InterpError);
 }
 
 }  // namespace

@@ -238,9 +238,11 @@ TEST(ObsMetrics, ExportsAreWellFormed) {
   reg.counter("a.count_total").add(2);
   reg.gauge("b.value").set(0.5);
   reg.histogram("c.lat_us", {1.0, 10.0}).observe(3.0);
+  reg.counter("d.\"quoted\"\tname").add(1);  // names are escaped in JSON
   const std::string json = reg.to_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"a.count_total\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"d.\\\"quoted\\\"\\tname\": 1"), std::string::npos);
   const std::string text = reg.to_text();
   EXPECT_NE(text.find("a.count_total 2"), std::string::npos);
   EXPECT_NE(text.find("c.lat_us{le=1} 0"), std::string::npos);

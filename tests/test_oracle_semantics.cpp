@@ -26,8 +26,7 @@ struct Twin {
 
 double run_value(const char* src, const std::vector<ArgInit>& args) {
   const ir::Module m = frontend::compile(src, "t");
-  profiler::NullObserver obs;
-  return profiler::run(m, "kernel", args, obs).return_value.f;
+  return profiler::run_capture(m, "kernel", args).run.return_value.f;
 }
 
 bool forward_label(const char* src, const std::vector<ArgInit>& args) {

@@ -107,10 +107,9 @@ TEST(PipelineSmoke, PegHasLoopAndCuNodes) {
 
 TEST(PipelineSmoke, ReturnValueIsCorrect) {
   const ir::Module m = frontend::compile(kReduction, "reduce");
-  profiler::NullObserver obs;
   std::vector<profiler::ArgInit> args = {profiler::ArgInit::of_array(16),
                                          profiler::ArgInit::of_int(16)};
-  const auto res = profiler::run(m, "kernel", args, obs);
+  const auto res = profiler::run_capture(m, "kernel", args).run;
   // Array fill is in [0.5, 1.5): the sum of 16 elements lies in [8, 24).
   EXPECT_GE(res.return_value.f, 8.0);
   EXPECT_LT(res.return_value.f, 24.0);

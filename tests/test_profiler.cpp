@@ -325,7 +325,7 @@ void kernel(float[] a, float[] b) {
 }
 
 TEST(Profiler, ObserverOverheadIsPureAddition) {
-  // NullObserver and DepRecorder runs must execute the same dynamic
+  // The unobserved run and the profiling run must execute the same dynamic
   // instruction count.
   const ir::Module m = frontend::compile(R"(
 const int N = 32;
@@ -339,8 +339,7 @@ float kernel(float[] a) {
 )",
                                          "t");
   std::vector<ArgInit> args = {ArgInit::of_array(32)};
-  profiler::NullObserver null_obs;
-  const auto plain = profiler::run(m, "kernel", args, null_obs);
+  const auto plain = profiler::run_capture(m, "kernel", args).run;
   const auto full = profiler::profile(m, "kernel", args);
   EXPECT_EQ(plain.steps, full.run.steps);
 }

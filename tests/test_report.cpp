@@ -95,6 +95,16 @@ TEST(BenchReport, JsonRoundTripsThroughParser) {
   EXPECT_EQ(v.find("metrics")->find("disk_entries")->find("goal"), nullptr);
 }
 
+TEST(BenchReport, ConfigStringsEscapeControlCharacters) {
+  obs::BenchReport r("abl_cache");
+  r.config("note", std::string("two\nlines\ttab\x02"));
+  const std::string doc = r.to_json();
+  EXPECT_NE(doc.find("\"two\\nlines\\ttab\\u0002\""), std::string::npos)
+      << doc;
+  EXPECT_EQ(obs::json::parse(doc).find("config")->str_or("note", ""),
+            "two\nlines\ttab\x02");
+}
+
 TEST(BenchReport, CompareWithinToleranceAndImprovementPass) {
   obs::CompareOptions opts;
   opts.tolerance = 0.10;
@@ -321,6 +331,24 @@ TEST(ObsReport, ParseChromeTraceRelinksFlowEvents) {
   EXPECT_EQ(parsed.events[0].flow_src, 0u);  // producer stays unlinked
   const obs::Report rep = obs::build_report(parsed.events, nullptr);
   EXPECT_EQ(rep.flow_links, 1u);
+}
+
+// Span names come from traces on disk: control characters must leave the
+// JSON report escaped, or the document no longer parses.
+TEST(ObsReport, JsonReportEscapesControlCharactersInSpanNames) {
+  const std::string json = R"({"traceEvents": [
+    {"name": "a\nb\u0001", "ph": "X", "ts": 10.0, "dur": 5.0, "pid": 1,
+     "tid": 0, "args": {"parent": -1, "depth": 0}}
+  ]})";
+  const obs::ParsedTrace parsed = obs::parse_chrome_trace(json);
+  ASSERT_EQ(parsed.events.size(), 1u);
+  const std::string out = obs::render_report(
+      obs::build_report(parsed.events, nullptr), obs::ReportFormat::Json);
+  EXPECT_NE(out.find("\"a\\nb\\u0001\""), std::string::npos) << out;
+  EXPECT_EQ(out.find('\x01'), std::string::npos);
+  const auto doc = obs::json::parse(out);
+  ASSERT_EQ(doc.find("spans")->as_array().size(), 1u);
+  EXPECT_EQ(doc.find("spans")->as_array()[0].str_or("name", ""), "a\nb\x01");
 }
 
 TEST(ObsReport, ParseChromeTraceRejectsGarbage) {

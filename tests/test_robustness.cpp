@@ -27,6 +27,7 @@
 #include "io/codec.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/rng.hpp"
+#include "profiler/dep_recorder.hpp"
 #include "profiler/par_exec.hpp"
 #include "tensor/optim.hpp"
 
@@ -694,8 +695,9 @@ int kernel(int[] a) {
   const std::pair<const char*, Entry> entries[] = {
       {"run",
        [&](const profiler::ParRunOptions& o) {
-         profiler::NullObserver obs;
-         return profiler::run(m, "kernel", args, obs, o).steps;
+         profiler::ObjectTable objects;
+         profiler::DepRecorder rec(objects);
+         return profiler::run(m, "kernel", args, rec, objects, o).steps;
        }},
       {"run_capture",
        [&](const profiler::ParRunOptions& o) {

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -163,14 +164,11 @@ const Env& env() {
                    .string();
     std::filesystem::create_directories(env->dir);
     env->ctx = serve::build_serving_context(16, nullptr);
-    auto [train_raw, val] = data::split_by_kernel(env->ctx.ds, 0.85, 5);
-    const std::vector<std::size_t> train =
-        data::oversample_balance(env->ctx.ds, train_raw, 5);
     core::Featurizer feats(env->ctx.ds, env->ctx.norm);
     core::TrainConfig tc;
     tc.epochs = 1;
     core::MvGnnTrainer trainer(feats, env->ctx.model_cfg, tc);
-    trainer.fit(train, {});
+    trainer.fit(env->ctx.train, {});
     ag::Adam opt(1e-3f);
     opt.add_params(trainer.model_mutable().parameters());
     core::CheckpointMeta meta;
@@ -260,6 +258,21 @@ TEST(ServeProtocol, RenderedResponsesParseBack) {
 // ---------------------------------------------------------------------------
 // Startup and the basic round trip
 // ---------------------------------------------------------------------------
+
+// `mvgnn train` trains on ctx.train and serves through ctx.norm, so the
+// normalizer must be the one fit on exactly that split.
+TEST(Serve, ContextCarriesTheSplitItsNormalizerWasFitOn) {
+  const serve::ServingContext& ctx = env().ctx;
+  ASSERT_FALSE(ctx.train.empty());
+  ASSERT_FALSE(ctx.val.empty());
+  for (const std::size_t i : ctx.val) {
+    ASSERT_LT(i, ctx.ds.samples.size());
+    EXPECT_EQ(std::count(ctx.train.begin(), ctx.train.end(), i), 0) << i;
+  }
+  const core::Normalizer refit = core::Normalizer::fit(ctx.ds, ctx.train);
+  EXPECT_EQ(refit.mean, ctx.norm.mean);
+  EXPECT_EQ(refit.stdev, ctx.norm.stdev);
+}
 
 TEST(Serve, StartupRejectsCorruptCheckpoint) {
   const std::string bad = env().dir + "/corrupt-startup.mvck";

@@ -37,10 +37,9 @@ float kernel(float[] a, float[] b) {
 )";
 
 double run(const ir::Module& m) {
-  profiler::NullObserver obs;
   std::vector<ArgInit> args = {ArgInit::of_array(16, 1),
                                ArgInit::of_array(16, 2)};
-  return profiler::run(m, "kernel", args, obs).return_value.f;
+  return profiler::run_capture(m, "kernel", args).run.return_value.f;
 }
 
 TEST(Transform, EveryPipelinePreservesSemantics) {
@@ -68,8 +67,7 @@ TEST(Transform, ConstantFoldEliminatesLiteralArithmetic) {
     }
   }
   EXPECT_EQ(arith, 0u);
-  profiler::NullObserver obs;
-  EXPECT_EQ(profiler::run(m, "kernel", {}, obs).return_value.i, 20);
+  EXPECT_EQ(profiler::run_capture(m, "kernel", {}).run.return_value.i, 20);
 }
 
 TEST(Transform, DceRemovesUnusedComputation) {
@@ -95,9 +93,8 @@ int kernel(int x) {
   }();
   EXPECT_LT(after, before);
   ir::verify(fn);
-  profiler::NullObserver obs;
   std::vector<ArgInit> args = {ArgInit::of_int(5)};
-  EXPECT_EQ(profiler::run(m, "kernel", args, obs).return_value.i, 6);
+  EXPECT_EQ(profiler::run_capture(m, "kernel", args).run.return_value.i, 6);
 }
 
 TEST(Transform, DceKeepsStoresAndCalls) {
@@ -112,9 +109,9 @@ float kernel(float[] a) {
                                    "t");
   transform::dead_code_elim(*m.find("kernel"));
   ir::verify(m);
-  profiler::NullObserver obs;
   std::vector<ArgInit> args = {ArgInit::of_array(4)};
-  EXPECT_DOUBLE_EQ(profiler::run(m, "kernel", args, obs).return_value.f, 11.0);
+  EXPECT_DOUBLE_EQ(
+      profiler::run_capture(m, "kernel", args).run.return_value.f, 11.0);
 }
 
 TEST(Transform, StrengthReductionRewritesDoubling) {
@@ -126,9 +123,8 @@ TEST(Transform, StrengthReductionRewritesDoubling) {
     if (in.op == ir::Opcode::Mul) saw_mul = true;
   }
   EXPECT_FALSE(saw_mul);
-  profiler::NullObserver obs;
   std::vector<ArgInit> args = {ArgInit::of_int(21)};
-  EXPECT_EQ(profiler::run(m, "kernel", args, obs).return_value.i, 42);
+  EXPECT_EQ(profiler::run_capture(m, "kernel", args).run.return_value.i, 42);
 }
 
 TEST(Transform, CompactionKeepsLoopMetadataValid) {
@@ -151,9 +147,8 @@ float kernel(float[] a) {
   ASSERT_EQ(fn.loops.size(), 1u);
   // The induction slot must still point at an Alloca after renumbering.
   EXPECT_EQ(fn.instr(fn.loops[0].induction_slot).op, ir::Opcode::Alloca);
-  profiler::NullObserver obs;
   std::vector<ArgInit> args = {ArgInit::of_array(8, 3)};
-  EXPECT_GT(profiler::run(m, "kernel", args, obs).return_value.f, 0.0);
+  EXPECT_GT(profiler::run_capture(m, "kernel", args).run.return_value.f, 0.0);
 }
 
 TEST(Transform, VariantsChangeTheInstructionMix) {
@@ -189,10 +184,9 @@ float kernel(float[] a) {
 }
 )";
   const std::vector<ArgInit> args = {ArgInit::of_array(12, 3)};
-  profiler::NullObserver obs;
   ir::Module base = frontend::compile(src, "base");
   const double reference =
-      profiler::run(base, "kernel", args, obs).return_value.f;
+      profiler::run_capture(base, "kernel", args).run.return_value.f;
 
   ir::Module m = frontend::compile(src, "inl");
   EXPECT_EQ(transform::inline_functions(m), 1u);
@@ -204,7 +198,7 @@ float kernel(float[] a) {
       EXPECT_FALSE(in.op == ir::Opcode::Call && in.callee == "helper");
     }
   }
-  EXPECT_DOUBLE_EQ(profiler::run(m, "kernel", args, obs).return_value.f,
+  EXPECT_DOUBLE_EQ(profiler::run_capture(m, "kernel", args).run.return_value.f,
                    reference);
   // The inlined body's instructions belong to the surrounding loop, so the
   // dependence analysis now sees them directly.
@@ -234,14 +228,13 @@ float kernel(float[] out) {
 }
 )";
   const std::vector<ArgInit> args = {ArgInit::of_array(4)};
-  profiler::NullObserver obs;
   ir::Module base = frontend::compile(src, "base");
   const double reference =
-      profiler::run(base, "kernel", args, obs).return_value.f;
+      profiler::run_capture(base, "kernel", args).run.return_value.f;
   ir::Module m = frontend::compile(src, "inl");
   EXPECT_EQ(transform::inline_functions(m), 4u);
   ir::verify(m);
-  EXPECT_DOUBLE_EQ(profiler::run(m, "kernel", args, obs).return_value.f,
+  EXPECT_DOUBLE_EQ(profiler::run_capture(m, "kernel", args).run.return_value.f,
                    reference);
 }
 
@@ -279,10 +272,9 @@ float kernel(float[] a) {
 }
 )";
   const std::vector<ArgInit> args = {ArgInit::of_array(4, 9)};
-  profiler::NullObserver obs;
   ir::Module base = frontend::compile(src, "base");
   const double reference =
-      profiler::run(base, "kernel", args, obs).return_value.f;
+      profiler::run_capture(base, "kernel", args).run.return_value.f;
 
   ir::Module m = frontend::compile(src, "unr");
   ir::Function& fn = *m.find("kernel");
@@ -294,7 +286,7 @@ float kernel(float[] a) {
     EXPECT_NE(in.op, ir::Opcode::LoopHead);
     EXPECT_NE(in.op, ir::Opcode::LoopExit);
   }
-  EXPECT_DOUBLE_EQ(profiler::run(m, "kernel", args, obs).return_value.f,
+  EXPECT_DOUBLE_EQ(profiler::run_capture(m, "kernel", args).run.return_value.f,
                    reference);
 }
 
@@ -312,10 +304,9 @@ float kernel(float[] a) {
 }
 )";
   const std::vector<ArgInit> args = {ArgInit::of_array(16, 2)};
-  profiler::NullObserver obs;
   ir::Module base = frontend::compile(src, "base");
   const double reference =
-      profiler::run(base, "kernel", args, obs).return_value.f;
+      profiler::run_capture(base, "kernel", args).run.return_value.f;
 
   ir::Module m = frontend::compile(src, "unr");
   ir::Function& fn = *m.find("kernel");
@@ -323,7 +314,7 @@ float kernel(float[] a) {
   ASSERT_EQ(fn.loops.size(), 1u);  // the outer loop survives, renumbered
   EXPECT_EQ(fn.loops[0].id, 0u);
   EXPECT_TRUE(fn.loops[0].is_for);
-  EXPECT_DOUBLE_EQ(profiler::run(m, "kernel", args, obs).return_value.f,
+  EXPECT_DOUBLE_EQ(profiler::run_capture(m, "kernel", args).run.return_value.f,
                    reference);
   // The unrolled instructions are attributed to the surviving outer loop.
   const auto prof = profiler::profile(m, "kernel", args);
@@ -370,14 +361,13 @@ float kernel(float[] a, float[] b) {
 )";
   const std::vector<ArgInit> args = {ArgInit::of_array(16, 1),
                                      ArgInit::of_array(16, 2)};
-  profiler::NullObserver obs;
   ir::Module base = frontend::compile(src, "base");
   const double reference =
-      profiler::run(base, "kernel", args, obs).return_value.f;
+      profiler::run_capture(base, "kernel", args).run.return_value.f;
   ir::Module m = frontend::compile(src, "opt");
   transform::run_pipeline(m, transform::variant_pipelines().back());
-  EXPECT_NEAR(profiler::run(m, "kernel", args, obs).return_value.f, reference,
-              1e-9);
+  EXPECT_NEAR(profiler::run_capture(m, "kernel", args).run.return_value.f,
+              reference, 1e-9);
 }
 
 }  // namespace inline_unroll_tests

@@ -364,20 +364,13 @@ extern "C" void handle_reload_signal(int) {
 /// profiler, PEG/walks, GEMM, thread pool, trainer — so a --trace-out of
 /// this command shows the whole pipeline.
 int cmd_train(const std::string& source, const TrainOptions& topts) {
-  data::DatasetOptions opts;
-  opts.seed = 5;
-  opts.cache = g_cache;
-
   obs::log_info("building training corpus",
                 {{"loops", std::to_string(topts.corpus_loops)}});
-  const data::Dataset ds = data::build_dataset(
-      data::build_generated_corpus(topts.corpus_loops, 2024), opts);
-  auto [train_raw, val] = data::split_by_kernel(ds, 0.85, 5);
-  const std::vector<std::size_t> train =
-      data::oversample_balance(ds, train_raw, 5);
-
-  const core::Normalizer norm = core::Normalizer::fit(ds, train);
-  core::Featurizer feats(ds, norm);
+  // The serving recipe, so `mvgnn serve --corpus N` rebuilds exactly the
+  // normalizer and feature widths this checkpoint is trained against.
+  const serve::ServingContext ctx =
+      serve::build_serving_context(topts.corpus_loops, g_cache);
+  core::Featurizer feats(ctx.ds, ctx.norm);
   core::TrainConfig tc;
   tc.epochs = topts.epochs;
   tc.seed = topts.seed;
@@ -399,12 +392,12 @@ int cmd_train(const std::string& source, const TrainOptions& topts) {
     }
   }
   obs::log_info("training MV-GNN",
-                {{"train_samples", std::to_string(train.size())},
+                {{"train_samples", std::to_string(ctx.train.size())},
                  {"epochs", std::to_string(tc.epochs)},
                  {"seed", std::to_string(tc.seed)},
                  {"threads", std::to_string(tc.threads)}});
-  core::MvGnnTrainer trainer(feats, core::default_config(feats), tc);
-  trainer.fit(train, val);
+  core::MvGnnTrainer trainer(feats, ctx.model_cfg, tc);
+  trainer.fit(ctx.train, ctx.val);
   if (trainer.interrupted()) {
     obs::log_warn("training interrupted; checkpoint written",
                   {{"dir", topts.checkpoint_dir}});
@@ -421,15 +414,15 @@ int cmd_train(const std::string& source, const TrainOptions& topts) {
     const ir::Module probe = frontend::compile(source, "probe");
     user.kernel.args = synth_args(kernel_of(probe));
   }
-  data::DatasetOptions inference_opts = opts;
-  inference_opts.dep_noise = 0.0;  // the user's own run is not noisy
-  const auto samples = data::featurize_program(user, ds, inference_opts);
+  // ctx.feat_opts: the training recipe without dependence noise (the
+  // user's own run is not noisy).
+  const auto samples = data::featurize_program(user, ctx.ds, ctx.feat_opts);
 
   std::printf("\nloop classification for the input program:\n");
   std::printf("%6s | %-14s | %-11s | %s\n", "line", "MV-GNN", "node/struct",
               "expert oracle");
   for (const auto& s : samples) {
-    const auto in = core::build_input(s, ds, norm);
+    const auto in = core::build_input(s, ctx.ds, ctx.norm);
     const auto p = trainer.predict_input(in);
     std::printf("%6d | %-14s | %3s / %-3s | %s\n", s.loop_line,
                 p.fused ? "PARALLELIZABLE" : "sequential",
