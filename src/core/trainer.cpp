@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "core/checkpoint.hpp"
@@ -212,6 +213,9 @@ std::vector<EpochStat> MvGnnTrainer::fit(
     const std::vector<std::size_t>& test_idx) {
   ag::Adam opt(tc_.lr, 0.9f, 0.999f, 1e-8f, tc_.weight_decay);
   opt.add_params(model_->parameters());
+  // One gradient accumulator per shard, grown by the first full batch and
+  // reused by every step of the fit.
+  std::vector<ag::GradAccumulator> shard_grads;
 
   std::vector<std::size_t> order = train_idx;
   std::vector<EpochStat> curve;
@@ -295,7 +299,7 @@ std::vector<EpochStat> MvGnnTrainer::fit(
       // the state the next epoch's shuffle sees.
       const std::uint64_t step_seed = rng_.engine()();
       const auto [chunk_loss, chunk_correct] =
-          data_parallel_step(chunk, opt, step_seed);
+          data_parallel_step(chunk, opt, shard_grads, step_seed);
       loss_sum += chunk_loss;
       correct += chunk_correct;
       ++global_step;
@@ -333,100 +337,84 @@ std::vector<EpochStat> MvGnnTrainer::fit(
   return curve;
 }
 
-void MvGnnTrainer::sync_replicas(std::size_t n) {
-  // Worker 0 runs on the master model itself (its weights are trivially in
-  // sync), so only workers 1..width-1 need a copy: `n` is width - 1, and a
-  // width-1 step pays no replica sync at all.
-  while (replicas_.size() < n) {
-    // The init rng is a placeholder: every weight is overwritten by the
-    // master copy below before the replica ever runs a forward pass.
-    par::Rng init_rng(0);
-    replicas_.push_back(std::make_unique<MvGnn>(model_->config(), init_rng));
-  }
-  const std::vector<Tensor> src = model_->parameters();
-  for (std::size_t r = 0; r < n; ++r) {
-    std::vector<Tensor> dst = replicas_[r]->parameters();
-    for (std::size_t k = 0; k < src.size(); ++k) {
-      std::copy(src[k].data(), src[k].data() + src[k].numel(), dst[k].data());
-    }
-  }
-}
-
 std::pair<double, std::size_t> MvGnnTrainer::data_parallel_step(
     const std::vector<const SampleInput*>& chunk, ag::Adam& opt,
-    std::uint64_t step_seed) {
+    std::vector<ag::GradAccumulator>& shard_grads, std::uint64_t step_seed) {
   obs::ScopedSpan step_span("trainer.dp_step");
   const std::size_t rows = chunk.size();
   const std::size_t nshards = (rows + kDpShardRows - 1) / kDpShardRows;
-  step_span.arg("rows", rows).arg("shards", nshards);
   // Width is how many shards run concurrently; the shard layout and the
   // reduction order below never depend on it.
   const std::size_t width = std::max<std::size_t>(
       1, std::min({tc_.threads, nshards,
                    par::ThreadPool::global().size() + 1}));
-  sync_replicas(width - 1);
-
-  std::vector<ag::GradAccumulator> shard_grads;
-  shard_grads.reserve(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
+  while (shard_grads.size() < nshards) {
     shard_grads.push_back(opt.make_accumulator());
   }
   std::vector<double> shard_loss(nshards, 0.0);
   std::vector<std::size_t> shard_correct(nshards, 0);
 
-  // Worker r owns one model (the master for r == 0, replica r-1 above) and
-  // the shard slice {r, r+width, ...}: shards write disjoint accumulators
-  // and stat slots, no model ever runs two shards at once, and the waiting
-  // thread below may execute any worker task itself (help-while-wait)
-  // without changing a single float.
-  par::TaskGroup group(par::ThreadPool::global());
-  for (std::size_t r = 0; r < width; ++r) {
-    group.run([&, r] {
-      OBS_SPAN("trainer.dp_worker");
-      MvGnn& replica = (r == 0) ? *model_ : *replicas_[r - 1];
-      const std::vector<Tensor> params = replica.parameters();
-      for (std::size_t s = r; s < nshards; s += width) {
-        const std::size_t b0 = s * kDpShardRows;
-        const std::size_t b1 = std::min(rows, b0 + kDpShardRows);
-        const std::vector<const SampleInput*> sub(chunk.begin() + b0,
-                                                  chunk.begin() + b1);
-        const GraphBatch gb = make_graph_batch(sub);
-        // Shard-indexed dropout stream: a function of (step_seed, s) only.
-        par::Rng shard_rng = par::Rng(step_seed).split(s);
-        const auto out = replica.forward_batch(gb, /*training=*/true,
-                                               shard_rng);
-        Tensor loss = ag::cross_entropy_logits(out.logits, gb.labels);
-        if (tc_.aux_weight > 0.0f) {
-          loss = ag::add(
-              loss,
-              ag::scale(ag::add(ag::cross_entropy_logits(out.node_logits,
-                                                         gb.labels),
-                                ag::cross_entropy_logits(out.struct_logits,
-                                                         gb.labels)),
-                        tc_.aux_weight));
+  // Every worker runs forward and backward on the master model: forward
+  // only reads the weights, and backward sends the parameters' gradients to
+  // the shard's own accumulator (the sink), never to the shared
+  // Node::grad. Worker r takes the shard slice {r, r+width, ...}; shards
+  // write disjoint accumulators and stat slots, and the waiting thread
+  // below may execute any worker task itself (help-while-wait) without
+  // changing a single float.
+  {
+    obs::ScopedSpan shards_span("trainer.dp_shards");
+    shards_span.arg("rows", rows).arg("shards", nshards);
+    par::TaskGroup group(par::ThreadPool::global());
+    for (std::size_t r = 0; r < width; ++r) {
+      group.run([&, r] {
+        OBS_SPAN("trainer.dp_worker");
+        for (std::size_t s = r; s < nshards; s += width) {
+          const std::size_t b0 = s * kDpShardRows;
+          const std::size_t b1 = std::min(rows, b0 + kDpShardRows);
+          const std::vector<const SampleInput*> sub(chunk.begin() + b0,
+                                                    chunk.begin() + b1);
+          const GraphBatch gb = make_graph_batch(sub);
+          // Shard-indexed dropout stream: a function of (step_seed, s) only.
+          par::Rng shard_rng = par::Rng(step_seed).split(s);
+          const auto out = model_->forward_batch(gb, /*training=*/true,
+                                                 shard_rng);
+          Tensor loss = ag::cross_entropy_logits(out.logits, gb.labels);
+          if (tc_.aux_weight > 0.0f) {
+            loss = ag::add(
+                loss,
+                ag::scale(ag::add(ag::cross_entropy_logits(out.node_logits,
+                                                           gb.labels),
+                                  ag::cross_entropy_logits(out.struct_logits,
+                                                           gb.labels)),
+                          tc_.aux_weight));
+          }
+          ag::GradAccumulator& grads = shard_grads[s];
+          grads.zero();
+          {
+            const ag::ScopedGradSink sink(grads);
+            loss.backward();
+          }
+          // Each shard's loss means over its own rows; weighting by
+          // rows_s / rows makes the fixed-tree sum reproduce the
+          // whole-batch mean gradient.
+          grads.scale(static_cast<float>(b1 - b0) /
+                      static_cast<float>(rows));
+          shard_loss[s] = loss.item() * static_cast<double>(gb.size());
+          for (std::size_t b = 0; b < gb.size(); ++b) {
+            shard_correct[s] += (argmax_row(out.logits, b) == gb.labels[b]);
+          }
         }
-        for (Tensor p : params) p.zero_grad();
-        loss.backward();
-        // Each shard's loss means over its own rows; weighting by
-        // rows_s / rows makes the fixed-tree sum reproduce the whole-batch
-        // mean gradient.
-        shard_grads[s].accumulate(
-            params, static_cast<float>(b1 - b0) / static_cast<float>(rows));
-        shard_loss[s] = loss.item() * static_cast<double>(gb.size());
-        for (std::size_t b = 0; b < gb.size(); ++b) {
-          shard_correct[s] += (argmax_row(out.logits, b) == gb.labels[b]);
-        }
-      }
-    });
+      });
+    }
+    group.wait();
   }
-  group.wait();
 
-  // Fixed-order tree reduction over shard indices — bit-identical for any
-  // width — then one master update from the merged gradient.
-  ag::tree_merge(shard_grads);
-  opt.zero_grad();
-  opt.load_merged(shard_grads[0]);
-  opt.step();
+  // Fixed-order tree reduction over shard indices and the Adam update, as
+  // one pass over fixed element ranges: bit-identical for any width.
+  {
+    OBS_SPAN("trainer.dp_update");
+    opt.step_merged(std::span(shard_grads).first(nshards), width);
+  }
   TrainerMetrics::get().shards.add(nshards);
 
   double loss_sum = 0.0;

@@ -100,10 +100,10 @@ struct TrainConfig {
 
   /// How many data-parallel shards of a mini-batch run at once
   /// (docs/parallelism.md); 0 counts as 1. Each mini-batch is cut into
-  /// fixed-size shards that run replicated forward/backward passes, and
-  /// the shard gradients reduce in a fixed tree order, so weights and
-  /// curves are bit-identical for every value: `threads` trades
-  /// wall-clock only.
+  /// fixed-size shards that run forward/backward on the one model, each
+  /// into its own gradient buffers, and the shard gradients reduce in a
+  /// fixed tree order, so weights and curves are bit-identical for every
+  /// value: `threads` trades wall-clock only.
   std::size_t threads = 1;
 
   // ---- fault tolerance (docs/robustness.md) ----
@@ -182,27 +182,20 @@ class MvGnnTrainer {
   [[nodiscard]] bool interrupted() const { return interrupted_; }
 
  private:
-  /// One optimizer step over `chunk`: fixed-size shards, replicated
-  /// forward/backward on up to TrainConfig::threads workers, fixed-tree
-  /// gradient reduction, one Adam update. Returns the chunk's summed loss
-  /// and correct-prediction count.
+  /// One optimizer step over `chunk`: fixed-size shards, forward/backward
+  /// on the shared master model on up to TrainConfig::threads workers with
+  /// each shard's gradients in its own accumulator (`shard_grads`, grown as
+  /// needed), then the fixed-tree reduction and the Adam update as one pass.
+  /// Returns the chunk's summed loss and correct-prediction count.
   std::pair<double, std::size_t> data_parallel_step(
       const std::vector<const SampleInput*>& chunk, ag::Adam& opt,
-      std::uint64_t step_seed);
-
-  /// Grows the replica list to `n` models and copies the master weights
-  /// into each (values only; replicas keep their own gradient buffers).
-  void sync_replicas(std::size_t n);
+      std::vector<ag::GradAccumulator>& shard_grads, std::uint64_t step_seed);
 
   const Featurizer* feats_;
   const Featurizer* alt_feats_ = nullptr;
   float alt_prob_ = 0.0f;
   TrainConfig tc_;
   std::unique_ptr<MvGnn> model_;
-  /// Weight-synced model copies for the data-parallel step; worker 0 runs
-  /// on the master model and worker r >= 1 on replicas_[r-1], so concurrent
-  /// backward passes never share a gradient buffer.
-  std::vector<std::unique_ptr<MvGnn>> replicas_;
   mutable par::Rng rng_;
   bool interrupted_ = false;
 };

@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/optim.hpp"
 
 namespace mvgnn::ag {
 
@@ -42,12 +43,22 @@ Tensor make_op(Shape s, std::vector<Tensor> inputs,
   return Tensor(std::move(n));
 }
 
-/// Accumulates g into input i of `self` if that input wants gradients.
-Node* grad_target(Node& self, std::size_t i) {
+/// The buffer backward accumulates input i's gradient into, or nullptr if
+/// that input wants none. A leaf (a node without a backward closure) that
+/// the calling thread's gradient sink knows, as a data-parallel shard's
+/// parameters are, goes to the sink's buffer; every other node to its own
+/// grad. Backward closures call this on the thread running backward, never
+/// inside a pool task, so the sink is the one that thread installed.
+float* grad_target(Node& self, std::size_t i) {
   Node* in = self.inputs[i].get();
   if (!in->requires_grad) return nullptr;
+  if (!in->backward) {
+    if (GradAccumulator* sink = current_grad_sink()) {
+      if (float* g = sink->buffer_for(in)) return g;
+    }
+  }
   in->ensure_grad();
-  return in;
+  return in->grad.data();
 }
 
 }  // namespace
@@ -63,13 +74,13 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     const float* g = self.grad.data();
     const float* av = self.inputs[0]->value.data();
     const float* bv = self.inputs[1]->value.data();
-    if (Node* ia = grad_target(self, 0)) {
+    if (float* ia = grad_target(self, 0)) {
       // dA = dC * B^T
-      tensor::gemm(g, bv, ia->grad.data(), m, n, k, false, true, true);
+      tensor::gemm(g, bv, ia, m, n, k, false, true, true);
     }
-    if (Node* ib = grad_target(self, 1)) {
+    if (float* ib = grad_target(self, 1)) {
       // dB = A^T * dC
-      tensor::gemm(av, g, ib->grad.data(), k, m, n, true, false, true);
+      tensor::gemm(av, g, ib, k, m, n, true, false, true);
     }
   });
   tensor::gemm(a.data(), b.data(), out.data(), m, k, n);
@@ -103,23 +114,23 @@ Tensor matmul_bias_impl(const Tensor& a, const Tensor& w, const Tensor& bias,
     }
     const float* av = self.inputs[0]->value.data();
     const float* wv = self.inputs[1]->value.data();
-    if (Node* ia = grad_target(self, 0)) {
+    if (float* ia = grad_target(self, 0)) {
       // dA = dz * op(W)^T — with tw the stored [n,k] W *is* op(W)^T.
-      tensor::gemm(g, wv, ia->grad.data(), m, n, k, false, !tw, true);
+      tensor::gemm(g, wv, ia, m, n, k, false, !tw, true);
     }
-    if (Node* iw = grad_target(self, 1)) {
+    if (float* iw = grad_target(self, 1)) {
       if (tw) {
         // dW[n,k] = dz^T * A
-        tensor::gemm(g, av, iw->grad.data(), n, m, k, true, false, true);
+        tensor::gemm(g, av, iw, n, m, k, true, false, true);
       } else {
         // dW[k,n] = A^T * dz
-        tensor::gemm(av, g, iw->grad.data(), k, m, n, true, false, true);
+        tensor::gemm(av, g, iw, k, m, n, true, false, true);
       }
     }
-    if (Node* ib = grad_target(self, 2)) {
+    if (float* ib = grad_target(self, 2)) {
       for (std::size_t r0 = 0; r0 < m * n; r0 += n) {
         const float* gr = g + r0;
-        for (std::size_t j = 0; j < n; ++j) ib->grad[j] += gr[j];
+        for (std::size_t j = 0; j < n; ++j) ib[j] += gr[j];
       }
     }
   });
@@ -168,8 +179,8 @@ Tensor spmm(const CsrMatrix& a, const Tensor& x) {
   span.arg("rows", a.rows()).arg("nnz", a.nnz()).arg("cols", x.cols());
   const std::size_t m = a.rows(), n = x.cols();
   Tensor out = make_op({m, n}, {x}, [a, n](Node& self) {
-    if (Node* ix = grad_target(self, 0)) {
-      spmm_call(a.transposed(), self.grad.data(), ix->grad.data(), n,
+    if (float* ix = grad_target(self, 0)) {
+      spmm_call(a.transposed(), self.grad.data(), ix, n,
                 /*accumulate=*/true);
     }
   });
@@ -183,14 +194,14 @@ Tensor spmm_tanh(const CsrMatrix& a, const Tensor& x) {
   span.arg("rows", a.rows()).arg("nnz", a.nnz()).arg("cols", x.cols());
   const std::size_t m = a.rows(), n = x.cols();
   Tensor out = make_op({m, n}, {x}, [a, n](Node& self) {
-    if (Node* ix = grad_target(self, 0)) {
+    if (float* ix = grad_target(self, 0)) {
       // dX = A^T (g ⊙ (1 - y²)) over the cached transpose.
       std::vector<float> dz(self.value.size());
       for (std::size_t i = 0; i < dz.size(); ++i) {
         const float y = self.value[i];
         dz[i] = self.grad[i] * (1.0f - y * y);
       }
-      spmm_call(a.transposed(), dz.data(), ix->grad.data(), n,
+      spmm_call(a.transposed(), dz.data(), ix, n,
                 /*accumulate=*/true);
     }
   });
@@ -201,10 +212,10 @@ Tensor spmm_tanh(const CsrMatrix& a, const Tensor& x) {
 Tensor transpose(const Tensor& a) {
   const std::size_t r = a.rows(), c = a.cols();
   Tensor out = make_op({c, r}, {a}, [r, c](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < r; ++i) {
         for (std::size_t j = 0; j < c; ++j) {
-          in->grad[i * c + j] += self.grad[j * r + i];
+          in[i * c + j] += self.grad[j * r + i];
         }
       }
     }
@@ -225,17 +236,17 @@ Tensor add(const Tensor& a, const Tensor& b) {
   if (!bias && !(a.shape() == b.shape())) shape_fail("add", a, b);
   const std::size_t n = a.numel(), c = a.cols();
   Tensor out = make_op(a.shape(), {a, b}, [n, c, bias](Node& self) {
-    if (Node* ia = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < n; ++i) ia->grad[i] += self.grad[i];
+    if (float* ia = grad_target(self, 0)) {
+      for (std::size_t i = 0; i < n; ++i) ia[i] += self.grad[i];
     }
-    if (Node* ib = grad_target(self, 1)) {
+    if (float* ib = grad_target(self, 1)) {
       if (bias) {
         for (std::size_t r0 = 0; r0 < n; r0 += c) {
           const float* g = self.grad.data() + r0;
-          for (std::size_t j = 0; j < c; ++j) ib->grad[j] += g[j];
+          for (std::size_t j = 0; j < c; ++j) ib[j] += g[j];
         }
       } else {
-        for (std::size_t i = 0; i < n; ++i) ib->grad[i] += self.grad[i];
+        for (std::size_t i = 0; i < n; ++i) ib[i] += self.grad[i];
       }
     }
   });
@@ -257,11 +268,11 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   if (!(a.shape() == b.shape())) shape_fail("sub", a, b);
   const std::size_t n = a.numel();
   Tensor out = make_op(a.shape(), {a, b}, [n](Node& self) {
-    if (Node* ia = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < n; ++i) ia->grad[i] += self.grad[i];
+    if (float* ia = grad_target(self, 0)) {
+      for (std::size_t i = 0; i < n; ++i) ia[i] += self.grad[i];
     }
-    if (Node* ib = grad_target(self, 1)) {
-      for (std::size_t i = 0; i < n; ++i) ib->grad[i] -= self.grad[i];
+    if (float* ib = grad_target(self, 1)) {
+      for (std::size_t i = 0; i < n; ++i) ib[i] -= self.grad[i];
     }
   });
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = a.data()[i] - b.data()[i];
@@ -274,11 +285,11 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   Tensor out = make_op(a.shape(), {a, b}, [n](Node& self) {
     const float* av = self.inputs[0]->value.data();
     const float* bv = self.inputs[1]->value.data();
-    if (Node* ia = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < n; ++i) ia->grad[i] += self.grad[i] * bv[i];
+    if (float* ia = grad_target(self, 0)) {
+      for (std::size_t i = 0; i < n; ++i) ia[i] += self.grad[i] * bv[i];
     }
-    if (Node* ib = grad_target(self, 1)) {
-      for (std::size_t i = 0; i < n; ++i) ib->grad[i] += self.grad[i] * av[i];
+    if (float* ib = grad_target(self, 1)) {
+      for (std::size_t i = 0; i < n; ++i) ib[i] += self.grad[i] * av[i];
     }
   });
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = a.data()[i] * b.data()[i];
@@ -288,8 +299,8 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 Tensor scale(const Tensor& a, float s) {
   const std::size_t n = a.numel();
   Tensor out = make_op(a.shape(), {a}, [n, s](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < n; ++i) in->grad[i] += self.grad[i] * s;
+    if (float* in = grad_target(self, 0)) {
+      for (std::size_t i = 0; i < n; ++i) in[i] += self.grad[i] * s;
     }
   });
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = a.data()[i] * s;
@@ -302,9 +313,9 @@ template <typename Fwd, typename Bwd>
 Tensor unary_ew(const Tensor& a, Fwd fwd, Bwd bwd_from_out) {
   const std::size_t n = a.numel();
   Tensor out = make_op(a.shape(), {a}, [n, bwd_from_out](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < n; ++i) {
-        in->grad[i] += self.grad[i] * bwd_from_out(self.value[i],
+        in[i] += self.grad[i] * bwd_from_out(self.value[i],
                                                    self.inputs[0]->value[i]);
       }
     }
@@ -357,8 +368,8 @@ Tensor log_t(const Tensor& a) {
 Tensor sum(const Tensor& a) {
   const std::size_t n = a.numel();
   Tensor out = make_op({1, 1}, {a}, [n](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < n; ++i) in->grad[i] += self.grad[0];
+    if (float* in = grad_target(self, 0)) {
+      for (std::size_t i = 0; i < n; ++i) in[i] += self.grad[0];
     }
   });
   out.data()[0] = std::accumulate(a.data(), a.data() + n, 0.0f);
@@ -373,10 +384,10 @@ Tensor mean_rows(const Tensor& a) {
   const std::size_t r = a.rows(), c = a.cols();
   const float inv = 1.0f / static_cast<float>(std::max<std::size_t>(1, r));
   Tensor out = make_op({1, c}, {a}, [r, c, inv](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < r; ++i) {
         for (std::size_t j = 0; j < c; ++j) {
-          in->grad[i * c + j] += self.grad[j] * inv;
+          in[i * c + j] += self.grad[j] * inv;
         }
       }
     }
@@ -392,9 +403,9 @@ Tensor max_rows(const Tensor& a) {
   if (r == 0) throw TensorError("max_rows on empty tensor");
   auto argmax = std::make_shared<std::vector<std::uint32_t>>(c, 0);
   Tensor out = make_op({1, c}, {a}, [c, argmax](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t j = 0; j < c; ++j) {
-        in->grad[(*argmax)[j] * c + j] += self.grad[j];
+        in[(*argmax)[j] * c + j] += self.grad[j];
       }
     }
   });
@@ -424,8 +435,8 @@ Tensor reshape(const Tensor& a, Shape s) {
   }
   const std::size_t n = a.numel();
   Tensor out = make_op(s, {a}, [n](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < n; ++i) in->grad[i] += self.grad[i];
+    if (float* in = grad_target(self, 0)) {
+      for (std::size_t i = 0; i < n; ++i) in[i] += self.grad[i];
     }
   });
   std::copy(a.data(), a.data() + n, out.data());
@@ -436,15 +447,15 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
   if (a.rows() != b.rows()) shape_fail("concat_cols", a, b);
   const std::size_t r = a.rows(), ca = a.cols(), cb = b.cols();
   Tensor out = make_op({r, ca + cb}, {a, b}, [r, ca, cb](Node& self) {
-    Node* ia = grad_target(self, 0);
-    Node* ib = grad_target(self, 1);
+    float* ia = grad_target(self, 0);
+    float* ib = grad_target(self, 1);
     for (std::size_t i = 0; i < r; ++i) {
       const float* g = self.grad.data() + i * (ca + cb);
       if (ia) {
-        for (std::size_t j = 0; j < ca; ++j) ia->grad[i * ca + j] += g[j];
+        for (std::size_t j = 0; j < ca; ++j) ia[i * ca + j] += g[j];
       }
       if (ib) {
-        for (std::size_t j = 0; j < cb; ++j) ib->grad[i * cb + j] += g[ca + j];
+        for (std::size_t j = 0; j < cb; ++j) ib[i * cb + j] += g[ca + j];
       }
     }
   });
@@ -461,14 +472,14 @@ Tensor concat_rows(const Tensor& a, const Tensor& b) {
   const std::size_t na = a.numel(), nb = b.numel();
   Tensor out = make_op({a.rows() + b.rows(), a.cols()}, {a, b},
                        [na, nb](Node& self) {
-                         if (Node* ia = grad_target(self, 0)) {
+                         if (float* ia = grad_target(self, 0)) {
                            for (std::size_t i = 0; i < na; ++i) {
-                             ia->grad[i] += self.grad[i];
+                             ia[i] += self.grad[i];
                            }
                          }
-                         if (Node* ib = grad_target(self, 1)) {
+                         if (float* ib = grad_target(self, 1)) {
                            for (std::size_t i = 0; i < nb; ++i) {
-                             ib->grad[i] += self.grad[na + i];
+                             ib[i] += self.grad[na + i];
                            }
                          }
                        });
@@ -483,9 +494,9 @@ Tensor slice_rows(const Tensor& a, std::size_t r0, std::size_t r1) {
   }
   const std::size_t c = a.cols(), r = r1 - r0;
   Tensor out = make_op({r, c}, {a}, [r0, r, c](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < r * c; ++i) {
-        in->grad[r0 * c + i] += self.grad[i];
+        in[r0 * c + i] += self.grad[i];
       }
     }
   });
@@ -499,10 +510,10 @@ Tensor slice_cols(const Tensor& a, std::size_t c0, std::size_t c1) {
   }
   const std::size_t r = a.rows(), ca = a.cols(), c = c1 - c0;
   Tensor out = make_op({r, c}, {a}, [r, ca, c0, c](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < r; ++i) {
         for (std::size_t j = 0; j < c; ++j) {
-          in->grad[i * ca + c0 + j] += self.grad[i * c + j];
+          in[i * ca + c0 + j] += self.grad[i * c + j];
         }
       }
     }
@@ -522,10 +533,10 @@ Tensor gather_rows(const Tensor& a, const std::vector<std::uint32_t>& rows) {
   }
   auto idx = std::make_shared<std::vector<std::uint32_t>>(rows);
   Tensor out = make_op({rows.size(), c}, {a}, [c, idx](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < idx->size(); ++i) {
         for (std::size_t j = 0; j < c; ++j) {
-          in->grad[(*idx)[i] * c + j] += self.grad[i * c + j];
+          in[(*idx)[i] * c + j] += self.grad[i * c + j];
         }
       }
     }
@@ -550,9 +561,9 @@ Tensor dropout(const Tensor& a, float p, bool training, par::Rng& rng) {
     (*mask)[i] = rng.bernoulli(keep) ? 1.0f / keep : 0.0f;
   }
   Tensor out = make_op(a.shape(), {a}, [n, mask](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < n; ++i) {
-        in->grad[i] += self.grad[i] * (*mask)[i];
+        in[i] += self.grad[i] * (*mask)[i];
       }
     }
   });
@@ -563,14 +574,14 @@ Tensor dropout(const Tensor& a, float p, bool training, par::Rng& rng) {
 Tensor softmax_rows(const Tensor& a) {
   const std::size_t r = a.rows(), c = a.cols();
   Tensor out = make_op(a.shape(), {a}, [r, c](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < r; ++i) {
         const float* y = self.value.data() + i * c;
         const float* g = self.grad.data() + i * c;
         float dot = 0.0f;
         for (std::size_t j = 0; j < c; ++j) dot += y[j] * g[j];
         for (std::size_t j = 0; j < c; ++j) {
-          in->grad[i * c + j] += y[j] * (g[j] - dot);
+          in[i * c + j] += y[j] * (g[j] - dot);
         }
       }
     }
@@ -596,12 +607,12 @@ Tensor cross_entropy_logits(const Tensor& logits,
   auto probs = std::make_shared<std::vector<float>>(r * c);
   auto lab = std::make_shared<std::vector<int>>(labels);
   Tensor out = make_op({1, 1}, {logits}, [r, c, probs, lab](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       const float g = self.grad[0] / static_cast<float>(r);
       for (std::size_t i = 0; i < r; ++i) {
         for (std::size_t j = 0; j < c; ++j) {
           const float onehot = (static_cast<int>(j) == (*lab)[i]) ? 1.0f : 0.0f;
-          in->grad[i * c + j] += g * ((*probs)[i * c + j] - onehot);
+          in[i * c + j] += g * ((*probs)[i * c + j] - onehot);
         }
       }
     }
@@ -658,11 +669,11 @@ Tensor sort_pool_segments(const Tensor& a, std::size_t k,
     std::copy(order.begin(), order.begin() + keep, sel->begin() + b * k);
   }
   Tensor out = make_op({b_count * k, c}, {a}, [c, sel](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < sel->size(); ++i) {
         if ((*sel)[i] == kPadRow) continue;
         for (std::size_t j = 0; j < c; ++j) {
-          in->grad[(*sel)[i] * c + j] += self.grad[i * c + j];
+          in[(*sel)[i] * c + j] += self.grad[i * c + j];
         }
       }
     }
@@ -694,12 +705,12 @@ Tensor segment_cols_to_rows(const Tensor& x,
   auto st = std::make_shared<std::vector<std::uint32_t>>(starts);
   Tensor out = make_op({b_count, ch * width}, {x},
                        [ch, len, width, st](Node& self) {
-                         if (Node* in = grad_target(self, 0)) {
+                         if (float* in = grad_target(self, 0)) {
                            for (std::size_t b = 0; b < st->size(); ++b) {
                              const float* g =
                                  self.grad.data() + b * ch * width;
                              for (std::size_t c = 0; c < ch; ++c) {
-                               float* row = in->grad.data() + c * len +
+                               float* row = in + c * len +
                                             (*st)[b];
                                for (std::size_t j = 0; j < width; ++j) {
                                  row[j] += g[c * width + j];
@@ -767,14 +778,14 @@ Tensor conv1d_impl(const Tensor& x, const Tensor& w, const Tensor& b,
         const float* xv = self.inputs[0]->value.data();
         const float* wv = self.inputs[1]->value.data();
         const float* g = self.grad.data();
-        Node* ix = grad_target(self, 0);
-        Node* iw = grad_target(self, 1);
-        Node* ib = grad_target(self, 2);
+        float* ix = grad_target(self, 0);
+        float* iw = grad_target(self, 1);
+        float* ib = grad_target(self, 2);
         if (ib) {
           for (std::size_t o = 0; o < out_ch; ++o) {
             float acc = 0.0f;
             for (std::size_t t = 0; t < lout; ++t) acc += g[o * lout + t];
-            ib->grad[o] += acc;
+            ib[o] += acc;
           }
         }
         if (iw) {
@@ -783,7 +794,7 @@ Tensor conv1d_impl(const Tensor& x, const Tensor& w, const Tensor& b,
           std::vector<float> col_t(kdim * lout);
           conv1d_im2col(xv, col_t.data(), in_ch, len, ksize, stride, starts,
                         lseg);
-          tensor::gemm(g, col_t.data(), iw->grad.data(), out_ch, lout, kdim,
+          tensor::gemm(g, col_t.data(), iw, out_ch, lout, kdim,
                        false, true, true);
         }
         if (ix) {
@@ -795,7 +806,7 @@ Tensor conv1d_impl(const Tensor& x, const Tensor& w, const Tensor& b,
             for (std::size_t u = 0; u < ksize; ++u) {
               const float* src = dcol.data() + (ci * ksize + u) * lout;
               for (std::size_t s = 0; s < starts.size(); ++s) {
-                float* dst = ix->grad.data() + ci * len + starts[s] + u;
+                float* dst = ix + ci * len + starts[s] + u;
                 for (std::size_t t = 0; t < lseg; ++t) {
                   dst[t * stride] += src[s * lseg + t];
                 }
@@ -839,9 +850,9 @@ Tensor maxpool1d(const Tensor& x, std::size_t window) {
   const std::size_t lout = len / window;
   auto arg = std::make_shared<std::vector<std::uint32_t>>(c * lout);
   Tensor out = make_op({c, lout}, {x}, [c, lout, arg](Node& self) {
-    if (Node* in = grad_target(self, 0)) {
+    if (float* in = grad_target(self, 0)) {
       for (std::size_t i = 0; i < c * lout; ++i) {
-        in->grad[(*arg)[i]] += self.grad[i];
+        in[(*arg)[i]] += self.grad[i];
       }
     }
   });

@@ -2,7 +2,10 @@
 // place between graph constructions.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -14,35 +17,42 @@ class ByteWriter;
 
 namespace mvgnn::ag {
 
-/// Dense per-parameter gradient stash for data-parallel training
-/// (docs/parallelism.md). Each shard of a mini-batch captures its model
-/// replica's gradients into one accumulator; the per-shard accumulators are
-/// then combined with `tree_merge` in a fixed order and loaded back into
-/// the master parameters for one optimizer step. Keeping the buffers
-/// outside the Tensor graph means replicas can run backward concurrently
-/// without ever sharing a gradient buffer.
+/// Dense per-parameter gradient buffers for one shard of a data-parallel
+/// step (docs/parallelism.md). Every shard runs forward and backward on the
+/// shared master parameters. While a `ScopedGradSink` names this
+/// accumulator, backward adds each parameter's gradient into the buffer
+/// here instead of into the parameter's own gradient, so shards running
+/// concurrently never share a gradient buffer. The shards' buffers are then
+/// summed in `tree_merge` order, either by `tree_merge` or inside
+/// `Adam::step_merged`.
 class GradAccumulator {
  public:
-  GradAccumulator() = default;
-  /// Shapes the buffers like `params` (all zeros).
+  /// Shapes the buffers like `params` (all zeros) and keys buffer i to
+  /// `params[i]`'s node.
   explicit GradAccumulator(const std::vector<Tensor>& params);
 
-  /// Adds `scale * params[i].grad()` into buffer i. The shard scale is
-  /// `shard_rows / batch_rows`: each shard's loss means over its own rows,
-  /// so the weighted sum over shards reproduces the whole-batch mean.
-  void accumulate(const std::vector<Tensor>& params, float scale = 1.0f);
+  /// The buffer backward fills for `leaf`, or nullptr when `leaf` is not
+  /// one of the parameters this accumulator was shaped from.
+  [[nodiscard]] float* buffer_for(const detail::Node* leaf);
 
-  /// Elementwise merge: this += other. The reduction combiner.
-  void merge(const GradAccumulator& other);
+  /// Sets every buffer to zero.
+  void zero();
 
-  /// Copies the buffers into `params`' gradient storage (overwriting).
-  void store_to(const std::vector<Tensor>& params) const;
+  /// Multiplies every buffer by `s`. A shard's loss means over its own
+  /// rows, so the scale `shard_rows / batch_rows` makes the sum over the
+  /// shards the whole-batch mean gradient.
+  void scale(float s);
 
   [[nodiscard]] const std::vector<std::vector<float>>& grads() const {
     return g_;
   }
 
  private:
+  friend void tree_merge(std::span<GradAccumulator> shards);
+  friend class Adam;
+
+  /// (node, buffer index), sorted by node for buffer_for's binary search.
+  std::vector<std::pair<const detail::Node*, std::size_t>> index_;
   std::vector<std::vector<float>> g_;
 };
 
@@ -51,7 +61,27 @@ class GradAccumulator {
 /// shards.size() alone — never of how many threads produced them — so the
 /// floats that end up in shards[0] are bit-identical for every thread
 /// count, which is what keeps data-parallel training deterministic.
-void tree_merge(std::vector<GradAccumulator>& shards);
+void tree_merge(std::span<GradAccumulator> shards);
+
+/// Makes `sink` the calling thread's gradient sink until the guard is
+/// destroyed: backward then sends every parameter leaf that `sink` knows to
+/// `sink`'s buffer. Guards nest. Each one restores the sink it replaced,
+/// also when it is unwound by an exception, so a shard that runs on a
+/// thread already inside another sink's scope leaves that scope intact.
+class ScopedGradSink {
+ public:
+  explicit ScopedGradSink(GradAccumulator& sink) noexcept;
+  ~ScopedGradSink();
+  ScopedGradSink(const ScopedGradSink&) = delete;
+  ScopedGradSink& operator=(const ScopedGradSink&) = delete;
+
+ private:
+  GradAccumulator* prev_;
+};
+
+/// The sink the innermost live ScopedGradSink installed on this thread, or
+/// nullptr.
+[[nodiscard]] GradAccumulator* current_grad_sink() noexcept;
 
 class Optimizer {
  public:
@@ -82,11 +112,6 @@ class Optimizer {
     return GradAccumulator(params_);
   }
 
-  /// Loads an externally reduced gradient into the registered parameters'
-  /// gradient buffers; the next step() then applies it as if a single
-  /// backward pass had produced it.
-  void load_merged(const GradAccumulator& g) { g.store_to(params_); }
-
  protected:
   std::vector<Tensor> params_;
 };
@@ -113,6 +138,20 @@ class Adam final : public Optimizer {
   void step() override;
   void set_lr(float lr) override { lr_ = lr; }
 
+  /// One step whose gradient is the sum of `shards` (accumulators made by
+  /// make_accumulator()) in tree_merge order. The result is bit for bit
+  /// tree_merge, a copy of shards[0] into the gradients and step(), but it
+  /// runs as one pass: each fixed range of kMergedStepRange elements of a
+  /// parameter is summed over the shards and updated while it is in cache.
+  /// Up to `width` tasks on the global pool share the ranges; neither the
+  /// ranges nor `width` change a float. The shard buffers are left holding
+  /// partial sums, and the parameters' own gradients are not touched.
+  void step_merged(std::span<GradAccumulator> shards, std::size_t width);
+
+  /// Elements per range of step_merged. A constant, so the ranges depend on
+  /// the parameter sizes alone, never on the thread count.
+  static constexpr std::size_t kMergedStepRange = 1024;
+
   /// Serializes the step counter and the first/second-moment buffers so a
   /// checkpoint can restore the exact update trajectory. Layout: i64 t,
   /// u64 buffer count, then per buffer u64 numel followed by m and v floats.
@@ -127,6 +166,10 @@ class Adam final : public Optimizer {
   void load_state(std::istream& is);
 
  private:
+  /// Sizes the moments on first use and advances the step counter; returns
+  /// the bias corrections (1 - beta1^t, 1 - beta2^t).
+  std::pair<float, float> begin_step();
+
   float lr_, b1_, b2_, eps_, wd_;
   std::vector<std::vector<float>> m_, v_;
   long t_ = 0;
