@@ -11,7 +11,8 @@
 // work: 1.0 means the shards only moved between cores. Unlike the speedup
 // it needs no free cores, so it is the key a CI gate can hold on any box.
 //
-// Results go to stdout and, machine-readable, to BENCH_data_parallel.json.
+// Results go to stdout and, machine-readable, to BENCH_data_parallel.json
+// (`--out <path>` writes the snapshot elsewhere).
 // On a box with fewer than 4 hardware threads the speedup target is
 // physically unreachable (the shard workers time-slice one core); the
 // bench says so and exits 0 on the identity checks alone.
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "bench/common.hpp"
@@ -52,7 +54,16 @@ struct RunResult {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string out = "BENCH_data_parallel.json";
+  for (int a = 1; a < argc; ++a) {
+    if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
+      out = argv[++a];
+    } else {
+      std::fprintf(stderr, "usage: abl_data_parallel [--out path]\n");
+      return 2;
+    }
+  }
   const auto ex = bench::build_experiment(/*generated_loops=*/200);
   const auto norm = core::Normalizer::fit(ex.ds, ex.train);
   core::Featurizer feats(ex.ds, norm);
@@ -147,9 +158,7 @@ int main() {
   // A ratio of two CPU times on one box: it does not swing with free cores
   // or runner speed, so CI gates it.
   report.metric("cpu_overhead_t4", cpu_overhead, obs::MetricGoal::Lower, "x");
-  if (report.write("BENCH_data_parallel.json")) {
-    std::printf("wrote BENCH_data_parallel.json\n");
-  }
+  if (report.write(out)) std::printf("wrote %s\n", out.c_str());
 
   if (!identical) return 1;
   return (speedup >= 2.0 || cores < 4) ? 0 : 1;

@@ -105,6 +105,9 @@ class SplitObserver {
   void on_instr(const ir::Function& fn, ir::InstrId id) {
     if (set_ & kCounting) rec_.on_instr(fn, id);
   }
+  void on_block_end(const ir::Function& fn, ir::InstrId id) {
+    if (set_ & kCounting) rec_.on_block_end(fn, id);
+  }
   void on_load(const ir::Function& fn, ir::InstrId id,
                profiler::Addr addr) {
     if (set_ & kAccesses) rec_.on_load(fn, id, addr);

@@ -21,8 +21,10 @@ bool instr_in_loop(const ir::Function& fn, ir::InstrId id, ir::LoopId l) {
 
 DepRecorder::DepRecorder(const ObjectTable& objects)
     : objects_(objects),
-      nodes_{Node{0, 0, kNoSlot, 0}},  // context 0: outside every loop
-      blocks_(1) {}                    // block 0: chain terminator
+      nodes_{Node{0, 0}},            // context 0: outside every loop
+      insts_{Instance{kNoSlot, 0}},  // instance 0: the root's
+      blocks_(1),                    // block 0: chain terminator
+      edges_(1) {}                   // edge 0: no edge
 
 void DepRecorder::enter_function(const ir::Function& fn) {
   const auto [it, fresh] = fns_.try_emplace(
@@ -36,7 +38,7 @@ void DepRecorder::enter_function(const ir::Function& fn) {
       loops_.push_back({&fn, l});
     }
     counts_.resize(sites_.size(), 0);
-    by_sink_.resize(sites_.size());
+    sinks_.resize(sites_.size(), 0);
     loop_rt_.resize(loops_.size(), nullptr);
   }
   last_fn_ = &fn;
@@ -60,8 +62,11 @@ DepRecorder::NodeId DepRecorder::intern_context() {
       throw std::length_error("dependence recorder: loop context overflow");
     }
     Frame& f = stack_[k];
-    nodes_.push_back({f.instance, parent, f.loop,
-                      static_cast<std::uint32_t>(k + 1)});
+    if (f.inst == kNoInst) {
+      f.inst = static_cast<InstId>(insts_.size());
+      insts_.push_back({f.loop, static_cast<std::uint32_t>(k + 1)});
+    }
+    nodes_.push_back({parent, f.inst});
     parent = f.node = static_cast<NodeId>(nodes_.size() - 1);
   }
   return cur_node_ = parent;
@@ -73,7 +78,9 @@ void DepRecorder::add_chunk(std::size_t chunk) {
 }
 
 void DepRecorder::add_reader(Cell& c, Site site, NodeId node) {
-  for (std::uint32_t b = c.more; b != 0; b = blocks_[b].next) {
+  std::uint32_t b = c.more;
+  std::uint32_t last = 0;
+  for (; b != 0; last = b, b = blocks_[b].next) {
     ReaderBlock& blk = blocks_[b];
     for (std::uint32_t i = 0; i < blk.n; ++i) {
       if (blk.site[i] == site) {
@@ -81,48 +88,47 @@ void DepRecorder::add_reader(Cell& c, Site site, NodeId node) {
         return;
       }
     }
+    if (blk.n < kBlockReaders) break;  // the chain's readers end here
   }
-  // Append to the chain's head block, or open a new head when it is full.
-  if (c.more == 0 || blocks_[c.more].n == kBlockReaders) {
-    std::uint32_t b = free_block_;
-    if (b != 0) {
-      free_block_ = blocks_[b].next;
-    } else {
-      b = static_cast<std::uint32_t>(blocks_.size());
-      blocks_.emplace_back();
-    }
-    blocks_[b].n = 0;
-    blocks_[b].next = c.more;
-    c.more = b;
+  if (b == 0) {  // every block is full: link a new one at the end
+    b = static_cast<std::uint32_t>(blocks_.size());
+    blocks_.emplace_back();
+    (last == 0 ? c.more : blocks_[last].next) = b;
   }
-  ReaderBlock& head = blocks_[c.more];
-  head.site[head.n] = site;
-  head.node[head.n] = node;
-  ++head.n;
+  ReaderBlock& blk = blocks_[b];
+  blk.site[blk.n] = site;
+  blk.node[blk.n] = node;
+  ++blk.n;
 }
 
-void DepRecorder::flush_readers(Cell& c, Site site, NodeId node,
-                                std::uint32_t obj) {
-  std::uint32_t b = c.more;
-  for (;;) {
-    const ReaderBlock& blk = blocks_[b];
+std::uint32_t DepRecorder::flush_readers(const Cell& c, std::uint32_t last,
+                                         Site site, NodeId node,
+                                         std::uint32_t obj) {
+  for (std::uint32_t b = c.more; b != 0; b = blocks_[b].next) {
+    ReaderBlock& blk = blocks_[b];
+    if (blk.n == 0) break;
     for (std::uint32_t i = 0; i < blk.n; ++i) {
-      record(blk.site[i], blk.node[i], site, node, DepType::WAR, obj);
+      last = edge(last, edges_[last].next, blk.site[i], site, DepType::WAR);
+      count(last, blk.node[i], node, DepType::WAR, obj);
     }
-    if (blk.next == 0) break;
-    b = blk.next;
+    blk.n = 0;
   }
-  blocks_[b].next = free_block_;  // splice the chain onto the free chain
-  free_block_ = c.more;
-  c.more = 0;
+  return last;
 }
 
-DepRecorder::EdgeStat& DepRecorder::add_edge(SinkEdges& sink, Site src,
-                                             DepType type) {
-  sink.hint = static_cast<std::uint32_t>(sink.edges.size() + 1);
-  EdgeStat& e = sink.edges.emplace_back();
-  e.src = src;
-  e.type = type;
+std::uint32_t DepRecorder::add_edge(std::uint32_t last, Site src, Site dst,
+                                    DepType type) {
+  const auto e = static_cast<std::uint32_t>(edges_.size());
+  EdgeStat& stat = edges_.emplace_back();
+  stat.src = src;
+  stat.type = type;
+  stat.dst = dst;
+  if (last == 0) {
+    stat.next = e;  // a ring of one
+  } else {
+    stat.next = edges_[last].next;
+    edges_[last].next = e;
+  }
   return e;
 }
 
@@ -133,25 +139,29 @@ std::uint32_t DepRecorder::carrier_walk(NodeId a, NodeId b) const {
   // where the two chains, levelled to the shallower depth, first meet.
   const Node* x = &nodes_[a];
   const Node* y = &nodes_[b];
-  while (x->depth > y->depth) x = &nodes_[x->parent];
-  while (y->depth > x->depth) y = &nodes_[y->parent];
+  std::uint32_t dx = insts_[x->inst].depth;
+  std::uint32_t dy = insts_[y->inst].depth;
+  for (; dx > dy; --dx) x = &nodes_[x->parent];
+  for (; dy > dx; --dy) y = &nodes_[y->parent];
   if (x == y) return kNoSlot;
   while (x->parent != y->parent) {
     x = &nodes_[x->parent];
     y = &nodes_[y->parent];
   }
-  return x->instance == y->instance ? x->loop : kNoSlot;
+  return x->inst == y->inst ? insts_[x->inst].loop : kNoSlot;
 }
 
-void DepRecorder::record_carried(EdgeStat& stat, std::uint32_t loop, Site src,
-                                 Site dst, DepType type, std::uint32_t obj) {
-  auto ct = std::find_if(stat.carried.begin(), stat.carried.end(),
-                         [&](const Carried& c) { return c.loop == loop; });
-  if (ct == stat.carried.end()) {
-    stat.carried.push_back({loop});
-    ct = stat.carried.end() - 1;
+void DepRecorder::record_carried(EdgeStat& stat, std::uint32_t loop,
+                                 DepType type, std::uint32_t obj) {
+  Carried* ct = &stat.first;
+  if (ct->loop != kNoSlot && ct->loop != loop) {
+    const auto it =
+        std::find_if(stat.more.begin(), stat.more.end(),
+                     [&](const Carried& c) { return c.loop == loop; });
+    ct = it != stat.more.end() ? &*it : &stat.more.emplace_back();
   }
   Carried& carried = *ct;
+  carried.loop = loop;
   ++carried.count;
   if (carried.summary != nullptr && carried.obj == obj) return;
 
@@ -161,7 +171,7 @@ void DepRecorder::record_carried(EdgeStat& stat, std::uint32_t loop, Site src,
   switch (type) {
     case DepType::RAW: {
       sum.carried_raw = true;
-      const auto pair = std::make_pair(sites_[src], sites_[dst]);
+      const auto pair = std::make_pair(sites_[stat.src], sites_[stat.dst]);
       if (std::find(sum.carried_raw_pairs.begin(), sum.carried_raw_pairs.end(),
                     pair) == sum.carried_raw_pairs.end()) {
         sum.carried_raw_pairs.push_back(pair);
@@ -175,24 +185,25 @@ void DepRecorder::record_carried(EdgeStat& stat, std::uint32_t loop, Site src,
 
 DepProfile DepRecorder::finalize() const {
   DepProfile p;
-  std::size_t n_edges = 0;
-  for (const SinkEdges& sink : by_sink_) n_edges += sink.edges.size();
-  p.edges.reserve(n_edges);  // profiles are cached: keep them tight
-  for (Site dst = 0; dst < by_sink_.size(); ++dst) {
-    for (const EdgeStat& stat : by_sink_[dst].edges) {
-      DepEdge e;
-      e.src = sites_[stat.src];
-      e.dst = sites_[dst];
-      e.type = stat.type;
-      e.total_count = stat.total;
-      e.intra_count = stat.intra;
-      e.object = stat.object;
-      e.carried.reserve(stat.carried.size());
-      for (const Carried& c : stat.carried) {
+  p.edges.reserve(edges_.size() - 1);  // profiles are cached: keep them tight
+  for (auto stat = edges_.begin() + 1; stat != edges_.end(); ++stat) {
+    DepEdge e;
+    e.src = sites_[stat->src];
+    e.dst = sites_[stat->dst];
+    e.type = stat->type;
+    e.intra_count = stat->intra;
+    e.total_count = stat->intra;
+    e.object = stat->object;
+    if (stat->first.loop != kNoSlot) {
+      e.carried.reserve(1 + stat->more.size());
+      e.carried.emplace_back(loops_[stat->first.loop], stat->first.count);
+      e.total_count += stat->first.count;
+      for (const Carried& c : stat->more) {
         e.carried.emplace_back(loops_[c.loop], c.count);
+        e.total_count += c.count;
       }
-      p.edges.push_back(std::move(e));
     }
+    p.edges.push_back(std::move(e));
   }
   // Deterministic order: by function pointer is unstable across runs of the
   // process, but (function name, id) is stable — sort on that.
@@ -211,12 +222,22 @@ DepProfile DepRecorder::finalize() const {
     rt.iterations -= std::min(rt.iterations, rt.instances);
   }
   p.loop_objects = loop_objects_;
-  // A function gets a count vector once it executed an instruction.
+  // counts_ holds how often each terminator ran. Every instruction of a
+  // block ran as often as the first terminator at or after it: a run that
+  // faults mid-block throws, and its recorder is discarded. A function gets
+  // a count vector once it executed an instruction.
   for (const auto& [fn, ids] : fns_) {
-    const auto first = counts_.begin() + ids.site_base;
-    const auto last = first + static_cast<std::ptrdiff_t>(fn->instrs.size());
-    if (std::any_of(first, last, [](std::uint64_t n) { return n != 0; })) {
-      p.instr_counts.emplace(fn, std::vector<std::uint64_t>(first, last));
+    std::vector<std::uint64_t> counts(fn->instrs.size(), 0);
+    for (const ir::BasicBlock& bb : fn->blocks) {
+      std::uint64_t n = 0;
+      for (auto id = bb.instrs.rbegin(); id != bb.instrs.rend(); ++id) {
+        if (fn->instr(*id).is_terminator()) n = counts_[ids.site_base + *id];
+        counts[*id] = n;
+      }
+    }
+    if (std::any_of(counts.begin(), counts.end(),
+                    [](std::uint64_t n) { return n != 0; })) {
+      p.instr_counts.emplace(fn, std::move(counts));
     }
   }
   return p;

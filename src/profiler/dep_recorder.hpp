@@ -13,9 +13,11 @@
 //  * shadow memory is a two-level table of fixed-size chunks indexed by
 //    address — ObjectTable addresses are dense and monotonic — whose 24-byte
 //    cells cache their object id and hold the first reader inline;
-//  * loop contexts are interned as a tree of (instance, iteration) nodes,
-//    and each access stores one node id;
-//  * aggregated edges live in per-sink lists keyed by (source, type).
+//  * loop contexts are interned as a tree of 8-byte (instance, iteration)
+//    nodes, and each access stores one node id;
+//  * aggregated edges live in one flat pool, each sink's edges on a ring
+//    that the sink's cursor enters at its last hit;
+//  * instructions are counted once per executed block, at its terminator.
 #pragma once
 
 #include <cassert>
@@ -37,8 +39,10 @@ class DepRecorder final {
 
   // The ExecObserver hooks. They are defined below the class so that
   // Engine<DepRecorder> inlines them into its dispatch loop; only their rare
-  // slow paths are calls into dep_recorder.cpp.
-  void on_instr(const ir::Function& fn, ir::InstrId id);
+  // slow paths are calls into dep_recorder.cpp. Instructions are counted
+  // per block in on_block_end; on_instr does nothing.
+  void on_instr(const ir::Function&, ir::InstrId) {}
+  void on_block_end(const ir::Function& fn, ir::InstrId terminator);
   void on_load(const ir::Function& fn, ir::InstrId id, Addr addr);
   void on_store(const ir::Function& fn, ir::InstrId id, Addr addr);
   void on_loop_enter(const ir::Function& fn, ir::LoopId loop);
@@ -55,20 +59,27 @@ class DepRecorder final {
   static constexpr NodeId kNoNode = static_cast<NodeId>(-1);
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
-  /// One loop context: one iteration of dynamic instance `instance` of loop
-  /// slot `loop`, nested in context `parent`; `depth` counts its frames.
-  /// Instances are numbered from 1, so no loop context shares the root's
-  /// instance 0.
+  using InstId = std::uint32_t;  // dynamic loop instance; 0 = the root's
+  static constexpr InstId kNoInst = static_cast<InstId>(-1);
+
+  /// One loop context: one iteration of loop instance `inst`, nested in
+  /// context `parent`. The root, context 0, is its own parent and the only
+  /// context of instance 0.
   struct Node {
-    std::uint64_t instance;
     NodeId parent;
+    InstId inst;
+  };
+
+  /// One dynamic loop instance that had an access: its loop slot, and the
+  /// number of frames down to it (the depth of its contexts).
+  struct Instance {
     std::uint32_t loop;
     std::uint32_t depth;
   };
 
   struct Frame {
-    std::uint64_t instance;
     std::uint32_t loop;    // loop slot
+    InstId inst;           // kNoInst until the instance's first context
     NodeId node;           // current iteration's context; kNoNode until used
     LoopRuntime* runtime;  // this loop's entry in loop_runtime_
   };
@@ -85,42 +96,42 @@ class DepRecorder final {
   };
   static constexpr unsigned kChunkBits = 10;
 
-  /// Further readers of one cell, in pooled 64-byte blocks chained through
-  /// `next`: a cell's chain holds its readers, newest block first; the free
-  /// blocks form one more chain. Block 0 is the null sentinel.
-  static constexpr std::uint32_t kBlockReaders = 7;
+  /// Further readers of one cell, in 32-byte blocks chained through
+  /// `next` and filled in chain order. A store empties the blocks but
+  /// leaves the chain on the cell, so a cell that several sites read
+  /// between its writes (a loop's induction variable) allocates its blocks
+  /// once, not once per write. Block 0 is the null sentinel.
+  static constexpr std::uint32_t kBlockReaders = 3;
   struct ReaderBlock {
     std::uint32_t n;     // used entries
     std::uint32_t next;  // next block of the chain, 0 = none
     Site site[kBlockReaders];
     NodeId node[kBlockReaders];
   };
+  static_assert(sizeof(ReaderBlock) == 32);
 
   struct Carried {
-    std::uint32_t loop;  // loop slot
-    std::uint64_t count = 0;
+    std::uint32_t loop = kNoSlot;  // loop slot; kNoSlot = unused
     // Summary of (loop, object) for the object last seen on this entry, so
     // loop_objects_ is consulted once per change of object, not per event.
     std::uint32_t obj = 0;
     ObjLoopSummary* summary = nullptr;
+    std::uint64_t count = 0;
   };
 
-  /// Aggregate of one (src, sink, type) edge, stored in its sink's list.
+  /// Aggregate of one (src, dst, type) edge in the flat pool edges_. The
+  /// edges of one sink form a ring through `next`. The first carrying loop
+  /// sits inline; `total` is intra plus the carried counts, summed by
+  /// finalize.
   struct EdgeStat {
     Site src = 0;
     DepType type = DepType::RAW;
+    std::uint32_t next = 0;  // next edge of the same sink
+    Site dst = 0;
     std::uint32_t object = 0;
-    std::uint64_t total = 0;
     std::uint64_t intra = 0;
-    std::vector<Carried> carried;
-  };
-
-  /// The edges of one sink site. Lookups start at `hint`, the entry after
-  /// the last hit: a store meets its reader sites in the same order every
-  /// iteration, so each lookup of its WAR flush hits at once.
-  struct SinkEdges {
-    std::vector<EdgeStat> edges;
-    std::uint32_t hint = 0;
+    Carried first;
+    std::vector<Carried> more;  // further carrying loops, in first-seen order
   };
 
   /// Where one function's sites and loop slots start.
@@ -149,8 +160,10 @@ class DepRecorder final {
     return c;
   }
   std::uint32_t carrier(NodeId a, NodeId b) const;
-  void record(Site src, NodeId src_node, Site dst, NodeId dst_node,
-              DepType type, std::uint32_t obj);
+  std::uint32_t edge(std::uint32_t last, std::uint32_t from, Site src,
+                     Site dst, DepType type);
+  void count(std::uint32_t e, NodeId src_node, NodeId dst_node,
+             DepType type, std::uint32_t obj);
 
   // Slow paths, out of line in dep_recorder.cpp.
   void enter_function(const ir::Function& fn);
@@ -158,11 +171,13 @@ class DepRecorder final {
   NodeId intern_context();
   void add_chunk(std::size_t chunk);
   void add_reader(Cell& c, Site site, NodeId node);
-  void flush_readers(Cell& c, Site site, NodeId node, std::uint32_t obj);
-  EdgeStat& add_edge(SinkEdges& sink, Site src, DepType type);
+  std::uint32_t flush_readers(const Cell& c, std::uint32_t last, Site site,
+                              NodeId node, std::uint32_t obj);
+  std::uint32_t add_edge(std::uint32_t last, Site src, Site dst,
+                         DepType type);
   std::uint32_t carrier_walk(NodeId a, NodeId b) const;
-  void record_carried(EdgeStat& stat, std::uint32_t loop, Site src, Site dst,
-                      DepType type, std::uint32_t obj);
+  void record_carried(EdgeStat& stat, std::uint32_t loop, DepType type,
+                      std::uint32_t obj);
 
   const ObjectTable& objects_;
 
@@ -176,15 +191,18 @@ class DepRecorder final {
 
   std::vector<Frame> stack_;
   std::vector<Node> nodes_;
+  std::vector<Instance> insts_;
   NodeId cur_node_ = 0;
-  std::uint64_t next_instance_ = 1;
+  // First context of the current outermost loop instance: an older source
+  // context lies outside it, so no loop carries its dependence.
+  NodeId outer_base_ = 0;
 
   std::vector<std::unique_ptr<Cell[]>> chunks_;
   std::vector<ReaderBlock> blocks_;
-  std::uint32_t free_block_ = 0;
 
-  std::vector<SinkEdges> by_sink_;     // indexed by sink site
-  std::vector<std::uint64_t> counts_;  // indexed by site
+  std::vector<EdgeStat> edges_;        // edges_[0] is the null sentinel
+  std::vector<std::uint32_t> sinks_;   // per sink site: edge of its last hit
+  std::vector<std::uint64_t> counts_;  // per site: runs of its terminator
   std::vector<LoopRuntime*> loop_rt_;  // indexed by loop slot
   std::unordered_map<LoopRef, LoopRuntime, LoopRefHash> loop_runtime_;
   std::unordered_map<LoopRef, std::unordered_map<std::uint32_t, ObjLoopSummary>,
@@ -194,12 +212,13 @@ class DepRecorder final {
 
 // ---- the per-event fast paths -------------------------------------------
 //
-// on_load, on_store, on_loop_enter and record() are always_inline: left to
-// its heuristics, GCC keeps them as calls out of the engine's large
+// on_load, on_store, on_loop_enter, edge() and count() are always_inline:
+// left to its heuristics, GCC keeps them as calls out of the engine's large
 // dispatch function.
 
-inline void DepRecorder::on_instr(const ir::Function& fn, ir::InstrId id) {
-  ++counts_[site_of(fn, id)];
+inline void DepRecorder::on_block_end(const ir::Function& fn,
+                                      ir::InstrId terminator) {
+  ++counts_[site_of(fn, terminator)];
 }
 
 [[gnu::always_inline]] inline void DepRecorder::on_loop_enter(
@@ -208,7 +227,8 @@ inline void DepRecorder::on_instr(const ir::Function& fn, ir::InstrId id) {
   LoopRuntime* rt = loop_rt_[slot];
   if (rt == nullptr) rt = add_loop_runtime(slot);
   ++rt->instances;
-  stack_.push_back({next_instance_++, slot, kNoNode, rt});
+  if (stack_.empty()) outer_base_ = static_cast<NodeId>(nodes_.size());
+  stack_.push_back({slot, kNoInst, kNoNode, rt});
   cur_node_ = kNoNode;
 }
 
@@ -240,12 +260,32 @@ inline void DepRecorder::on_loop_exit(const ir::Function& fn,
   const NodeId node = context();
   Cell& c = cell(addr);
   if (c.write != 0) {
-    record(c.write - 1, c.write_node, site, node, DepType::RAW, c.obj - 1);
+    // A load site meets the same writer again and again: search from the
+    // last hit itself.
+    std::uint32_t& last = sinks_[site];
+    last = edge(last, last, c.write - 1, site, DepType::RAW);
+    count(last, c.write_node, node, DepType::RAW, c.obj - 1);
   }
   if (c.read == 0 || c.read == site + 1) {
     c.read = site + 1;
     c.read_node = node;
     return;
+  }
+  // A chain whose first block has room holds all its readers there.
+  if (c.more != 0) {
+    ReaderBlock& blk = blocks_[c.more];
+    if (blk.n < kBlockReaders) {
+      for (std::uint32_t i = 0; i < blk.n; ++i) {
+        if (blk.site[i] == site) {
+          blk.node[i] = node;
+          return;
+        }
+      }
+      blk.site[blk.n] = site;
+      blk.node[blk.n] = node;
+      ++blk.n;
+      return;
+    }
   }
   add_reader(c, site, node);
 }
@@ -256,67 +296,78 @@ inline void DepRecorder::on_loop_exit(const ir::Function& fn,
   const NodeId node = context();
   Cell& c = cell(addr);
   const std::uint32_t obj = c.obj - 1;
+  // One cursor serves the WAW, the inline WAR and the flushed readers. A
+  // store meets its sources in the same order every time, so each search
+  // starts at the edge after the previous hit.
+  std::uint32_t last = sinks_[site];
   if (c.write != 0) {
-    record(c.write - 1, c.write_node, site, node, DepType::WAW, obj);
+    last = edge(last, edges_[last].next, c.write - 1, site, DepType::WAW);
+    count(last, c.write_node, node, DepType::WAW, obj);
   }
   if (c.read != 0) {
-    record(c.read - 1, c.read_node, site, node, DepType::WAR, obj);
-    if (c.more != 0) flush_readers(c, site, node, obj);
+    last = edge(last, edges_[last].next, c.read - 1, site, DepType::WAR);
+    count(last, c.read_node, node, DepType::WAR, obj);
+    if (c.more != 0) last = flush_readers(c, last, site, node, obj);
     c.read = 0;
   }
+  sinks_[site] = last;
   c.write = site + 1;
   c.write_node = node;
 }
 
 inline std::uint32_t DepRecorder::carrier(NodeId a, NodeId b) const {
   // Carrying loop: outermost common instance whose iterations diverge.
-  // Equal contexts are iteration-local. Siblings (one parent, one depth)
-  // diverge right below that parent: the same instance means different
-  // iterations of it. The depth check keeps the root (parent 0, depth 0)
-  // out of the shortcut: a top-level context also has parent 0. Anything
-  // else takes the walk.
-  if (a == b) return kNoSlot;
+  // Equal contexts are iteration-local. Siblings (one parent) diverge right
+  // below that parent: the same instance means different iterations of
+  // it, different instances mean unrelated loop executions. That includes
+  // the root, which shares parent 0 with every top-level context but no
+  // instance. Anything else takes the walk.
+  if (a == b || a < outer_base_) return kNoSlot;
   const Node& x = nodes_[a];
   const Node& y = nodes_[b];
-  if (x.parent == y.parent && x.depth == y.depth) {
-    return x.instance == y.instance ? x.loop : kNoSlot;
+  if (x.parent == y.parent) {
+    return x.inst == y.inst ? insts_[x.inst].loop : kNoSlot;
   }
   return carrier_walk(a, b);
 }
 
-[[gnu::always_inline]] inline void DepRecorder::record(
-    Site src, NodeId src_node, Site dst, NodeId dst_node, DepType type,
-    std::uint32_t obj) {
-  SinkEdges& sink = by_sink_[dst];
-  const std::size_t n = sink.edges.size();
-  EdgeStat* stat = nullptr;
-  for (std::size_t k = 0, i = sink.hint < n ? sink.hint : 0; k < n; ++k) {
-    EdgeStat& e = sink.edges[i];
-    if (e.src == src && e.type == type) {
-      sink.hint = static_cast<std::uint32_t>(i + 1);
-      stat = &e;
-      break;
-    }
-    if (++i == n) i = 0;
+/// The (src, type) edge on the ring of sink `dst`, searched from `from`
+/// round the ring; `last` is the sink's cursor, after which a new edge is
+/// linked in (0: the sink has no edge yet).
+[[gnu::always_inline]] inline std::uint32_t DepRecorder::edge(
+    std::uint32_t last, std::uint32_t from, Site src, Site dst,
+    DepType type) {
+  if (from != 0) {
+    std::uint32_t e = from;
+    do {
+      const EdgeStat& stat = edges_[e];
+      if (stat.src == src && stat.type == type) return e;
+      e = stat.next;
+    } while (e != from);
   }
-  if (stat == nullptr) stat = &add_edge(sink, src, type);
-  ++stat->total;
-  stat->object = obj;
+  return add_edge(last, src, dst, type);
+}
+
+/// Counts one dynamic dependence on edge `e`.
+[[gnu::always_inline]] inline void DepRecorder::count(std::uint32_t e,
+                                                      NodeId src_node,
+                                                      NodeId dst_node,
+                                                      DepType type,
+                                                      std::uint32_t obj) {
+  EdgeStat& stat = edges_[e];
+  stat.object = obj;
   const std::uint32_t loop = carrier(src_node, dst_node);
   if (loop == kNoSlot) {
-    ++stat->intra;
+    ++stat.intra;
     return;
   }
   // Fast path: the edge's first carrying loop, already summarized for this
   // object.
-  if (!stat->carried.empty()) {
-    Carried& first = stat->carried.front();
-    if (first.loop == loop && first.summary != nullptr && first.obj == obj) {
-      ++first.count;
-      return;
-    }
+  if (stat.first.loop == loop && stat.first.obj == obj) {
+    ++stat.first.count;
+    return;
   }
-  record_carried(*stat, loop, src, dst, type, obj);
+  record_carried(stat, loop, type, obj);
 }
 
 // The recorder stays a concrete type without a vtable: an overridable hook

@@ -111,6 +111,43 @@ inline void reduce_into(Cell& a, const Cell& b, ParReduceOp op,
   }
 }
 
+/// Folds the shards' partials of `n` reduction cells into `dst`. Each cell
+/// merges its kParShards partials in the stride-doubling tree order (the
+/// ag::tree_merge order), then folds the result into the shared cell; the
+/// operator is fixed per call, so the loop carries no switch.
+template <ParReduceOp kOp, bool kFloat>
+void merge_partials(Cell* dst, const Cell* const* parts, std::uint64_t n) {
+  for (std::uint64_t j = 0; j < n; ++j) {
+    Cell t[kParShards];
+    for (std::uint32_t s = 0; s < kParShards; ++s) t[s] = parts[s][j];
+    for (std::uint32_t stride = 1; stride < kParShards; stride *= 2) {
+      for (std::uint32_t i = 0; i + stride < kParShards; i += 2 * stride) {
+        reduce_into(t[i], t[i + stride], kOp, kFloat);
+      }
+    }
+    reduce_into(dst[j], t[0], kOp, kFloat);
+  }
+}
+
+inline void merge_partials(Cell* dst, const Cell* const* parts,
+                           std::uint64_t n, ParReduceOp op, bool is_float) {
+  switch (op) {
+    case ParReduceOp::Sum:
+      return is_float ? merge_partials<ParReduceOp::Sum, true>(dst, parts, n)
+                      : merge_partials<ParReduceOp::Sum, false>(dst, parts, n);
+    case ParReduceOp::Product:
+      return is_float
+                 ? merge_partials<ParReduceOp::Product, true>(dst, parts, n)
+                 : merge_partials<ParReduceOp::Product, false>(dst, parts, n);
+    case ParReduceOp::Min:
+      return is_float ? merge_partials<ParReduceOp::Min, true>(dst, parts, n)
+                      : merge_partials<ParReduceOp::Min, false>(dst, parts, n);
+    case ParReduceOp::Max:
+      return is_float ? merge_partials<ParReduceOp::Max, true>(dst, parts, n)
+                      : merge_partials<ParReduceOp::Max, false>(dst, parts, n);
+  }
+}
+
 // ---- pre-decoded program form --------------------------------------------
 //
 // The engine never executes ir::Instruction directly: each function is
@@ -192,6 +229,7 @@ struct DecodedModule {
 /// Observer policy of unobserved runs: every hook inlines to nothing.
 struct NoHooks {
   void on_instr(const Function&, InstrId) {}
+  void on_block_end(const Function&, InstrId) {}
   void on_load(const Function&, InstrId, Addr) {}
   void on_store(const Function&, InstrId, Addr) {}
   void on_loop_enter(const Function&, LoopId) {}
@@ -226,7 +264,7 @@ struct RedRange {
   std::uint64_t size = 0;
   ParReduceOp op = ParReduceOp::Sum;
   bool is_float = false;
-  std::vector<Cell> cells;  // identity-initialized partial
+  std::vector<Cell> cells;  // the shard's partial, starting at the identity
 };
 
 struct ShardCtx {
@@ -617,7 +655,6 @@ class Engine {
       rr.size = a.size;
       rr.op = r.op;
       rr.is_float = r.is_float;
-      rr.cells.assign(a.size, reduce_identity(r.op));
       red_range_init.push_back(std::move(rr));
     }
     std::vector<PrivRange> priv_range_init;
@@ -647,6 +684,12 @@ class Engine {
       }
       ctx->reds = red_init;
       ctx->red_ranges = red_range_init;
+      // Partials are filled here, on the calling thread: filled by the pool
+      // workers they would come from the workers' malloc arenas, which the
+      // caller's later allocations cannot reuse.
+      for (RedRange& r : ctx->red_ranges) {
+        r.cells.assign(r.size, reduce_identity(r.op));
+      }
       ctx->priv_ranges = priv_range_init;
       ctx->overlay = ctx->priv.size() + ctx->reds.size() +
                      ctx->red_ranges.size() + ctx->priv_ranges.size();
@@ -693,31 +736,20 @@ class Engine {
       }
     }
 
-    // Reductions: stride-doubling tree merge across shard partials (the
-    // ag::tree_merge order), then one fold into the shared cell.
-    auto merge_into = [&](Cell& dst, auto&& partial, ParReduceOp op,
-                          bool isf) {
-      Cell parts[kParShards];
-      for (std::uint32_t s = 0; s < S; ++s) parts[s] = partial(*shards[s]);
-      for (std::uint32_t stride = 1; stride < S; stride *= 2) {
-        for (std::uint32_t i = 0; i + stride < S; i += 2 * stride) {
-          reduce_into(parts[i], parts[i + stride], op, isf);
-        }
-      }
-      reduce_into(dst, parts[0], op, isf);
-    };
+    // Reductions: every cell merges its shard partials in one fixed tree.
+    const Cell* parts[kParShards];
     for (std::size_t r = 0; r < red_init.size(); ++r) {
-      merge_into((*mem_)[red_init[r].addr],
-                 [&](const ShardCtx& c) { return c.reds[r].acc; },
-                 red_init[r].op, red_init[r].is_float);
+      for (std::uint32_t s = 0; s < S; ++s) parts[s] = &shards[s]->reds[r].acc;
+      merge_partials(mem_->data() + red_init[r].addr, parts, 1,
+                     red_init[r].op, red_init[r].is_float);
     }
     for (std::size_t r = 0; r < red_range_init.size(); ++r) {
-      const RedRange& proto = red_range_init[r];
-      for (std::uint64_t j = 0; j < proto.size; ++j) {
-        merge_into((*mem_)[proto.base + j],
-                   [&](const ShardCtx& c) { return c.red_ranges[r].cells[j]; },
-                   proto.op, proto.is_float);
+      for (std::uint32_t s = 0; s < S; ++s) {
+        parts[s] = shards[s]->red_ranges[r].cells.data();
       }
+      const RedRange& proto = red_range_init[r];
+      merge_partials(mem_->data() + proto.base, parts, proto.size, proto.op,
+                     proto.is_float);
     }
 
     // The induction variable ends where the sequential loop left it.
@@ -802,9 +834,10 @@ class Engine {
       }
       return arr.base + static_cast<Addr>(idx);
     };
-    // Typed memory access at a resolved address, reported before its effect.
+    // Typed memory access at a resolved address. The dispatch loop reports
+    // the access to the observer before its effect, outside these lambdas:
+    // with the recorder's hooks inside, GCC keeps them as calls.
     auto load = [&](RtVal& out, const MicroOp& mop, Addr a) {
-      obs_.on_load(fn, mop.id, a);
       const Cell& c = cell<false>(a);
       if (mop.type == TypeKind::Float) {
         out.kind = RtVal::Kind::Float;
@@ -814,8 +847,7 @@ class Engine {
         out.i = c.i;
       }
     };
-    auto store = [&](const MicroOp& mop, Addr a, std::uint32_t v) {
-      obs_.on_store(fn, mop.id, a);
+    auto store = [&](Addr a, std::uint32_t v) {
       Cell& c = cell<true>(a);
       if (val_is_float(v)) {
         c.f = as_float(v);
@@ -908,19 +940,42 @@ class Engine {
                          ObjKind::ArrayLocal);
           break;
         }
-        case Opcode::Load: load(out, mop, slot_base(mop.ops[0])); break;
-        case Opcode::Store: store(mop, slot_base(mop.ops[0]), mop.ops[1]); break;
-        case Opcode::LoadIdx: load(out, mop, element(mop)); break;
-        case Opcode::StoreIdx: store(mop, element(mop), mop.ops[2]); break;
+        case Opcode::Load: {
+          const Addr a = slot_base(mop.ops[0]);
+          obs_.on_load(fn, mop.id, a);
+          load(out, mop, a);
+          break;
+        }
+        case Opcode::Store: {
+          const Addr a = slot_base(mop.ops[0]);
+          obs_.on_store(fn, mop.id, a);
+          store(a, mop.ops[1]);
+          break;
+        }
+        case Opcode::LoadIdx: {
+          const Addr a = element(mop);
+          obs_.on_load(fn, mop.id, a);
+          load(out, mop, a);
+          break;
+        }
+        case Opcode::StoreIdx: {
+          const Addr a = element(mop);
+          obs_.on_store(fn, mop.id, a);
+          store(a, mop.ops[2]);
+          break;
+        }
 
         // ---- control ----
         case Opcode::Br:
+          obs_.on_block_end(fn, mop.id);
           pc = code + mop.ops[0];
           break;
         case Opcode::CondBr:
+          obs_.on_block_end(fn, mop.id);
           pc = code + mop.ops[as_int(mop.ops[0]) != 0 ? 1 : 2];
           break;
         case Opcode::Ret:
+          obs_.on_block_end(fn, mop.id);
           if (mop.nops != 0) ret = regs[mop.ops[0]];
           steps_ = steps;
           if (shard_ && depth_ == 1) {

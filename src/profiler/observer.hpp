@@ -18,6 +18,11 @@ concept ExecObserver = requires(Obs& obs, const ir::Function& fn,
                                 ir::InstrId id, Addr addr, ir::LoopId loop) {
   // Every executed instruction (before its effect).
   obs.on_instr(fn, id);
+  // Terminator `id` (Br, CondBr or Ret) executes: its block ran through
+  // once more. An observer can count instructions here, once per block:
+  // observed runs are sequential, so a block that does not fault always
+  // reaches its terminator.
+  obs.on_block_end(fn, id);
   // Scalar or array-element read at `addr` by instruction `id`.
   obs.on_load(fn, id, addr);
   // Scalar or array-element write at `addr` by instruction `id`.

@@ -1,6 +1,7 @@
 // Test-only reference: the hash-map dependence recorder that
 // profiler::DepRecorder replaced, kept verbatim (only moved into the
-// `reference` namespace, and its hooks no longer override a base class) so
+// `reference` namespace, its hooks no longer override a base class, and it
+// ignores on_block_end: it counts every instruction in on_instr) so
 // test_profiler can check the production recorder against it on every
 // generator family. It runs on its own engine instantiation
 // (reference_dep_recorder.cpp).
@@ -29,6 +30,7 @@ class DepRecorder final {
   explicit DepRecorder(const ObjectTable& objects) : objects_(objects) {}
 
   void on_instr(const ir::Function& fn, ir::InstrId id);
+  void on_block_end(const ir::Function&, ir::InstrId) {}
   void on_load(const ir::Function& fn, ir::InstrId id, Addr addr);
   void on_store(const ir::Function& fn, ir::InstrId id, Addr addr);
   void on_loop_enter(const ir::Function& fn, ir::LoopId loop);

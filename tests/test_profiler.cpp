@@ -554,6 +554,117 @@ float kernel(float[] a, int n) {
   EXPECT_EQ(raw->carried[0].second, 32u);  // rows 1 and 2 feed rows 2 and 3
 }
 
+TEST(DepRecorderDifferential, MatchesReferenceOnBenchmarkShapes) {
+  // One analyze-shaped unit: the six loop kinds the serve benchmark
+  // generates (map, in-place update, dot, max, prefix recurrence, 3-point
+  // stencil), each once over distinct arrays and once over one array,
+  // with N below the 4096-element arrays as in the daemon.
+  const ir::Module unit = frontend::compile(R"(
+const int N = 300;
+float kernel(float[] a, float[] b, float[] c) {
+  for (int i = 0; i < N; i += 1) { a[i] = b[i] * 1.5 + c[i]; }
+  for (int i = 0; i < N; i += 1) { c[i] = c[i] * 0.5 + c[i]; }
+  for (int i = 0; i < N; i += 1) { b[i] = b[i] * 0.75 + 1.0; }
+  for (int i = 0; i < N; i += 1) { a[i] = a[i] * 1.125 + 1.0; }
+  float s4 = 0.0;
+  for (int i = 0; i < N; i += 1) { s4 = s4 + a[i] * c[i]; }
+  float s5 = 0.0;
+  for (int i = 0; i < N; i += 1) { s5 = s5 + b[i] * b[i]; }
+  float s6 = 0.0;
+  for (int i = 0; i < N; i += 1) { s6 = fmax(s6, b[i] * 1.25); }
+  float s7 = 0.0;
+  for (int i = 0; i < N; i += 1) { s7 = fmax(s7, c[i] * 0.5); }
+  for (int i = 1; i < N; i += 1) { c[i] = c[i - 1] + a[i] * 0.5; }
+  for (int i = 1; i < N; i += 1) { b[i] = b[i - 1] + b[i] * 0.25; }
+  for (int i = 1; i < N - 1; i += 1) {
+    a[i] = 0.25 * b[i - 1] + 0.5 * b[i] + 0.25 * b[i + 1];
+  }
+  for (int i = 1; i < N - 1; i += 1) {
+    c[i] = 0.5 * c[i - 1] + 0.25 * c[i] + 0.75 * c[i + 1];
+  }
+  return s4 + s5 + s6 + s7;
+}
+)",
+                                            "unit");
+  EXPECT_GT(expect_same_profile(unit,
+                                {ArgInit::of_array(4096, 1),
+                                 ArgInit::of_array(4096, 2),
+                                 ArgInit::of_array(4096, 3)},
+                                "12-loop unit"),
+            0u);
+
+  // The seven kernels of the parallelize benchmark at N = 2^10 (matmul at
+  // 16 x 16).
+  struct Kernel {
+    const char* name;
+    const char* src;
+    std::vector<ArgInit> args;
+  };
+  constexpr std::uint64_t n = 1 << 10;
+  const Kernel kernels[] = {
+      {"saxpy", R"(const int N = 1024;
+float kernel(float[] a, float[] b) {
+  for (int i = 0; i < N; i += 1) { a[i] = 2.5 * a[i] + b[i]; }
+  return a[0];
+})",
+       {ArgInit::of_array(n, 1), ArgInit::of_array(n, 2)}},
+      {"vec_map", R"(const int N = 1024;
+int kernel(int[] a, int[] b, int[] c) {
+  for (int i = 0; i < N; i += 1) { c[i] = a[i] * 3 + b[i]; }
+  return c[0];
+})",
+       {ArgInit::of_array(n, 1), ArgInit::of_array(n, 2),
+        ArgInit::of_array(n, 3)}},
+      {"stencil", R"(const int N = 1024;
+float kernel(float[] a, float[] b) {
+  for (int i = 1; i < N - 1; i += 1) {
+    b[i] = 0.25 * a[i - 1] + 0.5 * a[i] + 0.25 * a[i + 1];
+  }
+  return b[1];
+})",
+       {ArgInit::of_array(n, 1), ArgInit::of_array(n, 2)}},
+      {"dot_product", R"(const int N = 1024;
+float kernel(float[] a, float[] b) {
+  float s = 0.0;
+  for (int i = 0; i < N; i += 1) { s = s + a[i] * b[i]; }
+  return s;
+})",
+       {ArgInit::of_array(n, 1), ArgInit::of_array(n, 2)}},
+      {"reduce_max", R"(const int N = 1024;
+float kernel(float[] a) {
+  float m = 0.0;
+  for (int i = 0; i < N; i += 1) { m = fmax(m, a[i]); }
+  return m;
+})",
+       {ArgInit::of_array(n, 1)}},
+      {"histogram", R"(const int N = 1024;
+float kernel(int[] bucket, float[] hist) {
+  for (int i = 0; i < N; i += 1) { hist[bucket[i]] += 1.0; }
+  return hist[0];
+})",
+       {ArgInit::of_array(n, 1), ArgInit::of_array(n, 2)}},
+      {"matmul", R"(const int N = 16;
+float kernel(float[] A, float[] B, float[] C) {
+  for (int i = 0; i < N; i += 1) {
+    for (int j = 0; j < N; j += 1) {
+      float acc = 0.0;
+      for (int k = 0; k < N; k += 1) {
+        acc = acc + A[i * N + k] * B[k * N + j];
+      }
+      C[i * N + j] = acc;
+    }
+  }
+  return C[0];
+})",
+       {ArgInit::of_array(256, 1), ArgInit::of_array(256, 2),
+        ArgInit::of_array(256, 3)}},
+  };
+  for (const Kernel& k : kernels) {
+    const ir::Module m = frontend::compile(k.src, k.name);
+    EXPECT_GT(expect_same_profile(m, k.args, k.name), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine golden: profiles pinned as digests recorded with the tree-walk
 // interpreter that preceded the micro-op engine. Any change to step counts,

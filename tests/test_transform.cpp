@@ -483,6 +483,65 @@ TEST(Parallelize, OutputsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(Parallelize, ArrayReductionMergesPartialsInTreeOrder) {
+  // Each cell of an array reduction sums its kParShards shard partials in
+  // the stride-doubling tree order, then adds the result to the shared
+  // cell. 1/a[i] has a full mantissa, so any other order rounds
+  // differently; the expected values replay the shards and the tree here.
+  constexpr int kN = 203;  // not a multiple of the shard count
+  constexpr int kBins = 4;
+  const ir::Module m = frontend::compile(R"(
+const int N = 203;
+float kernel(float[] a, float[] hist) {
+  for (int i = 0; i < N; i += 1) { hist[i % 4] += 1.0 / a[i]; }
+  return hist[0];
+}
+)",
+                                         "tree");
+  const std::vector<ArgInit> args = {ArgInit::of_array(kN, 5),
+                                     ArgInit::of_array(kBins, 6)};
+  const PlannedRun pr = plan_of(m, args);
+  ASSERT_EQ(pr.plan.planned_loops(), 1u);
+  ASSERT_EQ(pr.plan.plan.loops[0].array_reductions.size(), 1u);
+
+  // The initial contents of both arrays, from a run of an empty kernel.
+  const ir::Module empty = frontend::compile(
+      "float kernel(float[] a, float[] hist) { return 0.0; }", "empty");
+  const auto init = profiler::run_capture(empty, "kernel", args).arg_arrays;
+  const auto& a = init[0];
+  std::vector<double> want(kBins);
+  constexpr std::uint32_t S = profiler::kParShards;
+  for (int j = 0; j < kBins; ++j) {
+    double part[S];
+    for (std::uint32_t s = 0; s < S; ++s) {
+      part[s] = 0.0;
+      for (int i = kN * static_cast<int>(s) / static_cast<int>(S);
+           i < kN * static_cast<int>(s + 1) / static_cast<int>(S); ++i) {
+        if (i % kBins == j) part[s] = part[s] + 1.0 / a[i].f;
+      }
+    }
+    for (std::uint32_t stride = 1; stride < S; stride *= 2) {
+      for (std::uint32_t i = 0; i + stride < S; i += 2 * stride) {
+        part[i] += part[i + stride];
+      }
+    }
+    want[j] = init[1][j].f + part[0];
+  }
+
+  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+    profiler::ParRunOptions opts;
+    opts.threads = threads;
+    const auto out = profiler::run_parallel(m, "kernel", args, pr.plan.plan,
+                                            opts);
+    ASSERT_EQ(out.parallel_loops, 1u);
+    for (int j = 0; j < kBins; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out.arg_arrays[1][j].f),
+                std::bit_cast<std::uint64_t>(want[j]))
+          << "threads " << threads << " hist[" << j << "]";
+    }
+  }
+}
+
 TEST(Parallelize, ThreadsSetTheFanOutWidth) {
   // One sharded loop instance fans out over min(threads, kParShards) pool
   // tasks (none at one thread), and the outputs stay bit-identical across
