@@ -1,7 +1,7 @@
 #include "graph/peg.hpp"
 
 #include <algorithm>
-#include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
@@ -86,12 +86,8 @@ Peg build_peg(const ir::Module& m, const profiler::ProfileResult& profile) {
 
   // Hierarchy edges: function -> top-level loops and CUs; loop -> children.
   auto hierarchy = [&peg](std::uint32_t parent, std::uint32_t child) {
-    PegEdge e;
-    e.src = parent;
-    e.dst = child;
-    e.kind = EdgeKind::Hierarchy;
-    e.count = 1;
-    peg.edges.push_back(e);
+    peg.edges.push_back(
+        {.src = parent, .dst = child, .kind = EdgeKind::Hierarchy});
   };
   for (const auto& fn : m.functions) {
     for (const ir::LoopInfo& l : fn->loops) {
@@ -112,8 +108,8 @@ Peg build_peg(const ir::Module& m, const profiler::ProfileResult& profile) {
     }
   }
 
-  // Dependence edges between CUs. Aggregate multiple instruction-level deps
-  // between the same CU pair (same type) into one edge with summed counts.
+  // Dependence edges between CUs: one per (src CU, dst CU, type) that some
+  // instruction-level dependence maps to.
   std::unordered_map<const ir::Function*, std::unordered_map<ir::InstrId, std::uint32_t>>
       instr_cu;
   for (std::uint32_t i = 0; i < peg.cus.size(); ++i) {
@@ -121,7 +117,7 @@ Peg build_peg(const ir::Module& m, const profiler::ProfileResult& profile) {
       instr_cu[peg.cus[i].fn][id] = cu_node[i];
     }
   }
-  std::map<std::tuple<std::uint32_t, std::uint32_t, int>, std::uint64_t> agg;
+  std::set<std::tuple<std::uint32_t, std::uint32_t, DepType>> deps;
   for (const profiler::DepEdge& d : profile.dep.edges) {
     const auto fs = instr_cu.find(d.src.fn);
     const auto fd = instr_cu.find(d.dst.fn);
@@ -129,16 +125,11 @@ Peg build_peg(const ir::Module& m, const profiler::ProfileResult& profile) {
     const auto is = fs->second.find(d.src.id);
     const auto idd = fd->second.find(d.dst.id);
     if (is == fs->second.end() || idd == fd->second.end()) continue;
-    agg[{is->second, idd->second, static_cast<int>(d.type)}] += d.total_count;
+    deps.emplace(is->second, idd->second, d.type);
   }
-  for (const auto& [key, count] : agg) {
-    PegEdge e;
-    e.src = std::get<0>(key);
-    e.dst = std::get<1>(key);
-    e.kind = EdgeKind::Dep;
-    e.dep = static_cast<DepType>(std::get<2>(key));
-    e.count = count;
-    peg.edges.push_back(e);
+  for (const auto& [src, dst, type] : deps) {
+    peg.edges.push_back(
+        {.src = src, .dst = dst, .kind = EdgeKind::Dep, .dep = type});
   }
 
   struct PegMetrics {
@@ -217,6 +208,15 @@ const char* edge_color(const PegEdge& e) {
   return "black";
 }
 
+/// One DOT edge line; a dependence edge is labelled with its type.
+void write_edge(std::ostream& os, const PegEdge& e) {
+  os << "  n" << e.src << " -> n" << e.dst << " [color=" << edge_color(e);
+  if (e.kind == EdgeKind::Dep) {
+    os << ",label=\"" << profiler::dep_name(e.dep) << "\"";
+  }
+  os << "];\n";
+}
+
 }  // namespace
 
 std::string to_dot(const Peg& peg, const std::string& title) {
@@ -225,13 +225,7 @@ std::string to_dot(const Peg& peg, const std::string& title) {
   for (std::uint32_t i = 0; i < peg.nodes.size(); ++i) {
     os << "  n" << i << " [label=\"" << node_label(peg, i) << "\"];\n";
   }
-  for (const PegEdge& e : peg.edges) {
-    os << "  n" << e.src << " -> n" << e.dst << " [color=" << edge_color(e);
-    if (e.kind == EdgeKind::Dep) {
-      os << ",label=\"" << profiler::dep_name(e.dep) << " x" << e.count << "\"";
-    }
-    os << "];\n";
-  }
+  for (const PegEdge& e : peg.edges) write_edge(os, e);
   os << "}\n";
   return os.str();
 }
@@ -243,13 +237,7 @@ std::string to_dot(const Peg& peg, const SubPeg& sub, const std::string& title) 
     os << "  n" << i << " [label=\"" << node_label(peg, sub.nodes[i]) << "\""
        << (i == 0 ? ",style=bold,color=red" : "") << "];\n";
   }
-  for (const PegEdge& e : sub.edges) {
-    os << "  n" << e.src << " -> n" << e.dst << " [color=" << edge_color(e);
-    if (e.kind == EdgeKind::Dep) {
-      os << ",label=\"" << profiler::dep_name(e.dep) << "\"";
-    }
-    os << "];\n";
-  }
+  for (const PegEdge& e : sub.edges) write_edge(os, e);
   os << "}\n";
   return os.str();
 }

@@ -32,7 +32,6 @@ struct PegEdge {
   std::uint32_t dst = 0;
   EdgeKind kind = EdgeKind::Dep;
   profiler::DepType dep = profiler::DepType::RAW;  // Kind::Dep only
-  std::uint64_t count = 0;  // dynamic occurrences (Dep) or 1 (Hierarchy)
 };
 
 struct Peg {

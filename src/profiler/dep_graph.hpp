@@ -6,6 +6,7 @@
 // (the outermost level at which the iteration vectors diverge).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -55,23 +56,20 @@ struct LoopRefHash {
   }
 };
 
-/// One aggregated static dependence edge (all dynamic instances of the
-/// (src, dst, type) triple folded together).
+/// One aggregated static dependence edge: the (src, dst, type) triple, with
+/// whether any of its dynamic instances was loop-independent and which loops
+/// carried one. How many instances there were is not kept.
 struct DepEdge {
   InstrRef src;  // earlier access (the dependence source)
   InstrRef dst;  // later access (the sink)
   DepType type = DepType::RAW;
-  std::uint64_t total_count = 0;
-  std::uint64_t intra_count = 0;  // loop-independent (or cross-instance)
-  /// Dynamic occurrences carried by each loop level.
-  std::vector<std::pair<LoopRef, std::uint64_t>> carried;
+  bool intra = false;  // an instance was loop-independent (or cross-instance)
+  /// Loops that carried an instance, each once, in first-seen order.
+  std::vector<LoopRef> carried;
   std::uint32_t object = 0;  // representative memory object id
 
   [[nodiscard]] bool carried_by(const LoopRef& l) const {
-    for (const auto& [ref, n] : carried) {
-      if (ref == l && n > 0) return true;
-    }
-    return false;
+    return std::find(carried.begin(), carried.end(), l) != carried.end();
   }
   [[nodiscard]] bool loop_carried() const { return !carried.empty(); }
 };

@@ -109,7 +109,7 @@ std::uint32_t DepRecorder::flush_readers(const Cell& c, std::uint32_t last,
     if (blk.n == 0) break;
     for (std::uint32_t i = 0; i < blk.n; ++i) {
       last = edge(last, edges_[last].next, blk.site[i], site, DepType::WAR);
-      count(last, blk.node[i], node, DepType::WAR, obj);
+      mark(last, blk.node[i], node, DepType::WAR, obj);
     }
     blk.n = 0;
   }
@@ -162,7 +162,6 @@ void DepRecorder::record_carried(EdgeStat& stat, std::uint32_t loop,
   }
   Carried& carried = *ct;
   carried.loop = loop;
-  ++carried.count;
   if (carried.summary != nullptr && carried.obj == obj) return;
 
   carried.obj = obj;
@@ -191,17 +190,12 @@ DepProfile DepRecorder::finalize() const {
     e.src = sites_[stat->src];
     e.dst = sites_[stat->dst];
     e.type = stat->type;
-    e.intra_count = stat->intra;
-    e.total_count = stat->intra;
+    e.intra = stat->intra;
     e.object = stat->object;
     if (stat->first.loop != kNoSlot) {
       e.carried.reserve(1 + stat->more.size());
-      e.carried.emplace_back(loops_[stat->first.loop], stat->first.count);
-      e.total_count += stat->first.count;
-      for (const Carried& c : stat->more) {
-        e.carried.emplace_back(loops_[c.loop], c.count);
-        e.total_count += c.count;
-      }
+      e.carried.push_back(loops_[stat->first.loop]);
+      for (const Carried& c : stat->more) e.carried.push_back(loops_[c.loop]);
     }
     p.edges.push_back(std::move(e));
   }

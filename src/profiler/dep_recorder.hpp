@@ -116,20 +116,18 @@ class DepRecorder final {
     // loop_objects_ is consulted once per change of object, not per event.
     std::uint32_t obj = 0;
     ObjLoopSummary* summary = nullptr;
-    std::uint64_t count = 0;
   };
 
   /// Aggregate of one (src, dst, type) edge in the flat pool edges_. The
   /// edges of one sink form a ring through `next`. The first carrying loop
-  /// sits inline; `total` is intra plus the carried counts, summed by
-  /// finalize.
+  /// sits inline.
   struct EdgeStat {
     Site src = 0;
     DepType type = DepType::RAW;
+    bool intra = false;  // a loop-independent instance was seen
     std::uint32_t next = 0;  // next edge of the same sink
     Site dst = 0;
     std::uint32_t object = 0;
-    std::uint64_t intra = 0;
     Carried first;
     std::vector<Carried> more;  // further carrying loops, in first-seen order
   };
@@ -162,8 +160,8 @@ class DepRecorder final {
   std::uint32_t carrier(NodeId a, NodeId b) const;
   std::uint32_t edge(std::uint32_t last, std::uint32_t from, Site src,
                      Site dst, DepType type);
-  void count(std::uint32_t e, NodeId src_node, NodeId dst_node,
-             DepType type, std::uint32_t obj);
+  void mark(std::uint32_t e, NodeId src_node, NodeId dst_node, DepType type,
+            std::uint32_t obj);
 
   // Slow paths, out of line in dep_recorder.cpp.
   void enter_function(const ir::Function& fn);
@@ -212,7 +210,7 @@ class DepRecorder final {
 
 // ---- the per-event fast paths -------------------------------------------
 //
-// on_load, on_store, on_loop_enter, edge() and count() are always_inline:
+// on_load, on_store, on_loop_enter, edge() and mark() are always_inline:
 // left to its heuristics, GCC keeps them as calls out of the engine's large
 // dispatch function.
 
@@ -264,7 +262,7 @@ inline void DepRecorder::on_loop_exit(const ir::Function& fn,
     // last hit itself.
     std::uint32_t& last = sinks_[site];
     last = edge(last, last, c.write - 1, site, DepType::RAW);
-    count(last, c.write_node, node, DepType::RAW, c.obj - 1);
+    mark(last, c.write_node, node, DepType::RAW, c.obj - 1);
   }
   if (c.read == 0 || c.read == site + 1) {
     c.read = site + 1;
@@ -302,11 +300,11 @@ inline void DepRecorder::on_loop_exit(const ir::Function& fn,
   std::uint32_t last = sinks_[site];
   if (c.write != 0) {
     last = edge(last, edges_[last].next, c.write - 1, site, DepType::WAW);
-    count(last, c.write_node, node, DepType::WAW, obj);
+    mark(last, c.write_node, node, DepType::WAW, obj);
   }
   if (c.read != 0) {
     last = edge(last, edges_[last].next, c.read - 1, site, DepType::WAR);
-    count(last, c.read_node, node, DepType::WAR, obj);
+    mark(last, c.read_node, node, DepType::WAR, obj);
     if (c.more != 0) last = flush_readers(c, last, site, node, obj);
     c.read = 0;
   }
@@ -348,25 +346,23 @@ inline std::uint32_t DepRecorder::carrier(NodeId a, NodeId b) const {
   return add_edge(last, src, dst, type);
 }
 
-/// Counts one dynamic dependence on edge `e`.
-[[gnu::always_inline]] inline void DepRecorder::count(std::uint32_t e,
-                                                      NodeId src_node,
-                                                      NodeId dst_node,
-                                                      DepType type,
-                                                      std::uint32_t obj) {
+/// Marks edge `e` with one dynamic dependence: loop-independent, or carried
+/// by the loop `carrier` finds.
+[[gnu::always_inline]] inline void DepRecorder::mark(std::uint32_t e,
+                                                     NodeId src_node,
+                                                     NodeId dst_node,
+                                                     DepType type,
+                                                     std::uint32_t obj) {
   EdgeStat& stat = edges_[e];
   stat.object = obj;
   const std::uint32_t loop = carrier(src_node, dst_node);
   if (loop == kNoSlot) {
-    ++stat.intra;
+    stat.intra = true;
     return;
   }
   // Fast path: the edge's first carrying loop, already summarized for this
   // object.
-  if (stat.first.loop == loop && stat.first.obj == obj) {
-    ++stat.first.count;
-    return;
-  }
+  if (stat.first.loop == loop && stat.first.obj == obj) return;
   record_carried(stat, loop, type, obj);
 }
 

@@ -325,6 +325,7 @@ class Engine {
     }
     entry_fn_ = fn;
     mem_ = &owned_mem_;
+    reserve_mem(*fn, inits);
     auto code = std::make_shared<const DecodedModule>(m_);
     const DecodedFn& dfn = *code->find(fn);
     code_ = std::move(code);
@@ -439,13 +440,33 @@ class Engine {
     return v;
   }
 
-  void ensure_mem() {
-    const Addr hw = objects_->high_water();
-    if (hw > opts_.max_mem_cells) {
+  void check_mem_cap(Addr cells) const {
+    if (cells > opts_.max_mem_cells) {
       obs::Registry::global().counter("interp.mem_cap_exceeded_total").add(1);
-      throw InterpError("memory cap exceeded: " + std::to_string(hw) +
+      throw InterpError("memory cap exceeded: " + std::to_string(cells) +
                         " cells > cap " + std::to_string(opts_.max_mem_cells));
     }
+  }
+
+  /// Reserves the memory image once per run: the entry arrays as make_arg
+  /// lays them out, checked against the cap first, plus 1024 cells for the
+  /// program's own allocations (ensure_mem grows it past that).
+  void reserve_mem(const Function& fn, std::span<const ArgInit> inits) {
+    constexpr Addr kMax = std::numeric_limits<Addr>::max();
+    Addr cells = objects_->high_water();
+    for (std::size_t i = 0; i < inits.size(); ++i) {
+      if (!ir::is_array(fn.params[i].type)) continue;
+      const Addr n = std::max<Addr>(inits[i].array_size, 1);
+      cells = n > kMax - cells ? kMax : cells + n;  // saturates
+      check_mem_cap(cells);
+    }
+    owned_mem_.reserve(cells +
+                       std::min<Addr>(1024, opts_.max_mem_cells - cells));
+  }
+
+  void ensure_mem() {
+    const Addr hw = objects_->high_water();
+    check_mem_cap(hw);
     if (owned_mem_.size() < hw) owned_mem_.resize(hw);
   }
 

@@ -63,7 +63,7 @@ LoopFeatures compute_loop_features(const ir::Function& fn, ir::LoopId l,
     }
   }
   for (const DepEdge& e : profile.edges) {
-    if (e.src.fn != &fn || e.dst.fn != &fn || e.intra_count == 0) continue;
+    if (e.src.fn != &fn || e.dst.fn != &fn || !e.intra) continue;
     add_edge(e.src.id, e.dst.id);
   }
 

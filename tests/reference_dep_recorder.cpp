@@ -134,10 +134,9 @@ DepProfile DepRecorder::finalize() const {
     e.src = key.src;
     e.dst = key.dst;
     e.type = key.type;
-    e.total_count = stat.total;
-    e.intra_count = stat.intra;
+    e.intra = stat.intra > 0;
     e.object = stat.object;
-    e.carried.assign(stat.carried.begin(), stat.carried.end());
+    for (const auto& [loop, n] : stat.carried) e.carried.push_back(loop);
     p.edges.push_back(std::move(e));
   }
   // Deterministic order: by function pointer is unstable across runs of the

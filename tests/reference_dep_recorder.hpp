@@ -1,7 +1,8 @@
 // Test-only reference: the hash-map dependence recorder that
 // profiler::DepRecorder replaced, kept verbatim (only moved into the
-// `reference` namespace, its hooks no longer override a base class, and it
-// ignores on_block_end: it counts every instruction in on_instr) so
+// `reference` namespace, its hooks no longer override a base class, it
+// ignores on_block_end: it counts every instruction in on_instr, and its
+// finalize reduces its dependence counts to the profile's presence flags) so
 // test_profiler can check the production recorder against it on every
 // generator family. It runs on its own engine instantiation
 // (reference_dep_recorder.cpp).

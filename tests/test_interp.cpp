@@ -3,6 +3,10 @@
 // and end-of-block sentinel across every entry point.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "frontend/lower.hpp"
 #include "ir/builder.hpp"
 #include "profiler/dep_recorder.hpp"
@@ -223,6 +227,43 @@ int kernel() { return rec(0); }
   opts.max_call_depth = 64;
   EXPECT_THROW((void)profiler::run_capture(m, "kernel", {}, opts),
                InterpError);
+}
+
+TEST(Interp, OverCapArrayArgumentsFailBeforeAllocating) {
+  // The entry arrays are summed and checked against the cap before the
+  // memory image is reserved. Sizes no vector can hold, or whose sum wraps,
+  // fail as a memory-cap fault, not as an allocation error or an
+  // out-of-bounds fill.
+  const ir::Module m = frontend::compile(
+      "float kernel(float[] a, float[] b) { return a[0] + b[0]; }", "t");
+  profiler::InterpOptions opts;
+  opts.max_mem_cells = 1u << 12;
+  const std::vector<ArgInit> fits = {ArgInit::of_array(1u << 11),
+                                     ArgInit::of_array(1u << 11)};
+  EXPECT_NO_THROW((void)profiler::run_capture(m, "kernel", fits, opts));
+
+  struct Case {
+    std::vector<ArgInit> args;
+    std::string error;
+  };
+  const std::uint64_t huge = std::numeric_limits<std::uint64_t>::max();
+  const Case cases[] = {
+      {{ArgInit::of_array(1u << 11), ArgInit::of_array((1u << 11) + 1)},
+       "memory cap exceeded: 4097 cells > cap 4096"},
+      {{ArgInit::of_array(std::uint64_t{1} << 62), ArgInit::of_array(1)},
+       "memory cap exceeded"},
+      {{ArgInit::of_array(2), ArgInit::of_array(huge)}, "memory cap exceeded"},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)profiler::run_capture(m, "kernel", c.args, opts);
+      ADD_FAILURE() << "no fault for " << c.error;
+    } catch (const InterpError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(c.error, 0), 0u) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a memory-cap fault: " << e.what();
+    }
+  }
 }
 
 /// The observed run that profiles: profiler::run on Engine<DepRecorder>.

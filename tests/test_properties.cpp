@@ -210,7 +210,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WalkProperty,
 
 // ---------------------------------------------------------------------------
 // Property: the interpreter is deterministic — identical runs produce
-// identical dependence profiles (edge multiset and loop runtimes).
+// identical dependence profiles (every edge's full presence record).
 // ---------------------------------------------------------------------------
 
 class DeterminismProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -226,10 +226,20 @@ TEST_P(DeterminismProperty, ProfilesAreBitStable) {
   EXPECT_EQ(p1.run.steps, p2.run.steps);
   ASSERT_EQ(p1.dep.edges.size(), p2.dep.edges.size());
   for (std::size_t i = 0; i < p1.dep.edges.size(); ++i) {
-    EXPECT_EQ(p1.dep.edges[i].src.id, p2.dep.edges[i].src.id);
-    EXPECT_EQ(p1.dep.edges[i].dst.id, p2.dep.edges[i].dst.id);
-    EXPECT_EQ(p1.dep.edges[i].total_count, p2.dep.edges[i].total_count);
-    EXPECT_EQ(p1.dep.edges[i].intra_count, p2.dep.edges[i].intra_count);
+    const profiler::DepEdge& a = p1.dep.edges[i];
+    const profiler::DepEdge& b = p2.dep.edges[i];
+    EXPECT_EQ(a.src.id, b.src.id) << "edge " << i;
+    EXPECT_EQ(a.dst.id, b.dst.id) << "edge " << i;
+    EXPECT_EQ(a.type, b.type) << "edge " << i;
+    EXPECT_EQ(a.intra, b.intra) << "edge " << i;
+    EXPECT_EQ(a.object, b.object) << "edge " << i;
+    // The modules differ, so carrying loops compare by loop id; each list
+    // is in first-seen order, which a deterministic run repeats.
+    ASSERT_EQ(a.carried.size(), b.carried.size()) << "edge " << i;
+    for (std::size_t c = 0; c < a.carried.size(); ++c) {
+      EXPECT_EQ(a.carried[c].loop, b.carried[c].loop) << "edge " << i;
+      EXPECT_EQ(a.carried[c].fn->name, b.carried[c].fn->name) << "edge " << i;
+    }
   }
 }
 
