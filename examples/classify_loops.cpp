@@ -1,14 +1,14 @@
 // End-to-end MV-GNN deployment flow: train once (cached), then classify
 // every for-loop of any MiniC program through the inference path
-// (data::featurize_program + core::build_input + the trained model).
+// (data::featurize_source + core::build_input + the trained model).
 //
 //   ./build/examples/classify_loops [program.minic] [--cache DIR]
 //
 // With --cache, the built dataset, fitted normalizer and trained ensemble
 // weights are stored in DIR and reused on later runs (a fresh run trains a
 // 3-seed ensemble in ~2 minutes; cached runs classify in milliseconds).
-// The program's entry function must be named `kernel`; array parameters
-// are synthesized with deterministic contents, int parameters get 8.
+// The program's entry function must be named `kernel`; its arguments
+// follow profiler::default_args.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -17,7 +17,6 @@
 
 #include "core/trainer.hpp"
 #include "data/serialize.hpp"
-#include "frontend/lower.hpp"
 #include "nn/module.hpp"
 
 namespace {
@@ -148,35 +147,18 @@ float kernel(float[] a, float[] b) {
   }
 
   // ---- inference on the user program -------------------------------------
-  data::ProgramSpec user;
-  user.suite = "User";
-  user.app = "user";
-  user.kernel.name = "user_program";
-  user.kernel.source = user_source;
-  {
-    const ir::Module probe = frontend::compile(user_source, "probe");
-    const ir::Function* kernel = probe.find("kernel");
-    if (!kernel) {
-      std::fprintf(stderr, "no `kernel` function in the input\n");
-      return 1;
-    }
-    std::uint64_t seed = 1;
-    for (const auto& p : kernel->params) {
-      if (ir::is_array(p.type)) {
-        user.kernel.args.push_back(profiler::ArgInit::of_array(4096, seed++));
-      } else if (p.type == ir::TypeKind::Int) {
-        user.kernel.args.push_back(profiler::ArgInit::of_int(8));
-      } else {
-        user.kernel.args.push_back(profiler::ArgInit::of_float(1.0));
-      }
-    }
-  }
   // Inference uses the clean profile: the dependence-dropout in `opts`
   // models *training-corpus* input sensitivity, not the user's own run.
   data::DatasetOptions inference_opts = opts;
   inference_opts.dep_noise = 0.0;
   inference_opts.walk.gamma = 96;  // denoise the structural view's sampling
-  const auto samples = data::featurize_program(user, ds, inference_opts);
+  std::vector<data::GraphSample> samples;
+  try {
+    samples = data::featurize_source(user_source, ds, inference_opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   std::printf("\nloop classification for the input program:\n");
   std::printf("%6s | %-16s | %-14s | %s\n", "line", "MV-GNN", "node/struct",

@@ -57,17 +57,8 @@ float kernel(float[] a, float[] b, float[] h, int[] idx) {
     std::fprintf(stderr, "no `kernel` function found\n");
     return 1;
   }
-  std::vector<profiler::ArgInit> args;
-  for (const auto& p : kernel->params) {
-    if (ir::is_array(p.type)) {
-      args.push_back(profiler::ArgInit::of_array(4096, args.size() + 1));
-    } else if (p.type == ir::TypeKind::Int) {
-      args.push_back(profiler::ArgInit::of_int(8));
-    } else {
-      args.push_back(profiler::ArgInit::of_float(1.0));
-    }
-  }
-  const auto prof = profiler::profile(module, "kernel", args);
+  const auto prof = profiler::profile(module, "kernel",
+                                      profiler::default_args(*kernel));
   const auto suggestions = analysis::suggest_openmp(module, prof);
 
   std::printf("ranked parallelization suggestions:\n\n");

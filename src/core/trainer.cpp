@@ -527,22 +527,14 @@ StaticGnnTrainer::StaticGnnTrainer(const Featurizer& feats, DgcnnConfig cfg,
   opt_->add_params(model_->parameters());
 }
 
-ag::Tensor StaticGnnTrainer::static_feats(std::size_t i) const {
-  const data::GraphSample& s = feats_->dataset().samples[i];
-  const std::size_t d = feats_->dataset().static_dim;
-  std::vector<float> f(s.n * d);
-  for (std::uint32_t k = 0; k < s.n; ++k) {
-    std::copy(s.node_static[k].begin(), s.node_static[k].end(),
-              f.data() + k * d);
-  }
-  return Tensor::from_data({s.n, d}, std::move(f));
-}
-
 std::vector<EpochStat> StaticGnnTrainer::fit(
     const std::vector<std::size_t>& train_idx,
     const std::vector<std::size_t>& test_idx) {
   std::vector<std::size_t> order = train_idx;
   feats_->prefetch(order);  // parallel featurization before the epoch loop
+  // The model reads the static columns only; build_input copies
+  // node_static into the first static_dim columns of node_feats.
+  const std::size_t static_dim = feats_->dataset().static_dim;
   std::vector<EpochStat> curve;
   for (std::size_t epoch = 0; epoch < tc_.epochs; ++epoch) {
     opt_->set_lr(scheduled_lr(tc_.lr, epoch, tc_.epochs));
@@ -551,8 +543,9 @@ std::vector<EpochStat> StaticGnnTrainer::fit(
     std::size_t correct = 0;
     for (const std::size_t i : order) {
       const SampleInput& in = feats_->get(i);
-      const Tensor logits =
-          model_->forward(in.ahat, static_feats(i), /*training=*/true, rng_);
+      const Tensor logits = model_->forward(
+          in.ahat, ag::slice_cols(in.node_feats, 0, static_dim),
+          /*training=*/true, rng_);
       Tensor loss = ag::cross_entropy_logits(logits, {in.label});
       opt_->zero_grad();
       loss.backward();
@@ -572,8 +565,9 @@ std::vector<EpochStat> StaticGnnTrainer::fit(
 
 int StaticGnnTrainer::predict(std::size_t i) const {
   const SampleInput& in = feats_->get(i);
-  const Tensor logits =
-      model_->forward(in.ahat, static_feats(i), /*training=*/false, rng_);
+  const Tensor logits = model_->forward(
+      in.ahat, ag::slice_cols(in.node_feats, 0, feats_->dataset().static_dim),
+      /*training=*/false, rng_);
   return argmax_row(logits);
 }
 

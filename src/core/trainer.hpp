@@ -213,9 +213,6 @@ class StaticGnnTrainer {
   [[nodiscard]] double accuracy(const std::vector<std::size_t>& idx) const;
 
  private:
-  /// Static-only node features (strips the 7 dynamic columns).
-  [[nodiscard]] ag::Tensor static_feats(std::size_t sample_index) const;
-
   const Featurizer* feats_;
   TrainConfig tc_;
   std::unique_ptr<SingleViewGnn> model_;

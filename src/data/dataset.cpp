@@ -489,11 +489,17 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
   return ds;
 }
 
-std::vector<GraphSample> featurize_program(const ProgramSpec& program,
-                                            const Dataset& reference,
-                                            const DatasetOptions& opts) {
-  const pipe::ItemFeatures feats = pipe::run_item(
-      item_spec(program, "", opts), pipeline_config(opts), opts.cache);
+namespace {
+
+/// The inference path behind featurize_program and featurize_source: one
+/// item against `reference`'s frozen vocabularies, with `program`'s
+/// provenance.
+std::vector<GraphSample> featurize_item(const pipe::ItemSpec& item,
+                                        const ProgramSpec& program,
+                                        const Dataset& reference,
+                                        const DatasetOptions& opts) {
+  const pipe::ItemFeatures feats =
+      pipe::run_item(item, pipeline_config(opts), opts.cache);
 
   // The vocabularies are frozen, so grow=false cannot mutate them; the
   // const_cast only satisfies id_of's signature.
@@ -515,6 +521,26 @@ std::vector<GraphSample> featurize_program(const ProgramSpec& program,
     s.kernel = program.kernel.name;
   }
   return samples;
+}
+
+}  // namespace
+
+std::vector<GraphSample> featurize_program(const ProgramSpec& program,
+                                            const Dataset& reference,
+                                            const DatasetOptions& opts) {
+  return featurize_item(item_spec(program, "", opts), program, reference,
+                        opts);
+}
+
+std::vector<GraphSample> featurize_source(const std::string& source,
+                                           const Dataset& reference,
+                                           const DatasetOptions& opts) {
+  ProgramSpec program;
+  program.kernel.name = "request";
+  program.kernel.source = source;
+  pipe::ItemSpec item = item_spec(program, "", opts);
+  item.args.reset();  // the entry's defaults
+  return featurize_item(item, program, reference, opts);
 }
 
 std::pair<std::vector<std::size_t>, std::vector<std::size_t>> split_by_kernel(

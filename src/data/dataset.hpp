@@ -164,6 +164,14 @@ struct Dataset {
     const ProgramSpec& program, const Dataset& reference,
     const DatasetOptions& opts);
 
+/// featurize_program for a program given as source alone: module name
+/// `request`, its `kernel` profiled with profiler::default_args, seeds from
+/// item_spec. The source is parsed, lowered and verified once; a missing
+/// `kernel` is a Lower-stage pipe::StageError.
+[[nodiscard]] std::vector<GraphSample> featurize_source(
+    const std::string& source, const Dataset& reference,
+    const DatasetOptions& opts);
+
 /// The cached Embed-stage blob: u32 format, u32 vocab, u32 dim, then the
 /// table's floats row by row.
 [[nodiscard]] std::string serialize_embedding(

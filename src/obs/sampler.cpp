@@ -7,17 +7,11 @@
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
+#include "obs/trace.hpp"
 
 namespace mvgnn::obs {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void append_num(std::string& out, double v) {
   char buf[48];

@@ -10,14 +10,14 @@
 
 namespace mvgnn::obs {
 
-namespace {
-
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+namespace {
 
 /// Process-unique nonzero span id from (thread, index) — no extra atomics.
 /// 2^24 threads and 2^40 spans per thread before wraparound; good enough.

@@ -47,6 +47,10 @@
 
 namespace mvgnn::obs {
 
+/// Monotonic nanoseconds (std::chrono::steady_clock): the clock of span
+/// timestamps, the metrics sampler and the serve daemon's deadlines.
+[[nodiscard]] std::uint64_t now_ns();
+
 /// A capture of "the span that caused this work": taken at a submission
 /// site on the submitting thread, adopted by the span that executes the
 /// work on another thread. Zero `span_id` means "no context" (tracing was

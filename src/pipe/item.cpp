@@ -125,13 +125,19 @@ StageKeys stage_keys(const ItemSpec& spec, const PipelineConfig& cfg) {
       .str(spec.entry)
       .u64(cfg.interp.max_steps)
       .u32(cfg.interp.max_call_depth)
-      .u64(cfg.interp.max_mem_cells)
-      .u64(spec.args.size());
-  for (const profiler::ArgInit& a : spec.args) {
-    hp.u64(static_cast<std::uint64_t>(a.int_val))
-        .f64(a.float_val)
-        .u64(a.array_size)
-        .u64(a.fill_seed);
+      .u64(cfg.interp.max_mem_cells);
+  if (spec.args) {
+    hp.u64(spec.args->size());
+    for (const profiler::ArgInit& a : *spec.args) {
+      hp.u64(static_cast<std::uint64_t>(a.int_val))
+          .f64(a.float_val)
+          .u64(a.array_size)
+          .u64(a.fill_seed);
+    }
+  } else {
+    // The rule itself, not the arguments it yields: bump the tag when
+    // profiler::default_args changes.
+    hp.str("default_args.v1");
   }
   k.profile = hp.digest();
   k.peg = cache::Hasher(k.profile)
@@ -297,6 +303,7 @@ std::shared_ptr<const CompiledProfile> compile_and_profile(
     // One `pipe.<stage>` span per stage boundary: these are what the
     // report's stage-attribution table keys on (see obs/report.hpp).
     frontend::Program prog;
+    std::vector<profiler::ArgInit> defaults;
     {
       OBS_SPAN("pipe.parse");
       prog = frontend::parse(spec.source);
@@ -320,12 +327,21 @@ std::shared_ptr<const CompiledProfile> compile_and_profile(
         }
         transform::run_pipeline(cp->module, *pipeline);
       }
+      if (!spec.args) {
+        const ir::Function* fn = cp->module.find(spec.entry);
+        if (!fn) {
+          throw std::runtime_error("no `" + spec.entry +
+                                   "` function in the program");
+        }
+        defaults = profiler::default_args(*fn);
+      }
     }
     cur = Stage::Profile;
     {
       obs::ScopedSpan span("pipe.profile");
-      cp->prof =
-          profiler::profile(cp->module, spec.entry, spec.args, cfg.interp);
+      cp->prof = profiler::profile(cp->module, spec.entry,
+                                   spec.args ? *spec.args : defaults,
+                                   cfg.interp);
       span.arg("dep_edges", cp->prof.dep.edges.size())
           .arg("cus", cp->prof.cus.size());
     }

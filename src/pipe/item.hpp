@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,10 @@ struct ItemSpec {
   std::string source;
   std::string module_name;
   std::string entry = "kernel";
-  std::vector<profiler::ArgInit> args;
+  /// The entry's arguments: explicit (corpus items; empty by default), or
+  /// nullopt for profiler::default_args of the entry, built right after
+  /// the Lower stage so the source is compiled once.
+  std::optional<std::vector<profiler::ArgInit>> args{std::in_place};
   /// IR-variant transform pipeline name ("" = none); resolved against
   /// transform::variant_pipelines() by name.
   std::string variant;

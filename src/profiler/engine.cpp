@@ -1,7 +1,7 @@
 // Out-of-line parts of the micro-op engine (engine.hpp): decode, the run
 // counters, and the library's two instantiations, Engine<DepRecorder>
 // behind profiler::run and Engine<NoHooks> behind run_capture and
-// run_parallel.
+// run_parallel; and the default argument rule.
 #include "profiler/engine.hpp"
 
 #include <bit>
@@ -183,6 +183,20 @@ ParOutput run_unobserved(const ir::Module& m, const std::string& entry,
 }  // namespace
 
 }  // namespace detail
+
+std::vector<ArgInit> default_args(const ir::Function& entry) {
+  std::vector<ArgInit> args;
+  for (const ir::Param& p : entry.params) {
+    if (ir::is_array(p.type)) {
+      args.push_back(ArgInit::of_array(4096, args.size() + 1));
+    } else if (p.type == ir::TypeKind::Int) {
+      args.push_back(ArgInit::of_int(8));
+    } else {
+      args.push_back(ArgInit::of_float(1.0));
+    }
+  }
+  return args;
+}
 
 template RunResult run<DepRecorder>(const ir::Module&, const std::string&,
                                      std::span<const ArgInit>, DepRecorder&,

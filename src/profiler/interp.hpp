@@ -41,6 +41,13 @@ struct ArgInit {
   }
 };
 
+/// The one argument rule for an entry given as source alone (the CLI file
+/// commands, the examples, the serve daemon): the parameter at position k
+/// (from 0) gets 4096 cells filled with seed k + 1 if it is an array, 8 if
+/// it is an int and 1.0 if it is a float. Corpus programs record their own
+/// arguments instead.
+[[nodiscard]] std::vector<ArgInit> default_args(const ir::Function& entry);
+
 struct InterpOptions {
   /// Fuel: dynamic instruction budget. A pathological program (infinite
   /// loop, runaway recursion driver) traps with InterpError instead of

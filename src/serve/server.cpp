@@ -13,8 +13,6 @@
 
 #include "data/corpus.hpp"
 #include "fault/fault.hpp"
-#include "frontend/lexer.hpp"
-#include "frontend/lower.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,13 +21,6 @@
 namespace mvgnn::serve {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// All serve instruments, fetched once (registration is mutex-protected;
 /// the hot path must not re-look-up by name per request).
@@ -68,22 +59,6 @@ struct Metrics {
     return m;
   }
 };
-
-/// Deterministic entry-function arguments, same recipe as the CLI: arrays
-/// get 4096 elements, ints 8, floats 1.0.
-std::vector<profiler::ArgInit> synth_args(const ir::Function& kernel) {
-  std::vector<profiler::ArgInit> args;
-  for (const auto& p : kernel.params) {
-    if (ir::is_array(p.type)) {
-      args.push_back(profiler::ArgInit::of_array(4096, args.size() + 1));
-    } else if (p.type == ir::TypeKind::Int) {
-      args.push_back(profiler::ArgInit::of_int(8));
-    } else {
-      args.push_back(profiler::ArgInit::of_float(1.0));
-    }
-  }
-  return args;
-}
 
 /// Writes all of `data` to `fd`; false on a connection error. MSG_NOSIGNAL
 /// keeps a peer that hung up from killing the daemon with SIGPIPE.
@@ -376,8 +351,8 @@ void Server::connection_loop(int fd) {
   while (alive) {
     if (stop_.stop_requested()) {
       if (drain_deadline_ns == 0) {
-        drain_deadline_ns = now_ns() + 1'000'000'000ull;
-      } else if (now_ns() >= drain_deadline_ns) {
+        drain_deadline_ns = obs::now_ns() + 1'000'000'000ull;
+      } else if (obs::now_ns() >= drain_deadline_ns) {
         break;
       }
     }
@@ -459,7 +434,7 @@ std::string Server::handle_line(const std::string& line) {
 std::string Server::handle_request(const Request& req) {
   Metrics& m = Metrics::get();
   m.requests.add();
-  const std::uint64_t t0 = now_ns();
+  const std::uint64_t t0 = obs::now_ns();
   std::uint64_t deadline_ns = 0;
   const std::uint64_t deadline_ms = req.deadline_ms == Request::kUseDefault
                                         ? cfg_.default_deadline_ms
@@ -504,25 +479,9 @@ std::string Server::handle_request(const Request& req) {
   } else {
     try {
       OBS_SPAN("serve.featurize");
-      data::ProgramSpec spec;
-      spec.suite = "Serve";
-      spec.app = "request";
-      spec.kernel.name = "request";
-      spec.kernel.source = req.source;
-      {
-        const ir::Module probe = frontend::compile(req.source, "request");
-        const ir::Function* kernel = probe.find("kernel");
-        if (kernel == nullptr) {
-          release(pending->bytes);
-          m.errors.add();
-          return render_error(req.id, ErrorCode::Compile,
-                              "no `kernel` function in the program");
-        }
-        spec.kernel.args = synth_args(*kernel);
-      }
       data::DatasetOptions opts = ctx_.feat_opts;
       opts.interp = cfg_.interp;  // per-request fuel/memory/depth caps
-      const auto samples = data::featurize_program(spec, ctx_.ds, opts);
+      const auto samples = data::featurize_source(req.source, ctx_.ds, opts);
       auto prepared = std::make_shared<Prepared>();
       prepared->inputs.reserve(samples.size());
       for (const auto& s : samples) {
@@ -531,18 +490,10 @@ std::string Server::handle_request(const Request& req) {
       }
       pending->prog = prepared;
       program_cache_put(req.source, std::move(prepared));
-    } catch (const frontend::FrontendError& e) {
-      release(pending->bytes);
-      m.errors.add();
-      return render_error(req.id, ErrorCode::Compile, e.what());
-    } catch (const profiler::InterpError& e) {
-      release(pending->bytes);
-      m.errors.add();
-      return render_error(req.id, ErrorCode::Profile, e.what());
     } catch (const pipe::StageError& e) {
-      // featurize_program wraps stage failures; map the stage back to the
+      // featurize_source wraps stage failures; map the stage back to the
       // request-level error class (fuel exhaustion is a Profile failure,
-      // not a generic featurize one).
+      // not a generic featurize one; a missing `kernel` a Lower one).
       release(pending->bytes);
       m.errors.add();
       ErrorCode code = ErrorCode::Featurize;
@@ -563,9 +514,9 @@ std::string Server::handle_request(const Request& req) {
     // A program with no for-loops is a valid (if pointless) request.
     release(pending->bytes);
     m.ok.add();
-    m.request_latency_us.observe(static_cast<double>((now_ns() - t0) / 1000));
-    return render_ok(req.id, {}, model_version(), 0, 0,
-                     (now_ns() - t0) / 1000);
+    const std::uint64_t latency_us = (obs::now_ns() - t0) / 1000;
+    m.request_latency_us.observe(static_cast<double>(latency_us));
+    return render_ok(req.id, {}, model_version(), 0, 0, latency_us);
   }
 
   std::future<std::string> response = pending->response.get_future();
@@ -641,7 +592,7 @@ void Server::batcher_loop() {
       // server is draining (drain flushes immediately).
       while (!queue_closed_ && queued_samples_ < cfg_.batch_max_samples) {
         const std::uint64_t oldest = queue_.front()->enqueue_ns;
-        const std::uint64_t now = now_ns();
+        const std::uint64_t now = obs::now_ns();
         if (now >= oldest + linger_ns) break;
         queue_cv_.wait_for(lk,
                            std::chrono::nanoseconds(oldest + linger_ns - now));
@@ -662,7 +613,7 @@ void Server::batcher_loop() {
 
 void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
   Metrics& m = Metrics::get();
-  const std::uint64_t now = now_ns();
+  const std::uint64_t now = obs::now_ns();
 
   // Expired requests get a typed error, not stale-late results.
   std::vector<std::unique_ptr<Pending>> live;
@@ -708,7 +659,7 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
   struct_rows.reserve(ptrs.size());
   const std::size_t chunk_cap =
       cfg_.batch_max_samples == 0 ? ptrs.size() : cfg_.batch_max_samples;
-  const std::uint64_t fwd0 = now_ns();
+  const std::uint64_t fwd0 = obs::now_ns();
   try {
     fault::check("serve.batch");
     for (std::size_t base = 0; base < ptrs.size(); base += chunk_cap) {
@@ -740,7 +691,7 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
     }
     return;
   }
-  const std::uint64_t fwd_ns = now_ns() - fwd0;
+  const std::uint64_t fwd_ns = obs::now_ns() - fwd0;
   m.batches.add();
   m.batch_size.observe(static_cast<double>(ptrs.size()));
   m.batch_forward_us.observe(static_cast<double>(fwd_ns / 1000));
@@ -749,7 +700,7 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
   ewma_batch_.record(fwd_ns);
 
   std::size_t row = 0;
-  const std::uint64_t done = now_ns();
+  const std::uint64_t done = obs::now_ns();
   for (auto& p : live) {
     std::vector<LoopVerdict> verdicts;
     verdicts.reserve(p->prog->inputs.size());

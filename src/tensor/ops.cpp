@@ -349,12 +349,6 @@ Tensor sigmoid(const Tensor& a) {
       [](float y, float) { return y * (1.0f - y); });
 }
 
-Tensor exp_t(const Tensor& a) {
-  return unary_ew(
-      a, [](float x) { return std::exp(x); },
-      [](float y, float) { return y; });
-}
-
 Tensor log_t(const Tensor& a) {
   return unary_ew(
       a, [](float x) { return std::log(std::max(x, 1e-12f)); },
@@ -378,50 +372,6 @@ Tensor sum(const Tensor& a) {
 
 Tensor mean(const Tensor& a) {
   return scale(sum(a), 1.0f / static_cast<float>(a.numel()));
-}
-
-Tensor mean_rows(const Tensor& a) {
-  const std::size_t r = a.rows(), c = a.cols();
-  const float inv = 1.0f / static_cast<float>(std::max<std::size_t>(1, r));
-  Tensor out = make_op({1, c}, {a}, [r, c, inv](Node& self) {
-    if (float* in = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < r; ++i) {
-        for (std::size_t j = 0; j < c; ++j) {
-          in[i * c + j] += self.grad[j] * inv;
-        }
-      }
-    }
-  });
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) out.data()[j] += a.at(i, j) * inv;
-  }
-  return out;
-}
-
-Tensor max_rows(const Tensor& a) {
-  const std::size_t r = a.rows(), c = a.cols();
-  if (r == 0) throw TensorError("max_rows on empty tensor");
-  auto argmax = std::make_shared<std::vector<std::uint32_t>>(c, 0);
-  Tensor out = make_op({1, c}, {a}, [c, argmax](Node& self) {
-    if (float* in = grad_target(self, 0)) {
-      for (std::size_t j = 0; j < c; ++j) {
-        in[(*argmax)[j] * c + j] += self.grad[j];
-      }
-    }
-  });
-  for (std::size_t j = 0; j < c; ++j) {
-    float best = a.at(0, j);
-    std::uint32_t bi = 0;
-    for (std::size_t i = 1; i < r; ++i) {
-      if (a.at(i, j) > best) {
-        best = a.at(i, j);
-        bi = static_cast<std::uint32_t>(i);
-      }
-    }
-    out.data()[j] = best;
-    (*argmax)[j] = bi;
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -568,32 +518,6 @@ Tensor dropout(const Tensor& a, float p, bool training, par::Rng& rng) {
     }
   });
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = a.data()[i] * (*mask)[i];
-  return out;
-}
-
-Tensor softmax_rows(const Tensor& a) {
-  const std::size_t r = a.rows(), c = a.cols();
-  Tensor out = make_op(a.shape(), {a}, [r, c](Node& self) {
-    if (float* in = grad_target(self, 0)) {
-      for (std::size_t i = 0; i < r; ++i) {
-        const float* y = self.value.data() + i * c;
-        const float* g = self.grad.data() + i * c;
-        float dot = 0.0f;
-        for (std::size_t j = 0; j < c; ++j) dot += y[j] * g[j];
-        for (std::size_t j = 0; j < c; ++j) {
-          in[i * c + j] += y[j] * (g[j] - dot);
-        }
-      }
-    }
-  });
-  for (std::size_t i = 0; i < r; ++i) {
-    const float* x = a.data() + i * c;
-    float* y = out.data() + i * c;
-    const float mx = *std::max_element(x, x + c);
-    float z = 0.0f;
-    for (std::size_t j = 0; j < c; ++j) z += (y[j] = std::exp(x[j] - mx));
-    for (std::size_t j = 0; j < c; ++j) y[j] /= z;
-  }
   return out;
 }
 

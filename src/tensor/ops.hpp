@@ -43,14 +43,11 @@ namespace mvgnn::ag {
 [[nodiscard]] Tensor relu(const Tensor& a);
 [[nodiscard]] Tensor tanh_t(const Tensor& a);
 [[nodiscard]] Tensor sigmoid(const Tensor& a);
-[[nodiscard]] Tensor exp_t(const Tensor& a);
 [[nodiscard]] Tensor log_t(const Tensor& a);  // input clamped at 1e-12
 
 // ---- reductions -------------------------------------------------------
 [[nodiscard]] Tensor sum(const Tensor& a);        // -> [1,1]
 [[nodiscard]] Tensor mean(const Tensor& a);       // -> [1,1]
-[[nodiscard]] Tensor mean_rows(const Tensor& a);  // [n,c] -> [1,c]
-[[nodiscard]] Tensor max_rows(const Tensor& a);   // [n,c] -> [1,c] column max
 
 // ---- shape ------------------------------------------------------------
 [[nodiscard]] Tensor reshape(const Tensor& a, Shape s);
@@ -66,8 +63,6 @@ namespace mvgnn::ag {
 /// Inverted dropout; identity when !training or p == 0.
 [[nodiscard]] Tensor dropout(const Tensor& a, float p, bool training,
                              par::Rng& rng);
-/// Row-wise softmax (forward + exact backward).
-[[nodiscard]] Tensor softmax_rows(const Tensor& a);
 /// Mean cross-entropy over rows from raw logits; numerically stable fused
 /// log-softmax ("softmax loss" in the paper). `labels[i]` in [0, cols).
 [[nodiscard]] Tensor cross_entropy_logits(const Tensor& logits,

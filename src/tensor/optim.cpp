@@ -151,7 +151,7 @@ ScopedGradSink::~ScopedGradSink() { t_grad_sink = prev_; }
 
 GradAccumulator* current_grad_sink() noexcept { return t_grad_sink; }
 
-void Optimizer::clip_gradients(float max_norm) {
+void Adam::clip_gradients(float max_norm) {
   double sq = 0.0;
   for (Tensor& p : params_) {
     for (const float g : p.grad()) sq += static_cast<double>(g) * g;
@@ -163,16 +163,6 @@ void Optimizer::clip_gradients(float max_norm) {
     // grad() hands back a const ref to the node's buffer; scale in place.
     auto& g = const_cast<std::vector<float>&>(p.grad());
     for (float& x : g) x *= scale;
-  }
-}
-
-void Sgd::step() {
-  for (Tensor& p : params_) {
-    const std::vector<float>& g = p.grad();
-    float* x = p.data();
-    for (std::size_t i = 0; i < p.numel(); ++i) {
-      x[i] -= lr_ * (g[i] + wd_ * x[i]);
-    }
   }
 }
 

@@ -1,5 +1,6 @@
-// Optimizers. Parameters are long-lived Tensors whose values are updated in
-// place between graph constructions.
+// The optimizer (Adam) and the data-parallel gradient accumulators.
+// Parameters are long-lived Tensors whose values are updated in place
+// between graph constructions.
 #pragma once
 
 #include <cstddef>
@@ -83,9 +84,12 @@ class ScopedGradSink {
 /// nullptr.
 [[nodiscard]] GradAccumulator* current_grad_sink() noexcept;
 
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction: the optimizer of every trainer.
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
+                float eps = 1e-8f, float weight_decay = 0.0f)
+      : lr_(lr), b1_(beta1), b2_(beta2), eps_(eps), wd_(weight_decay) {}
 
   void add_param(const Tensor& t) { params_.push_back(t); }
   void add_params(const std::vector<Tensor>& ts) {
@@ -97,10 +101,10 @@ class Optimizer {
     for (Tensor& p : params_) p.zero_grad();
   }
   /// Applies one update from the accumulated gradients.
-  virtual void step() = 0;
+  void step();
 
   /// Adjusts the learning rate (schedules are driven by the trainers).
-  virtual void set_lr(float lr) = 0;
+  void set_lr(float lr) { lr_ = lr; }
 
   /// Rescales all gradients so their global L2 norm is at most `max_norm`
   /// (no-op when already below). Call between backward() and step(); keeps
@@ -111,32 +115,6 @@ class Optimizer {
   [[nodiscard]] GradAccumulator make_accumulator() const {
     return GradAccumulator(params_);
   }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-/// Plain SGD with optional L2 weight decay.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(float lr, float weight_decay = 0.0f)
-      : lr_(lr), wd_(weight_decay) {}
-  void step() override;
-  void set_lr(float lr) override { lr_ = lr; }
-
- private:
-  float lr_;
-  float wd_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
- public:
-  explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-                float eps = 1e-8f, float weight_decay = 0.0f)
-      : lr_(lr), b1_(beta1), b2_(beta2), eps_(eps), wd_(weight_decay) {}
-  void step() override;
-  void set_lr(float lr) override { lr_ = lr; }
 
   /// One step whose gradient is the sum of `shards` (accumulators made by
   /// make_accumulator()) in tree_merge order. The result is bit for bit
@@ -170,6 +148,7 @@ class Adam final : public Optimizer {
   /// the bias corrections (1 - beta1^t, 1 - beta2^t).
   std::pair<float, float> begin_step();
 
+  std::vector<Tensor> params_;
   float lr_, b1_, b2_, eps_, wd_;
   std::vector<std::vector<float>> m_, v_;
   long t_ = 0;

@@ -96,6 +96,28 @@ TEST(CacheKey, StageKeysChainConfigFingerprints) {
   const pipe::StageKeys s = pipe::stage_keys(spec2, cfg);
   EXPECT_NE(base.parse, s.parse);
   EXPECT_NE(base.featurize, s.featurize);
+
+  // Defaulted arguments enter at the profile stage: parse and lower are the
+  // explicit case's, every key from profile onward differs.
+  pipe::ItemSpec dflt = spec;
+  dflt.args.reset();
+  const pipe::StageKeys d = pipe::stage_keys(dflt, cfg);
+  EXPECT_EQ(base.parse, d.parse);
+  EXPECT_EQ(base.lower, d.lower);
+  EXPECT_NE(base.profile, d.profile);
+  EXPECT_NE(base.peg, d.peg);
+  EXPECT_NE(base.walks, d.walks);
+  EXPECT_NE(base.featurize, d.featurize);
+
+  // Explicit keys are pinned: a key change would orphan every existing
+  // --cache-dir entry. The featurize key chains all the others.
+  pipe::ItemSpec two = spec;
+  two.source = "float kernel(int n, float[] a) { return a[0]; }";
+  two.args->push_back(profiler::ArgInit::of_int(8));
+  two.args->push_back(profiler::ArgInit::of_array(64, 2));
+  EXPECT_EQ(base.featurize.hex(), "a32d57f541f6269ee6caaba87e8119c1");
+  EXPECT_EQ(pipe::stage_keys(two, cfg).featurize.hex(),
+            "b4826ca31e78233cbca0755e0d0daaeb");
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +285,7 @@ TEST(Pipe, FeatureSerializationRoundTrips) {
       "  return s;\n"
       "}\n";
   spec.module_name = "rt";
-  spec.args.push_back(profiler::ArgInit{.int_val = 32});
+  spec.args->push_back(profiler::ArgInit{.int_val = 32});
   pipe::PipelineConfig cfg;
   const pipe::ItemFeatures f = pipe::run_item(spec, cfg, nullptr);
   ASSERT_FALSE(f.samples.empty());

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "data/dataset.hpp"
 #include "data/serialize.hpp"
+#include "frontend/lower.hpp"
+#include "obs/trace.hpp"
 #include "pipe/item.hpp"
 #include "transform/passes.hpp"
 
@@ -476,6 +479,71 @@ TEST(Featurize, CorpusProgramReproducesItsBuildTimeSamples) {
     }
   }
   EXPECT_EQ(next, ds.samples.size());
+}
+
+TEST(Featurize, SourceMatchesProgramWithDefaultArgs) {
+  // featurize_source is featurize_program with profiler::default_args of
+  // the entry, built after one parse and one lower of the source.
+  const data::Dataset ds = small_dataset();
+  const std::string source = R"(
+float kernel(int n, float[] a, float[] b) {
+  for (int i = 0; i < n; i += 1) {
+    b[i] = a[i] * 2.0;
+  }
+  float s = 0.0;
+  for (int i = 1; i < n; i += 1) {
+    a[i] = a[i - 1] + b[i];
+    s = s + a[i];
+  }
+  return s;
+}
+)";
+  data::DatasetOptions opts;
+  opts.seed = 11;
+
+  auto& rec = obs::TraceRecorder::global();
+  rec.clear();
+  rec.enable();
+  const auto got = data::featurize_source(source, ds, opts);
+  rec.disable();
+  std::size_t parses = 0, lowers = 0;
+  for (const obs::SpanEvent& e : rec.events()) {
+    parses += std::string_view(e.name) == "pipe.parse";
+    lowers += std::string_view(e.name) == "pipe.lower";
+  }
+  rec.clear();
+  EXPECT_EQ(parses, 1u);
+  EXPECT_EQ(lowers, 1u);
+
+  data::ProgramSpec program;
+  program.kernel.name = "request";
+  program.kernel.source = source;
+  const ir::Module m = frontend::compile(source, "request");
+  program.kernel.args = profiler::default_args(*m.find("kernel"));
+  ASSERT_EQ(program.kernel.args.size(), 3u);
+  EXPECT_EQ(program.kernel.args[1].fill_seed, 2u);
+  const auto want = data::featurize_program(program, ds, opts);
+
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    EXPECT_EQ(got[i].n, want[i].n);
+    EXPECT_EQ(got[i].edges, want[i].edges);
+    EXPECT_EQ(got[i].edge_kinds, want[i].edge_kinds);
+    EXPECT_EQ(got[i].node_static, want[i].node_static);
+    EXPECT_EQ(got[i].node_dynamic, want[i].node_dynamic);
+    EXPECT_EQ(got[i].aw_dist, want[i].aw_dist);
+    EXPECT_EQ(got[i].loop_features, want[i].loop_features);
+    EXPECT_EQ(got[i].token_seq, want[i].token_seq);
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].pattern_label, want[i].pattern_label);
+    EXPECT_EQ(got[i].tool_autopar, want[i].tool_autopar);
+    EXPECT_EQ(got[i].tool_pluto, want[i].tool_pluto);
+    EXPECT_EQ(got[i].tool_discopop, want[i].tool_discopop);
+    EXPECT_EQ(got[i].kernel, want[i].kernel);
+    EXPECT_EQ(got[i].loop_line, want[i].loop_line);
+  }
 }
 
 }  // namespace featurize_tests

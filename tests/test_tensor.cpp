@@ -77,7 +77,6 @@ TEST(Autograd, UnaryGradients) {
   Tensor a = make({2, 5}, 7);
   gradcheck({a}, [&] { return ag::sum(ag::tanh_t(a)); });
   gradcheck({a}, [&] { return ag::sum(ag::sigmoid(a)); });
-  gradcheck({a}, [&] { return ag::sum(ag::exp_t(a)); });
   gradcheck({a}, [&] { return ag::sum(ag::scale(a, -1.7f)); });
 }
 
@@ -93,12 +92,6 @@ TEST(Autograd, ReluGradientAwayFromKink) {
 TEST(Autograd, ReductionGradients) {
   Tensor a = make({3, 4}, 9);
   gradcheck({a}, [&] { return ag::mean(a); });
-  gradcheck({a}, [&] { return ag::sum(ag::mean_rows(a)); });
-}
-
-TEST(Autograd, MaxRowsGradient) {
-  Tensor a = make({4, 3}, 10);
-  gradcheck({a}, [&] { return ag::sum(ag::max_rows(a)); });
 }
 
 TEST(Autograd, ShapeOpsGradients) {
@@ -124,20 +117,6 @@ TEST(Autograd, GatherRowsAccumulatesRepeats) {
   EXPECT_FLOAT_EQ(a.grad()[0], 3.0f);
   EXPECT_FLOAT_EQ(a.grad()[2 * 2], 1.0f);
   EXPECT_FLOAT_EQ(a.grad()[1 * 2], 0.0f);
-}
-
-TEST(Autograd, SoftmaxRowsSumsToOneAndGradChecks) {
-  Tensor a = make({2, 4}, 15);
-  Tensor sm = ag::softmax_rows(a);
-  for (std::size_t r = 0; r < 2; ++r) {
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < 4; ++c) sum += sm.at(r, c);
-    EXPECT_NEAR(sum, 1.0f, 1e-5f);
-  }
-  // Use a weighted sum so the softmax gradient is non-trivial.
-  Tensor w = make({4, 1}, 16);
-  w.set_requires_grad(false);
-  gradcheck({a}, [&] { return ag::sum(ag::matmul(ag::softmax_rows(a), w)); });
 }
 
 TEST(Autograd, CrossEntropyGradients) {
@@ -401,30 +380,23 @@ TEST(Gemm, MatchesNaiveReferenceIncludingTransposes) {
 // Optimizers
 // ---------------------------------------------------------------------------
 
-TEST(Optim, SgdAndAdamMinimizeQuadratic) {
-  for (const bool use_adam : {false, true}) {
-    Tensor x = Tensor::from_data({1, 2}, {4.0f, -3.0f}, true);
-    std::unique_ptr<ag::Optimizer> opt;
-    if (use_adam) {
-      opt = std::make_unique<ag::Adam>(0.1f);
-    } else {
-      opt = std::make_unique<ag::Sgd>(0.1f);
-    }
-    opt->add_param(x);
-    for (int step = 0; step < 200; ++step) {
-      Tensor loss = ag::sum(ag::mul(x, x));
-      opt->zero_grad();
-      loss.backward();
-      opt->step();
-    }
-    EXPECT_NEAR(x.data()[0], 0.0f, 0.05f) << (use_adam ? "adam" : "sgd");
-    EXPECT_NEAR(x.data()[1], 0.0f, 0.05f);
+TEST(Optim, AdamMinimizesQuadratic) {
+  Tensor x = Tensor::from_data({1, 2}, {4.0f, -3.0f}, true);
+  ag::Adam opt(0.1f);
+  opt.add_param(x);
+  for (int step = 0; step < 200; ++step) {
+    Tensor loss = ag::sum(ag::mul(x, x));
+    opt.zero_grad();
+    loss.backward();
+    opt.step();
   }
+  EXPECT_NEAR(x.data()[0], 0.0f, 0.05f);
+  EXPECT_NEAR(x.data()[1], 0.0f, 0.05f);
 }
 
 TEST(Optim, GradientClippingBoundsGlobalNorm) {
   Tensor x = Tensor::from_data({1, 2}, {100.0f, 0.0f}, true);
-  ag::Sgd opt(1.0f);
+  ag::Adam opt(1.0f);
   opt.add_param(x);
   Tensor loss = ag::sum(ag::mul(x, x));  // grad = 2x = (200, 0)
   opt.zero_grad();

@@ -156,20 +156,6 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-std::vector<profiler::ArgInit> synth_args(const ir::Function& kernel) {
-  std::vector<profiler::ArgInit> args;
-  for (const auto& p : kernel.params) {
-    if (ir::is_array(p.type)) {
-      args.push_back(profiler::ArgInit::of_array(4096, args.size() + 1));
-    } else if (p.type == ir::TypeKind::Int) {
-      args.push_back(profiler::ArgInit::of_int(8));
-    } else {
-      args.push_back(profiler::ArgInit::of_float(1.0));
-    }
-  }
-  return args;
-}
-
 const ir::Function& kernel_of(const ir::Module& m) {
   const ir::Function* fn = m.find("kernel");
   if (!fn) throw std::runtime_error("no `kernel` function in the input");
@@ -195,7 +181,7 @@ int cmd_cus(const ir::Module& m) {
 }
 
 int cmd_profile(const ir::Module& m) {
-  const auto args = synth_args(kernel_of(m));
+  const auto args = profiler::default_args(kernel_of(m));
   const auto prof = profiler::profile(m, "kernel", args);
   std::printf("dynamic instructions : %llu\n",
               static_cast<unsigned long long>(prof.run.steps));
@@ -228,7 +214,7 @@ int cmd_profile(const ir::Module& m) {
 }
 
 int cmd_peg(const ir::Module& m) {
-  const auto args = synth_args(kernel_of(m));
+  const auto args = profiler::default_args(kernel_of(m));
   const auto prof = profiler::profile(m, "kernel", args);
   const auto peg = graph::build_peg(m, prof);
   std::fputs(graph::to_dot(peg, m.name).c_str(), stdout);
@@ -236,7 +222,7 @@ int cmd_peg(const ir::Module& m) {
 }
 
 int cmd_suggest(const ir::Module& m) {
-  const auto args = synth_args(kernel_of(m));
+  const auto args = profiler::default_args(kernel_of(m));
   const auto prof = profiler::profile(m, "kernel", args);
   for (const auto& s : analysis::suggest_openmp(m, prof)) {
     std::printf("%s\n", analysis::to_string(s).c_str());
@@ -246,7 +232,7 @@ int cmd_suggest(const ir::Module& m) {
 
 int cmd_parallelize(const ir::Module& m, const std::string& source,
                     std::uint32_t threads) {
-  const auto args = synth_args(kernel_of(m));
+  const auto args = profiler::default_args(kernel_of(m));
   const auto prof = profiler::profile(m, "kernel", args);
   const auto suggestions = analysis::suggest_openmp(m, prof);
   const auto result = transform::plan_parallel(m, "kernel", suggestions, prof);
@@ -405,18 +391,9 @@ int cmd_train(const std::string& source, const TrainOptions& topts) {
   }
 
   // ---- inference on the user program ------------------------------------
-  data::ProgramSpec user;
-  user.suite = "User";
-  user.app = "user";
-  user.kernel.name = "user_program";
-  user.kernel.source = source;
-  {
-    const ir::Module probe = frontend::compile(source, "probe");
-    user.kernel.args = synth_args(kernel_of(probe));
-  }
   // ctx.feat_opts: the training recipe without dependence noise (the
   // user's own run is not noisy).
-  const auto samples = data::featurize_program(user, ctx.ds, ctx.feat_opts);
+  const auto samples = data::featurize_source(source, ctx.ds, ctx.feat_opts);
 
   std::printf("\nloop classification for the input program:\n");
   std::printf("%6s | %-14s | %-11s | %s\n", "line", "MV-GNN", "node/struct",
