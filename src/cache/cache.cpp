@@ -111,157 +111,45 @@ void Cache::scan_disk() {
 std::optional<std::string> Cache::get(const Key& key) {
   // hit: 0 = miss, 1 = memory tier, 2 = disk tier (promoted).
   obs::ScopedSpan span("cache.get");
-  if (auto bytes = find_memory(key)) {
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.hits;
-    }
-    counters().hits.add(1);
-    span.arg("hit", 1);
-    return bytes;
-  }
-  if (!cfg_.dir.empty()) {
-    if (auto bytes = read_disk(key)) {
-      // Promote into the memory tier.
-      Entry e;
-      e.key = key;
-      e.bytes = *bytes;
-      e.charge = e.bytes.size() + kEntryOverhead;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        insert_locked(std::move(e));
-      }
-      {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.hits;
-      }
-      counters().hits.add(1);
-      span.arg("hit", 2);
-      return bytes;
-    }
+  std::optional<std::string> bytes = find_memory(key);
+  std::uint64_t tier = bytes ? 1 : 0;
+  if (!bytes && !cfg_.dir.empty() && (bytes = read_disk(key))) {
+    insert_memory(key, *bytes);  // promote into the memory tier
+    tier = 2;
   }
   {
     std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.misses;
+    ++(bytes ? stats_.hits : stats_.misses);
   }
-  counters().misses.add(1);
-  span.arg("hit", 0);
-  return std::nullopt;
+  (bytes ? counters().hits : counters().misses).add(1);
+  span.arg("hit", tier);
+  return bytes;
 }
 
 std::optional<std::string> Cache::find_memory(const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end() || it->second->type != nullptr) return std::nullopt;
+  if (it == index_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->bytes;
 }
 
 void Cache::put(const Key& key, std::string_view bytes) {
-  Entry e;
-  e.key = key;
-  e.bytes.assign(bytes.data(), bytes.size());
-  e.charge = e.bytes.size() + kEntryOverhead;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    insert_locked(std::move(e));
-  }
+  insert_memory(key, std::string(bytes));
   if (!cfg_.dir.empty()) write_disk(key, bytes);
 }
 
-std::string Cache::get_or_compute(
-    const Key& key, const std::function<std::string()>& compute) {
-  if (auto hit = get(key)) return std::move(*hit);
-
-  std::shared_ptr<Flight> flight;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    auto& slot = flights_[key];
-    if (!slot) {
-      slot = std::make_shared<Flight>();
-      owner = true;
-    }
-    flight = slot;
-  }
-  if (!owner) {
-    std::unique_lock<std::mutex> lock(flight->m);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    if (flight->error) std::rethrow_exception(flight->error);
-    return flight->bytes;
-  }
-
-  std::string bytes;
-  std::exception_ptr error;
-  try {
-    // A caller that missed just before the previous owner's put() can take
-    // a fresh flight slot after that owner retired it; the value is then
-    // already in memory. Re-check without counting a second miss.
-    if (auto cached = find_memory(key)) {
-      bytes = std::move(*cached);
-    } else {
-      bytes = compute();
-      put(key, bytes);
-    }
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    std::lock_guard<std::mutex> lock(flight->m);
-    flight->done = true;
-    flight->bytes = bytes;
-    flight->error = error;
-  }
-  flight->cv.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    flights_.erase(key);
-  }
-  if (error) std::rethrow_exception(error);
-  return bytes;
-}
-
-std::pair<std::shared_ptr<const void>, const std::type_info*>
-Cache::get_object_erased(const Key& key) {
+void Cache::insert_memory(const Key& key, std::string bytes) {
+  const std::size_t charge = bytes.size() + kEntryOverhead;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end() || it->second->type == nullptr) {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.misses;
-    counters().misses.add(1);
-    return {nullptr, nullptr};
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.hits;
-  }
-  counters().hits.add(1);
-  return {it->second->obj, it->second->type};
-}
-
-void Cache::put_object_erased(const Key& key,
-                              std::shared_ptr<const void> value,
-                              const std::type_info& type,
-                              std::size_t approx_bytes) {
-  Entry e;
-  e.key = key;
-  e.obj = std::move(value);
-  e.type = &type;
-  e.charge = approx_bytes + kEntryOverhead;
-  std::lock_guard<std::mutex> lock(mu_);
-  insert_locked(std::move(e));
-}
-
-void Cache::insert_locked(Entry entry) {
-  const auto it = index_.find(entry.key);
   if (it != index_.end()) {
     mem_bytes_ -= it->second->charge;
     lru_.erase(it->second);
     index_.erase(it);
   }
-  mem_bytes_ += entry.charge;
-  lru_.push_front(std::move(entry));
+  mem_bytes_ += charge;
+  lru_.push_front(Entry{key, std::move(bytes), charge});
   index_[lru_.front().key] = lru_.begin();
   evict_to_budget_locked();
   {
@@ -379,33 +267,5 @@ Stats Cache::stats() const {
   std::lock_guard<std::mutex> slock(stats_mu_);
   return stats_;
 }
-
-void Cache::reconfigure(Config cfg) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    lru_.clear();
-    index_.clear();
-    mem_bytes_ = 0;
-    cfg_ = std::move(cfg);
-  }
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    stats_.mem_entries = 0;
-    stats_.mem_bytes = 0;
-    stats_.disk_entries = 0;
-    stats_.disk_bytes = 0;
-  }
-  if (!cfg_.dir.empty()) {
-    std::filesystem::create_directories(cfg_.dir);
-    scan_disk();
-  }
-}
-
-Cache& Cache::global() {
-  static Cache* c = new Cache();  // leaked: usable from teardown paths
-  return *c;
-}
-
-void Cache::configure_global(Config cfg) { global().reconfigure(std::move(cfg)); }
 
 }  // namespace mvgnn::cache

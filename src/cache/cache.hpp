@@ -2,12 +2,9 @@
 // optional on-disk tier.
 //
 // The staged pipeline (src/pipe) keys every stage boundary by content hash;
-// this layer stores the serialized stage outputs. Two kinds of entries
-// share one LRU and one memory budget:
-//
-//   * byte blobs — serialized artifacts, spillable to the disk tier;
-//   * typed objects — in-memory-only artifacts (e.g. a compiled+profiled
-//     module, which holds pointers and cannot be serialized cheaply).
+// this layer stores the serialized featurize and embed outputs. Every entry
+// is a byte blob: the memory LRU holds it under one byte budget, and the
+// disk tier, when configured, keeps a copy of every blob put.
 //
 // Disk entries are "MVCC" files (magic, version, length, payload, CRC32)
 // written through io::atomic_write_file, so a crash mid-write never leaves
@@ -21,16 +18,12 @@
 // "cache.read.corrupt" corrupts the CRC of the N-th disk-tier read.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <typeindex>
 #include <unordered_map>
 
 #include "cache/key.hpp"
@@ -48,7 +41,7 @@ namespace mvgnn::cache {
 struct Config {
   /// Disk-tier directory; empty = memory-only cache.
   std::string dir;
-  /// Memory budget for the LRU tier (blobs + typed objects).
+  /// Memory budget for the LRU tier.
   std::size_t mem_budget_bytes = 256ull << 20;
 };
 
@@ -78,8 +71,6 @@ class Cache {
   Cache() : Cache(Config{}) {}
   explicit Cache(Config cfg);
 
-  // ---- byte-blob tier (memory LRU + disk) --------------------------------
-
   /// Memory first, then disk (promoting a disk hit into memory). nullopt =
   /// miss (including any corrupt disk entry, which is evicted on the way).
   [[nodiscard]] std::optional<std::string> get(const Key& key);
@@ -88,60 +79,24 @@ class Cache {
   /// disk tier is configured, on disk. Never throws for I/O reasons.
   void put(const Key& key, std::string_view bytes);
 
-  /// get(); on a miss runs `compute`, stores and returns its result.
-  /// Concurrent callers with the same key are single-flight: one computes,
-  /// the rest wait and share the value (or the thrown exception).
-  std::string get_or_compute(const Key& key,
-                             const std::function<std::string()>& compute);
-
-  // ---- typed object tier (memory only) -----------------------------------
-
-  template <typename T>
-  [[nodiscard]] std::shared_ptr<const T> get_object(const Key& key) {
-    auto [p, type] = get_object_erased(key);
-    if (!p || *type != typeid(T)) return nullptr;
-    return std::static_pointer_cast<const T>(p);
-  }
-
-  template <typename T>
-  void put_object(const Key& key, std::shared_ptr<const T> value,
-                  std::size_t approx_bytes) {
-    put_object_erased(key, std::move(value), typeid(T), approx_bytes);
-  }
-
-  // ---- maintenance -------------------------------------------------------
-
   /// Drops every memory entry and deletes every disk entry.
   void clear();
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Config& config() const { return cfg_; }
 
-  /// Process-wide instance the CLI wires --cache-dir/--cache-mem-mb into.
-  /// Defaults to memory-only with the default budget.
-  static Cache& global();
-  /// Reconfigures global(): clears the memory tier, then adopts `cfg`
-  /// (existing disk entries under cfg.dir become visible).
-  static void configure_global(Config cfg);
-
  private:
   struct Entry {
     Key key;
-    std::string bytes;                  // blob entries
-    std::shared_ptr<const void> obj;    // typed entries
-    const std::type_info* type = nullptr;
+    std::string bytes;
     std::size_t charge = 0;
   };
   using LruList = std::list<Entry>;
 
-  std::pair<std::shared_ptr<const void>, const std::type_info*>
-  get_object_erased(const Key& key);
-  void put_object_erased(const Key& key, std::shared_ptr<const void> value,
-                         const std::type_info& type, std::size_t approx_bytes);
-
-  /// Memory-tier blob lookup (refreshes LRU order); touches no stats.
+  /// Memory-tier lookup (refreshes LRU order); touches no stats.
   [[nodiscard]] std::optional<std::string> find_memory(const Key& key);
-  /// Inserts/replaces under mu_; evicts LRU tail past the budget.
-  void insert_locked(Entry entry);
+  /// Stores `bytes` in the memory tier, replacing any entry under `key`;
+  /// evicts the LRU tail past the budget.
+  void insert_memory(const Key& key, std::string bytes);
   void evict_to_budget_locked();
   [[nodiscard]] std::string path_of(const Key& key) const;
   /// Reads + verifies one disk entry; corrupt entries are deleted and
@@ -149,23 +104,12 @@ class Cache {
   [[nodiscard]] std::optional<std::string> read_disk(const Key& key);
   void write_disk(const Key& key, std::string_view bytes);
   void scan_disk();  // initializes disk_bytes/disk_entries from cfg_.dir
-  void reconfigure(Config cfg);
 
-  Config cfg_;
+  const Config cfg_;
   mutable std::mutex mu_;
   LruList lru_;  // front = most recently used
   std::unordered_map<Key, LruList::iterator, KeyHash> index_;
   std::size_t mem_bytes_ = 0;
-
-  struct Flight {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    std::string bytes;
-    std::exception_ptr error;
-  };
-  std::mutex flights_mu_;
-  std::unordered_map<Key, std::shared_ptr<Flight>, KeyHash> flights_;
 
   // Instance-local stats (obs counters are process-global).
   mutable std::mutex stats_mu_;

@@ -87,6 +87,19 @@ class MvGnn final : public nn::Module {
   std::unique_ptr<nn::Linear> fusion_;
 };
 
+/// Column of the largest entry in row `row` of a logits tensor (the first
+/// on ties): the predicted class of that batch row.
+[[nodiscard]] inline int argmax_row(const ag::Tensor& logits,
+                                    std::size_t row = 0) {
+  int best = 0;
+  for (std::size_t c = 1; c < logits.cols(); ++c) {
+    if (logits.at(row, c) > logits.at(row, static_cast<std::size_t>(best))) {
+      best = static_cast<int>(c);
+    }
+  }
+  return best;
+}
+
 /// Single-view GNN classifier (used for the "GNNs with static information"
 /// baseline of Shen et al. and the per-view ablations): one DGCNN over a
 /// caller-chosen node feature matrix.

@@ -50,16 +50,6 @@ void log_epoch(std::size_t epoch, const EpochStat& st) {
                      {"test_acc", obs::logfmt("%.4f", st.test_acc)}});
 }
 
-int argmax_row(const Tensor& logits, std::size_t row = 0) {
-  int best = 0;
-  for (std::size_t c = 1; c < logits.cols(); ++c) {
-    if (logits.at(row, c) > logits.at(row, static_cast<std::size_t>(best))) {
-      best = static_cast<int>(c);
-    }
-  }
-  return best;
-}
-
 /// Batched evaluation block size: big enough to amortize the forward, small
 /// enough that the block-diagonal batch stays cache-resident.
 constexpr std::size_t kEvalBatch = 32;

@@ -16,6 +16,7 @@
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "parallel/rng.hpp"
+#include "profiler/profile.hpp"
 #include "transform/passes.hpp"
 
 namespace mvgnn::pipe {
@@ -70,18 +71,13 @@ std::array<double, 7> squash(const profiler::LoopFeatures& f) {
   return out;
 }
 
-std::size_t approx_profile_bytes(const CompiledProfile& cp) {
-  std::size_t bytes = sizeof(CompiledProfile);
-  for (const auto& fn : cp.module.functions) {
-    bytes += fn->instrs.size() * (sizeof(ir::Instruction) + 32);
-  }
-  bytes += cp.prof.dep.edges.size() * sizeof(profiler::DepEdge);
-  for (const profiler::CU& cu : cp.prof.cus) {
-    bytes += sizeof(profiler::CU) + cu.instrs.size() * sizeof(ir::InstrId);
-  }
-  bytes += cp.prof.loops.size() * sizeof(profiler::LoopSample);
-  return bytes;
-}
+/// The Profile-stage output: module + clean profile. The module holds its
+/// functions by unique_ptr, so moving the struct keeps the profile's
+/// pointers into it valid.
+struct CompiledProfile {
+  ir::Module module;
+  profiler::ProfileResult prof;
+};
 
 }  // namespace
 
@@ -289,15 +285,12 @@ ItemFeatures deserialize_features(std::string_view bytes) {
   return f;
 }
 
-std::shared_ptr<const CompiledProfile> compile_and_profile(
-    const ItemSpec& spec, const PipelineConfig& cfg, cache::Cache* cache) {
-  const StageKeys keys = stage_keys(spec, cfg);
-  if (cache) {
-    if (auto obj = cache->get_object<CompiledProfile>(keys.profile)) {
-      return obj;
-    }
-  }
-  auto cp = std::make_shared<CompiledProfile>();
+namespace {
+
+/// Runs Parse..Profile for `spec`. Throws StageError.
+CompiledProfile compile_and_profile(const ItemSpec& spec,
+                                    const PipelineConfig& cfg) {
+  CompiledProfile cp;
   Stage cur = Stage::Parse;
   try {
     // One `pipe.<stage>` span per stage boundary: these are what the
@@ -312,8 +305,8 @@ std::shared_ptr<const CompiledProfile> compile_and_profile(
     cur = Stage::Lower;
     {
       OBS_SPAN("pipe.lower");
-      cp->module = frontend::lower(prog, spec.module_name);
-      ir::verify(cp->module);
+      cp.module = frontend::lower(prog, spec.module_name);
+      ir::verify(cp.module);
       if (!spec.variant.empty()) {
         const transform::Pipeline* pipeline = nullptr;
         for (const transform::Pipeline& p : transform::variant_pipelines()) {
@@ -325,10 +318,10 @@ std::shared_ptr<const CompiledProfile> compile_and_profile(
         if (!pipeline) {
           throw std::runtime_error("unknown variant pipeline: " + spec.variant);
         }
-        transform::run_pipeline(cp->module, *pipeline);
+        transform::run_pipeline(cp.module, *pipeline);
       }
       if (!spec.args) {
-        const ir::Function* fn = cp->module.find(spec.entry);
+        const ir::Function* fn = cp.module.find(spec.entry);
         if (!fn) {
           throw std::runtime_error("no `" + spec.entry +
                                    "` function in the program");
@@ -339,24 +332,21 @@ std::shared_ptr<const CompiledProfile> compile_and_profile(
     cur = Stage::Profile;
     {
       obs::ScopedSpan span("pipe.profile");
-      cp->prof = profiler::profile(cp->module, spec.entry,
+      cp.prof = profiler::profile(cp.module, spec.entry,
                                    spec.args ? *spec.args : defaults,
                                    cfg.interp);
-      span.arg("dep_edges", cp->prof.dep.edges.size())
-          .arg("cus", cp->prof.cus.size());
+      span.arg("dep_edges", cp.prof.dep.edges.size())
+          .arg("cus", cp.prof.cus.size());
     }
   } catch (const StageError&) {
     throw;
   } catch (const std::exception& e) {
     throw StageError(cur, e.what());
   }
-  if (cache) {
-    cache->put_object<CompiledProfile>(keys.profile, cp,
-                                       approx_profile_bytes(*cp));
-  }
   return cp;
 }
 
+/// Runs Peg..Featurize over an already-profiled item. Throws StageError.
 ItemFeatures featurize_compiled(const CompiledProfile& cp,
                                 const ItemSpec& spec,
                                 const PipelineConfig& cfg) {
@@ -500,6 +490,8 @@ ItemFeatures featurize_compiled(const CompiledProfile& cp,
   }
 }
 
+}  // namespace
+
 ItemFeatures run_item(const ItemSpec& spec, const PipelineConfig& cfg,
                       cache::Cache* cache) {
   const StageKeys keys = stage_keys(spec, cfg);
@@ -515,8 +507,8 @@ ItemFeatures run_item(const ItemSpec& spec, const PipelineConfig& cfg,
       }
     }
   }
-  auto cp = compile_and_profile(spec, cfg, cache);
-  ItemFeatures f = featurize_compiled(*cp, spec, cfg);
+  ItemFeatures f =
+      featurize_compiled(compile_and_profile(spec, cfg), spec, cfg);
   if (cache) cache->put(keys.featurize, serialize_features(f));
   return f;
 }

@@ -12,16 +12,14 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "graph/anon_walk.hpp"
-#include "ir/function.hpp"
 #include "pipe/stage.hpp"
-#include "profiler/profile.hpp"
+#include "profiler/interp.hpp"
 
 namespace mvgnn::pipe {
 
@@ -99,31 +97,10 @@ struct ItemFeatures {
 [[nodiscard]] std::string serialize_features(const ItemFeatures& f);
 [[nodiscard]] ItemFeatures deserialize_features(std::string_view bytes);
 
-/// The Profile-stage output: module + clean profile. Pointer-heavy
-/// (ProfileResult references functions inside the module), so it lives in
-/// the cache's typed-object tier, never on disk. The module is held by
-/// unique_ptr-to-Function internally, so moving the struct keeps every
-/// interior pointer valid.
-struct CompiledProfile {
-  ir::Module module;
-  profiler::ProfileResult prof;
-};
-
-/// Runs Parse..Profile for `spec`, consulting `cache`'s object tier at the
-/// profile key. Throws StageError on failure.
-[[nodiscard]] std::shared_ptr<const CompiledProfile> compile_and_profile(
-    const ItemSpec& spec, const PipelineConfig& cfg, cache::Cache* cache);
-
-/// Runs Peg..Featurize over an already-profiled item. Throws StageError.
-[[nodiscard]] ItemFeatures featurize_compiled(const CompiledProfile& cp,
-                                              const ItemSpec& spec,
-                                              const PipelineConfig& cfg);
-
-/// The whole item pipeline with caching at the stage boundaries: a blob
-/// hit at the featurize key short-circuits everything; otherwise the
-/// profile object tier is consulted before recomputing, and the fresh
-/// result is stored back. `cache` may be null (always recompute).
-/// Throws StageError on any stage failure.
+/// The whole item pipeline with caching at the featurize boundary: a blob
+/// hit at the featurize key short-circuits everything; otherwise every
+/// stage runs and the result is stored back. `cache` may be null (always
+/// recompute). Throws StageError on any stage failure.
 [[nodiscard]] ItemFeatures run_item(const ItemSpec& spec,
                                     const PipelineConfig& cfg,
                                     cache::Cache* cache);

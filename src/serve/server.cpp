@@ -76,16 +76,6 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
-int argmax_row(const ag::Tensor& logits, std::size_t row) {
-  int best = 0;
-  for (std::size_t c = 1; c < logits.cols(); ++c) {
-    if (logits.at(row, c) > logits.at(row, static_cast<std::size_t>(best))) {
-      best = static_cast<int>(c);
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 ServingContext build_serving_context(int corpus_loops, cache::Cache* cache) {
@@ -670,9 +660,9 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
       const core::MvGnn::Output out =
           model->net->forward_batch(gb, /*training=*/false, rng_);
       for (std::size_t r = 0; r < n; ++r) {
-        fused_rows.push_back(argmax_row(out.logits, r));
-        node_rows.push_back(argmax_row(out.node_logits, r));
-        struct_rows.push_back(argmax_row(out.struct_logits, r));
+        fused_rows.push_back(core::argmax_row(out.logits, r));
+        node_rows.push_back(core::argmax_row(out.node_logits, r));
+        struct_rows.push_back(core::argmax_row(out.struct_logits, r));
       }
     }
   } catch (const std::exception& e) {

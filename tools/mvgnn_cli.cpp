@@ -93,7 +93,7 @@ int usage() {
       "            reload on SIGHUP or {\"cmd\":\"reload\"} (docs/serving.md).\n"
       "            Takes no <file> argument; needs --checkpoint\n"
       "  cache     stage-cache maintenance: `mvgnn cache stats` or\n"
-      "            `mvgnn cache clear` (use with --cache-dir)\n"
+      "            `mvgnn cache clear` (needs --cache-dir)\n"
       "  report    aggregate a recorded run offline:\n"
       "            `mvgnn report <trace.json> [<metrics.json>]`\n"
       "\n"
@@ -322,10 +322,6 @@ struct TrainOptions {
   bool resume = false;
 };
 
-/// Stage cache the dataset builds go through; null until --cache-dir or
-/// --cache-mem-mb configures the global instance.
-cache::Cache* g_cache = nullptr;
-
 /// Flipped by the SIGINT/SIGTERM handler; the trainer polls it at batch
 /// boundaries (landing a final checkpoint), the dataset builder between
 /// pipeline items, and the serve daemon's main loop — all exit 130.
@@ -348,14 +344,19 @@ extern "C" void handle_reload_signal(int) {
 /// build a generated corpus, train one MV-GNN on it, and classify every
 /// for-loop of the input program. Exercises every instrumented subsystem —
 /// profiler, PEG/walks, GEMM, thread pool, trainer — so a --trace-out of
-/// this command shows the whole pipeline.
-int cmd_train(const std::string& source, const TrainOptions& topts) {
+/// this command shows the whole pipeline. The input is featurized before
+/// training, so a program that does not compile fails before any epoch.
+int cmd_train(const std::string& source, const TrainOptions& topts,
+              cache::Cache* cache) {
   obs::log_info("building training corpus",
                 {{"loops", std::to_string(topts.corpus_loops)}});
   // The serving recipe, so `mvgnn serve --corpus N` rebuilds exactly the
   // normalizer and feature widths this checkpoint is trained against.
   const serve::ServingContext ctx =
-      serve::build_serving_context(topts.corpus_loops, g_cache);
+      serve::build_serving_context(topts.corpus_loops, cache);
+  // ctx.feat_opts: the training recipe without dependence noise (the
+  // user's own run is not noisy).
+  const auto samples = data::featurize_source(source, ctx.ds, ctx.feat_opts);
   core::Featurizer feats(ctx.ds, ctx.norm);
   core::TrainConfig tc;
   tc.epochs = topts.epochs;
@@ -391,10 +392,6 @@ int cmd_train(const std::string& source, const TrainOptions& topts) {
   }
 
   // ---- inference on the user program ------------------------------------
-  // ctx.feat_opts: the training recipe without dependence noise (the
-  // user's own run is not noisy).
-  const auto samples = data::featurize_source(source, ctx.ds, ctx.feat_opts);
-
   std::printf("\nloop classification for the input program:\n");
   std::printf("%6s | %-14s | %-11s | %s\n", "line", "MV-GNN", "node/struct",
               "expert oracle");
@@ -413,17 +410,18 @@ int cmd_train(const std::string& source, const TrainOptions& topts) {
 /// the same --corpus/--seed produce byte-identical files whether the stage
 /// cache is off, cold, or warm — the CI cache-identity check builds twice
 /// against one --cache-dir and compares the bytes.
-int cmd_dataset(const std::string& out, const TrainOptions& topts) {
+int cmd_dataset(const std::string& out, const TrainOptions& topts,
+                cache::Cache* cache) {
   data::DatasetOptions opts;
   opts.seed = topts.seed;
-  opts.cache = g_cache;
+  opts.cache = cache;
   opts.stop_requested = &g_stop;
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
   obs::log_info("building dataset",
                 {{"loops", std::to_string(topts.corpus_loops)},
                  {"out", out},
-                 {"cached", g_cache ? "yes" : "no"}});
+                 {"cached", cache ? "yes" : "no"}});
   std::size_t skipped = 0;
   data::BuildReport build_report;
   const data::Dataset ds = data::build_dataset(
@@ -441,8 +439,8 @@ int cmd_dataset(const std::string& out, const TrainOptions& topts) {
   data::save_dataset(ds, out);
   std::printf("wrote %s: %zu samples, static_dim=%u, aw_vocab=%u\n",
               out.c_str(), ds.samples.size(), ds.static_dim, ds.aw_vocab);
-  if (g_cache) {
-    const cache::Stats st = g_cache->stats();
+  if (cache) {
+    const cache::Stats st = cache->stats();
     std::printf("cache: %llu hits, %llu misses (%.0f%% hit ratio)\n",
                 static_cast<unsigned long long>(st.hits),
                 static_cast<unsigned long long>(st.misses),
@@ -465,14 +463,15 @@ struct ServeOptions {
 /// Long-running inference daemon (docs/serving.md): rebuild the train-time
 /// featurization context, load the checkpoint, serve until SIGINT/SIGTERM
 /// (graceful drain), hot-reloading the checkpoint on SIGHUP.
-int cmd_serve(const TrainOptions& topts, const ServeOptions& sopts) {
+int cmd_serve(const TrainOptions& topts, const ServeOptions& sopts,
+              cache::Cache* cache) {
   if (sopts.checkpoint.empty()) {
     std::fprintf(stderr, "mvgnn: serve needs --checkpoint <file.mvck>\n");
     return 2;
   }
   obs::log_info("building serving context",
                 {{"corpus", std::to_string(topts.corpus_loops)},
-                 {"cached", g_cache ? "yes" : "no"}});
+                 {"cached", cache ? "yes" : "no"}});
   serve::ServerConfig cfg;
   cfg.port = sopts.port;
   cfg.checkpoint = sopts.checkpoint;
@@ -483,7 +482,7 @@ int cmd_serve(const TrainOptions& topts, const ServeOptions& sopts) {
   cfg.max_request_bytes = sopts.max_request_bytes;
   cfg.interp.max_steps = sopts.fuel;
   serve::Server server(
-      serve::build_serving_context(topts.corpus_loops, g_cache), cfg);
+      serve::build_serving_context(topts.corpus_loops, cache), cfg);
   server.start();
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
@@ -508,13 +507,15 @@ int cmd_serve(const TrainOptions& topts, const ServeOptions& sopts) {
   return 0;
 }
 
-int cmd_cache(const std::string& sub) {
-  cache::Cache& c = cache::Cache::global();
+int cmd_cache(const std::string& sub, cache::Cache* cache) {
+  if (!cache || cache->config().dir.empty()) {
+    std::fprintf(stderr, "mvgnn: `cache %s` needs --cache-dir\n", sub.c_str());
+    return usage();
+  }
+  cache::Cache& c = *cache;
   if (sub == "clear") {
     c.clear();
-    std::printf("cache cleared (%s)\n",
-                c.config().dir.empty() ? "memory tier only"
-                                       : c.config().dir.c_str());
+    std::printf("cache cleared (%s)\n", c.config().dir.c_str());
     return 0;
   }
   if (sub != "stats") {
@@ -523,8 +524,7 @@ int cmd_cache(const std::string& sub) {
     return usage();
   }
   const cache::Stats st = c.stats();
-  std::printf("dir           : %s\n",
-              c.config().dir.empty() ? "(none)" : c.config().dir.c_str());
+  std::printf("dir           : %s\n", c.config().dir.c_str());
   std::printf("mem budget    : %zu bytes\n", c.config().mem_budget_bytes);
   std::printf("mem entries   : %llu (%llu bytes)\n",
               static_cast<unsigned long long>(st.mem_entries),
@@ -728,13 +728,16 @@ int main(int argc, char** argv) {
 
   if (quiet) obs::Logger::global().set_level(obs::LogLevel::Warn);
   if (!trace_out.empty() || report) obs::TraceRecorder::global().enable();
+  // The stage cache the dataset builds go through; none unless
+  // --cache-dir or --cache-mem-mb asks for one.
+  std::optional<cache::Cache> cache;
   if (cache_requested) {
     cache::Config ccfg;
     ccfg.dir = cache_dir;
     if (cache_mem_mb > 0) ccfg.mem_budget_bytes = cache_mem_mb << 20;
-    cache::Cache::configure_global(ccfg);
-    g_cache = &cache::Cache::global();
+    cache.emplace(std::move(ccfg));
   }
+  cache::Cache* cache_p = cache ? &*cache : nullptr;
 
   // `report` is pure offline aggregation: no sampler, no recorder needed.
   if (command == "report") {
@@ -764,21 +767,21 @@ int main(int argc, char** argv) {
   try {
     if (command == "cache") {
       return finalize_run(metrics_out, trace_out, sampler_p, report,
-                          report_fmt, cmd_cache(file));
+                          report_fmt, cmd_cache(file, cache_p));
     }
     if (command == "dataset") {
       return finalize_run(metrics_out, trace_out, sampler_p, report,
-                          report_fmt, cmd_dataset(file, topts));
+                          report_fmt, cmd_dataset(file, topts, cache_p));
     }
     if (command == "serve") {
       return finalize_run(metrics_out, trace_out, sampler_p, report,
-                          report_fmt, cmd_serve(topts, sopts));
+                          report_fmt, cmd_serve(topts, sopts, cache_p));
     }
     const std::string source = read_file(file);
     if (command == "variants") {
       rc = cmd_variants(source);
     } else if (command == "train") {
-      rc = cmd_train(source, topts);
+      rc = cmd_train(source, topts, cache_p);
     } else {
       const ir::Module m = frontend::compile(source, file);
       if (command == "ir") rc = cmd_ir(m);
