@@ -98,7 +98,6 @@ int main() {
   std::iota(idx.begin(), idx.end(), 0);
   const core::Normalizer norm = core::Normalizer::fit(ds, idx);
   core::Featurizer feats(ds, norm);
-  feats.prefetch(idx);
 
   core::DgcnnConfig cfg;
   cfg.in_dim = feats.node_dim();

@@ -163,20 +163,30 @@ float kernel(float[] a, float[] b) {
   std::printf("\nloop classification for the input program:\n");
   std::printf("%6s | %-16s | %-14s | %s\n", "line", "MV-GNN", "node/struct",
               "expert oracle");
+  std::vector<core::SampleInput> inputs;
+  std::vector<const core::SampleInput*> ptrs;
+  inputs.reserve(samples.size());
   for (const auto& s : samples) {
-    const auto in = core::build_input(s, ds, norm);
-    int fused_votes = 0, node_votes = 0, struct_votes = 0;
-    for (const auto& t : ensemble) {
-      const auto p = t->predict_input(in);
-      fused_votes += p.fused;
-      node_votes += p.node_view;
-      struct_votes += p.struct_view;
+    inputs.push_back(core::build_input(s, ds, norm));
+    ptrs.push_back(&inputs.back());
+  }
+  std::vector<int> fused_votes(samples.size()), node_votes(samples.size()),
+      struct_votes(samples.size());
+  for (const auto& t : ensemble) {
+    const auto preds = core::predict(t->model(), ptrs, ptrs.size());
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      fused_votes[i] += preds[i].fused;
+      node_votes[i] += preds[i].node_view;
+      struct_votes[i] += preds[i].struct_view;
     }
+  }
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const data::GraphSample& s = samples[i];
     const int majority = static_cast<int>(ensemble.size()) / 2;
     std::printf("%6d | %-16s | %5s / %-6s | %s\n", s.loop_line,
-                fused_votes > majority ? "PARALLELIZABLE" : "sequential",
-                node_votes > majority ? "par" : "seq",
-                struct_votes > majority ? "par" : "seq",
+                fused_votes[i] > majority ? "PARALLELIZABLE" : "sequential",
+                node_votes[i] > majority ? "par" : "seq",
+                struct_votes[i] > majority ? "par" : "seq",
                 s.label ? "parallelizable" : "sequential");
   }
   return 0;

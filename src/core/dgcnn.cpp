@@ -40,6 +40,9 @@ Dgcnn::Dgcnn(const DgcnnConfig& cfg, par::Rng& rng) : cfg_(cfg) {
       {cfg.conv2_channels, cfg.conv1_channels * cfg.conv2_kernel}, rng, s2);
   conv2_b_ = Tensor::zeros({1, cfg.conv2_channels}, true);
 
+  if (cfg.sort_k % 2 != 0) {
+    throw std::invalid_argument("DGCNN: sort_k must be even");
+  }
   const std::size_t pooled_len = cfg.sort_k / 2;
   if (pooled_len < cfg.conv2_kernel) {
     throw std::invalid_argument("DGCNN: sort_k/2 smaller than conv2 kernel");
@@ -83,51 +86,29 @@ Dgcnn::Output Dgcnn::forward(const ag::CsrMatrix& ahat,
   // transpose or bias-add intermediate is materialized.
   Tensor c1 = ag::relu(ag::transpose(
       ag::matmul_bias(sp, conv1_w_, conv1_b_, /*tw=*/true)));  // [c1, B*k]
-  Tensor pooled;
-  if (cfg_.sort_k % 2 == 0) {
-    // Even k: the 2-wide max-pool windows line up with graph boundaries, so
-    // pooling runs batched, and the stride-1 second conv is segment-aware —
-    // it only computes the windows that live inside one graph's k/2
-    // columns, never the straddling positions.
-    const std::size_t half = cfg_.sort_k / 2;
-    const std::size_t l = half - cfg_.conv2_kernel + 1;
-    Tensor p1 = ag::maxpool1d(c1, 2);                       // [c1, B*k/2]
-    std::vector<std::uint32_t> starts(b_count);
-    for (std::size_t b = 0; b < b_count; ++b) {
-      starts[b] = static_cast<std::uint32_t>(b * half);
-    }
-    Tensor c2 = ag::relu(ag::conv1d_segments(p1, conv2_w_, conv2_b_,
-                                             cfg_.conv2_kernel, 1, starts,
-                                             half));        // [c2, B*l]
-    std::vector<std::uint32_t> row_starts(b_count);
-    for (std::size_t b = 0; b < b_count; ++b) {
-      row_starts[b] = static_cast<std::uint32_t>(b * l);
-    }
-    pooled = ag::segment_cols_to_rows(c2, row_starts, l);   // [B, rep_dim]
-  } else {
-    // Odd k: pool windows would straddle boundaries, so the tail of the
-    // head runs on each graph's k-column slice.
-    for (std::size_t b = 0; b < b_count; ++b) {
-      Tensor cb = ag::slice_cols(c1, b * cfg_.sort_k, (b + 1) * cfg_.sort_k);
-      Tensor p1 = ag::maxpool1d(cb, 2);                     // [c1, k/2]
-      Tensor c2 = ag::relu(ag::conv1d(p1, conv2_w_, conv2_b_,
-                                      cfg_.conv2_kernel, 1));  // [c2, L]
-      Tensor pb = ag::reshape(c2, {1, rep_dim_});
-      pooled = (b == 0) ? pb : ag::concat_rows(pooled, pb);
-    }
+  // Even k (checked at construction): the 2-wide max-pool windows line up
+  // with graph boundaries, so pooling runs batched, and the stride-1 second
+  // conv is segment-aware — it only computes the windows that live inside
+  // one graph's k/2 columns, never the straddling positions.
+  const std::size_t half = cfg_.sort_k / 2;
+  const std::size_t l = half - cfg_.conv2_kernel + 1;
+  Tensor p1 = ag::maxpool1d(c1, 2);                         // [c1, B*k/2]
+  std::vector<std::uint32_t> starts(b_count);
+  for (std::size_t b = 0; b < b_count; ++b) {
+    starts[b] = static_cast<std::uint32_t>(b * half);
   }
-  out.pooled = pooled;  // [B, rep_dim]
+  Tensor c2 = ag::relu(ag::conv1d_segments(p1, conv2_w_, conv2_b_,
+                                           cfg_.conv2_kernel, 1, starts,
+                                           half));          // [c2, B*l]
+  std::vector<std::uint32_t> row_starts(b_count);
+  for (std::size_t b = 0; b < b_count; ++b) {
+    row_starts[b] = static_cast<std::uint32_t>(b * l);
+  }
+  out.pooled = ag::segment_cols_to_rows(c2, row_starts, l);  // [B, rep_dim]
   Tensor h = ag::relu(dense_->forward(out.pooled));
   h = ag::dropout(h, cfg_.dropout, training, rng);
   out.logits = head_->forward(h);
   return out;
-}
-
-Dgcnn::Output Dgcnn::forward(const GraphInput& g, bool training,
-                             par::Rng& rng) const {
-  return forward(g.ahat, g.rel_ahats, g.features,
-                 {0, static_cast<std::uint32_t>(g.features.rows())}, training,
-                 rng);
 }
 
 std::vector<ag::Tensor> Dgcnn::parameters() const {

@@ -21,22 +21,15 @@ struct DgcnnConfig {
   std::size_t relations = 4;
   std::vector<std::size_t> gcn_channels = {32, 32, 1};  // last must be 1
                                   // (SortPooling sorts on the final channel)
-  std::size_t sort_k = 16;        // SortPooling k (paper: 135, scaled down)
+  std::size_t sort_k = 16;        // SortPooling k (paper: 135, scaled down);
+                                  // even, so the 2-wide max-pool windows
+                                  // never straddle two graphs of a batch
   std::size_t conv1_channels = 16;  // first 1-D conv output channels
   std::size_t conv2_channels = 32;  // second 1-D conv output channels
   std::size_t conv2_kernel = 5;
   std::size_t dense_hidden = 64;  // dense layer before the logits
   std::size_t num_classes = 2;
   float dropout = 0.1f;
-};
-
-/// One graph as the network consumes it: a normalized CSR adjacency and a
-/// node feature matrix.
-struct GraphInput {
-  ag::CsrMatrix ahat;   // [n, n]
-  ag::Tensor features;  // [n, in_dim]
-  /// Per-relation adjacencies (relational mode only), size = relations.
-  std::vector<ag::CsrMatrix> rel_ahats;
 };
 
 class Dgcnn final : public nn::Module {
@@ -57,16 +50,12 @@ class Dgcnn final : public nn::Module {
   /// live in rows [offsets[b], offsets[b+1]). One pass runs the GCN stack
   /// over all graphs at once; SortPooling and the 1-D conv head pool each
   /// segment independently, so row b of `pooled`/`logits` is element-wise
-  /// identical to a B=1 forward of graph b alone.
+  /// identical to a B=1 forward of graph b alone (offsets {0, n}).
   [[nodiscard]] Output forward(const ag::CsrMatrix& ahat,
                                const std::vector<ag::CsrMatrix>& rel_ahats,
                                const ag::Tensor& features,
                                const std::vector<std::uint32_t>& offsets,
                                bool training, par::Rng& rng) const;
-
-  /// Single-graph (B=1) convenience wrapper over the batched forward.
-  [[nodiscard]] Output forward(const GraphInput& g, bool training,
-                               par::Rng& rng) const;
 
   /// Width of `Output::pooled`.
   [[nodiscard]] std::size_t rep_dim() const { return rep_dim_; }

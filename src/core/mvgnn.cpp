@@ -11,7 +11,7 @@ namespace mvgnn::core {
 
 using ag::Tensor;
 
-GraphBatch make_graph_batch(const std::vector<const SampleInput*>& samples) {
+GraphBatch make_graph_batch(std::span<const SampleInput* const> samples) {
   if (samples.empty()) {
     throw std::invalid_argument("make_graph_batch: empty sample list");
   }
@@ -111,6 +111,27 @@ MvGnn::Output MvGnn::forward(const SampleInput& in, bool training,
   return forward_batch(b, training, rng);
 }
 
+std::vector<ViewPrediction> predict(const MvGnn& model,
+                                    std::span<const SampleInput* const> inputs,
+                                    std::size_t max_batch) {
+  const std::size_t cap = max_batch == 0 ? inputs.size() : max_batch;
+  // Eval mode draws nothing from the Rng (dropout is off).
+  par::Rng rng(0);
+  std::vector<ViewPrediction> preds;
+  preds.reserve(inputs.size());
+  for (std::size_t base = 0; base < inputs.size(); base += cap) {
+    const std::size_t n = std::min(cap, inputs.size() - base);
+    const GraphBatch gb = make_graph_batch(inputs.subspan(base, n));
+    const MvGnn::Output out = model.forward_batch(gb, /*training=*/false, rng);
+    for (std::size_t r = 0; r < n; ++r) {
+      preds.push_back({argmax_row(out.logits, r),
+                       argmax_row(out.node_logits, r),
+                       argmax_row(out.struct_logits, r)});
+    }
+  }
+  return preds;
+}
+
 std::vector<ag::Tensor> MvGnn::parameters() const {
   std::vector<ag::Tensor> ps = node_view_->parameters();
   const auto sp = struct_view_->parameters();
@@ -127,7 +148,10 @@ SingleViewGnn::SingleViewGnn(const DgcnnConfig& cfg, par::Rng& rng)
 ag::Tensor SingleViewGnn::forward(const ag::CsrMatrix& ahat,
                                   const ag::Tensor& feats, bool training,
                                   par::Rng& rng) const {
-  return view_->forward({ahat, feats}, training, rng).logits;
+  return view_
+      ->forward(ahat, {}, feats, {0, static_cast<std::uint32_t>(feats.rows())},
+                training, rng)
+      .logits;
 }
 
 }  // namespace mvgnn::core

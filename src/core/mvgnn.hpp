@@ -11,6 +11,8 @@
 // single-view predictions off the jointly trained model.
 #pragma once
 
+#include <span>
+
 #include "core/dgcnn.hpp"
 
 namespace mvgnn::core {
@@ -53,7 +55,7 @@ struct GraphBatch {
 
 /// Assembles a batch from featurized samples (pointers stay borrowed).
 [[nodiscard]] GraphBatch make_graph_batch(
-    const std::vector<const SampleInput*>& samples);
+    std::span<const SampleInput* const> samples);
 
 class MvGnn final : public nn::Module {
  public:
@@ -99,6 +101,21 @@ class MvGnn final : public nn::Module {
   }
   return best;
 }
+
+/// The predicted class of one sample from each head of the model.
+struct ViewPrediction {
+  int fused = 0;
+  int node_view = 0;
+  int struct_view = 0;
+};
+
+/// The one inference path: eval-mode forward_batch over `inputs` in chunks
+/// of at most `max_batch` samples (0 = one chunk), then the argmax of each
+/// head's row. Element i of the result belongs to inputs[i]; the chunking
+/// never changes a verdict.
+[[nodiscard]] std::vector<ViewPrediction> predict(
+    const MvGnn& model, std::span<const SampleInput* const> inputs,
+    std::size_t max_batch);
 
 /// Single-view GNN classifier (used for the "GNNs with static information"
 /// baseline of Shen et al. and the per-view ablations): one DGCNN over a

@@ -138,53 +138,40 @@ SampleInput build_input(const data::GraphSample& s,
   return in;
 }
 
-const SampleInput& Featurizer::get(std::size_t i) const {
-  if (const SampleInput* hit = cache_.lookup(i)) return *hit;
-  OBS_SPAN("trainer.featurize_sample");
-  return cache_.store(
-      i, std::make_unique<SampleInput>(
-             build_input(ds_->samples[i], *ds_, norm_,
-                         mode_ == LabelMode::Pattern, zero_dynamic_,
-                         typed_edges_)));
-}
-
-void Featurizer::prefetch(const std::vector<std::size_t>& indices) const {
-  std::vector<std::size_t> todo;
-  for (const std::size_t i : indices) {
-    if (!cache_.filled(i)) todo.push_back(i);
-  }
-  std::sort(todo.begin(), todo.end());
-  todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
-  if (todo.empty()) return;
-  OBS_SPAN("trainer.featurize_prefetch");
-  // Deduped indices map to distinct cache slots, so workers never write
-  // the same slot; grain 1 because one sample is already substantial work
-  // (adjacency build + feature copy).
+Featurizer::Featurizer(const data::Dataset& ds, Normalizer norm,
+                       LabelMode mode, bool zero_dynamic, bool typed_edges)
+    : ds_(&ds), norm_(norm), mode_(mode), inputs_(ds.samples.size()) {
+  OBS_SPAN("trainer.featurize");
+  // Each index writes its own slot; grain 1 because one sample is already
+  // substantial work (adjacency build + feature copy).
   par::parallel_for(
-      0, todo.size(),
-      [&](std::size_t t) {
-        const std::size_t i = todo[t];
-        cache_.store(i, std::make_unique<SampleInput>(build_input(
-                            ds_->samples[i], *ds_, norm_,
-                            mode_ == LabelMode::Pattern, zero_dynamic_,
-                            typed_edges_)));
+      0, inputs_.size(),
+      [&](std::size_t i) {
+        inputs_[i] = build_input(ds.samples[i], ds, norm_,
+                                 mode == LabelMode::Pattern, zero_dynamic,
+                                 typed_edges);
       },
       par::ThreadPool::global(), /*grain=*/1);
 }
 
-MvGnnConfig default_config(const Featurizer& feats) {
+MvGnnConfig default_config(const data::Dataset& ds, LabelMode mode) {
+  const std::size_t classes = mode == LabelMode::Binary ? 2 : 3;
   MvGnnConfig cfg;
-  cfg.num_classes = feats.num_classes();
-  cfg.node_view.num_classes = feats.num_classes();
-  cfg.struct_view.num_classes = feats.num_classes();
-  cfg.node_view.in_dim = feats.node_dim();
+  cfg.num_classes = classes;
+  cfg.node_view.num_classes = classes;
+  cfg.struct_view.num_classes = classes;
+  cfg.node_view.in_dim = ds.static_dim + 7;
   cfg.node_view.gcn_channels = {32, 32, 1};
   cfg.node_view.sort_k = 16;
   cfg.struct_view.gcn_channels = {24, 24, 1};
   cfg.struct_view.sort_k = 16;
-  cfg.aw_vocab = feats.dataset().aw_vocab;
+  cfg.aw_vocab = ds.aw_vocab;
   cfg.aw_embed_dim = 16;
   return cfg;
+}
+
+MvGnnConfig default_config(const Featurizer& feats) {
+  return default_config(feats.dataset(), feats.label_mode());
 }
 
 // ---------------------------------------------------------------------------
@@ -263,24 +250,15 @@ std::vector<EpochStat> MvGnnTrainer::fit(
       }
       fault::check("trainer.step");
       const std::size_t end = std::min(order.size(), start + batch);
-      // Pick the featurizer per sample first (decoupled-inputs mode draws
-      // one coin per sample), then featurize every miss in parallel and
-      // fuse the chunk into one block-diagonal GraphBatch.
-      std::vector<std::size_t> plain, alt;
-      std::vector<bool> use_alt(end - start, false);
-      for (std::size_t j = start; j < end; ++j) {
-        const bool a =
-            alt_feats_ && rng_.uniform() < static_cast<double>(alt_prob_);
-        use_alt[j - start] = a;
-        (a ? alt : plain).push_back(order[j]);
-      }
-      feats_->prefetch(plain);
-      if (alt_feats_) alt_feats_->prefetch(alt);
+      // Decoupled-inputs mode draws one coin per sample to pick its
+      // featurizer.
       std::vector<const SampleInput*> chunk;
       chunk.reserve(end - start);
       for (std::size_t j = start; j < end; ++j) {
-        chunk.push_back(use_alt[j - start] ? &alt_feats_->get(order[j])
-                                           : &feats_->get(order[j]));
+        const bool alt =
+            alt_feats_ && rng_.uniform() < static_cast<double>(alt_prob_);
+        chunk.push_back(alt ? &alt_feats_->get(order[j])
+                            : &feats_->get(order[j]));
       }
       // Deterministic data-parallel step (docs/parallelism.md). One u64
       // draw seeds every shard's dropout stream: the trainer Rng advances
@@ -468,34 +446,21 @@ void MvGnnTrainer::pretrain_unsupervised(const std::vector<std::size_t>& idx,
 double MvGnnTrainer::accuracy_with(const Featurizer& feats,
                                    const std::vector<std::size_t>& idx) const {
   if (idx.empty()) return 0.0;
-  feats.prefetch(idx);
+  std::vector<const SampleInput*> inputs;
+  inputs.reserve(idx.size());
+  for (const std::size_t i : idx) inputs.push_back(&feats.get(i));
+  const std::vector<ViewPrediction> preds =
+      core::predict(*model_, inputs, kEvalBatch);
   std::size_t correct = 0;
-  for (std::size_t start = 0; start < idx.size(); start += kEvalBatch) {
-    const std::size_t end = std::min(idx.size(), start + kEvalBatch);
-    std::vector<const SampleInput*> chunk;
-    chunk.reserve(end - start);
-    for (std::size_t j = start; j < end; ++j) chunk.push_back(&feats.get(idx[j]));
-    const GraphBatch gb = make_graph_batch(chunk);
-    const auto out = model_->forward_batch(gb, /*training=*/false, rng_);
-    for (std::size_t b = 0; b < gb.size(); ++b) {
-      correct += (argmax_row(out.logits, b) == gb.labels[b]);
-    }
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    correct += (preds[j].fused == inputs[j]->label);
   }
   return static_cast<double>(correct) / static_cast<double>(idx.size());
 }
 
-MvGnnTrainer::ViewPrediction MvGnnTrainer::predict_input(
-    const SampleInput& in) const {
-  const auto out = model_->forward(in, /*training=*/false, rng_);
-  ViewPrediction p;
-  p.fused = argmax_row(out.logits);
-  p.node_view = argmax_row(out.node_logits);
-  p.struct_view = argmax_row(out.struct_logits);
-  return p;
-}
-
-MvGnnTrainer::ViewPrediction MvGnnTrainer::predict(std::size_t i) const {
-  return predict_input(feats_->get(i));
+ViewPrediction MvGnnTrainer::predict(std::size_t i) const {
+  const SampleInput* in = &feats_->get(i);
+  return core::predict(*model_, {&in, 1}, 1).front();
 }
 
 double MvGnnTrainer::accuracy(const std::vector<std::size_t>& idx) const {
@@ -521,7 +486,6 @@ std::vector<EpochStat> StaticGnnTrainer::fit(
     const std::vector<std::size_t>& train_idx,
     const std::vector<std::size_t>& test_idx) {
   std::vector<std::size_t> order = train_idx;
-  feats_->prefetch(order);  // parallel featurization before the epoch loop
   // The model reads the static columns only; build_input copies
   // node_static into the first static_dim columns of node_feats.
   const std::size_t static_dim = feats_->dataset().static_dim;

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <utility>
 
-#include "cache/slot_cache.hpp"
 #include "core/mvgnn.hpp"
 #include "data/dataset.hpp"
 #include "tensor/optim.hpp"
@@ -41,8 +40,9 @@ struct Normalizer {
 /// paper's future-work extension).
 enum class LabelMode { Binary, Pattern };
 
-/// Builds model inputs from dataset samples. Inputs are cached: the graph
-/// tensors are constants, only the model parameters change across epochs.
+/// Model inputs for every sample of a dataset, built once in the
+/// constructor (in parallel on the global thread pool): the graph tensors
+/// are constants, only the model parameters change across epochs.
 class Featurizer {
  public:
   /// `zero_dynamic` zeroes the 7 dynamic-feature columns — the decoupled
@@ -52,21 +52,11 @@ class Featurizer {
   /// relational (typed-edge) MV-GNN consumes.
   Featurizer(const data::Dataset& ds, Normalizer norm,
              LabelMode mode = LabelMode::Binary, bool zero_dynamic = false,
-             bool typed_edges = false)
-      : ds_(&ds),
-        norm_(norm),
-        mode_(mode),
-        zero_dynamic_(zero_dynamic),
-        typed_edges_(typed_edges),
-        cache_(ds.samples.size(), "trainer.featurizer_cache_hits_total",
-               "trainer.featurizer_cache_misses_total") {}
+             bool typed_edges = false);
 
-  [[nodiscard]] const SampleInput& get(std::size_t sample_index) const;
-  /// Featurizes every not-yet-cached index in parallel on the global
-  /// thread pool (distinct cache slots, so workers never collide). The
-  /// trainer calls this per mini-batch so batch assembly finds every
-  /// sample hot.
-  void prefetch(const std::vector<std::size_t>& indices) const;
+  [[nodiscard]] const SampleInput& get(std::size_t sample_index) const {
+    return inputs_[sample_index];
+  }
   [[nodiscard]] std::size_t node_dim() const { return ds_->static_dim + 7; }
   [[nodiscard]] const data::Dataset& dataset() const { return *ds_; }
   [[nodiscard]] const Normalizer& normalizer() const { return norm_; }
@@ -80,9 +70,7 @@ class Featurizer {
   const data::Dataset* ds_;
   Normalizer norm_;
   LabelMode mode_ = LabelMode::Binary;
-  bool zero_dynamic_ = false;
-  bool typed_edges_ = false;
-  cache::SlotCache<SampleInput> cache_;
+  std::vector<SampleInput> inputs_;  // one per ds.samples entry
 };
 
 struct TrainConfig {
@@ -162,21 +150,12 @@ class MvGnnTrainer {
   [[nodiscard]] double accuracy_with(const Featurizer& feats,
                                      const std::vector<std::size_t>& idx) const;
 
-  struct ViewPrediction {
-    int fused = 0;
-    int node_view = 0;
-    int struct_view = 0;
-  };
   [[nodiscard]] ViewPrediction predict(std::size_t sample_index) const;
   [[nodiscard]] double accuracy(const std::vector<std::size_t>& idx) const;
 
   [[nodiscard]] const MvGnn& model() const { return *model_; }
   /// Mutable access for weight loading (nn::load_weights).
   [[nodiscard]] MvGnn& model_mutable() { return *model_; }
-
-  /// Prediction on a dataset-external input (built via build_input from a
-  /// data::featurize_program sample) — the deployment path.
-  [[nodiscard]] ViewPrediction predict_input(const SampleInput& in) const;
 
   /// True when the last fit() stopped early via TrainConfig::stop_requested.
   [[nodiscard]] bool interrupted() const { return interrupted_; }
@@ -196,7 +175,7 @@ class MvGnnTrainer {
   float alt_prob_ = 0.0f;
   TrainConfig tc_;
   std::unique_ptr<MvGnn> model_;
-  mutable par::Rng rng_;
+  par::Rng rng_;
   bool interrupted_ = false;
 };
 
@@ -222,6 +201,9 @@ class StaticGnnTrainer {
 
 /// Default scaled-down model configuration for a dataset (node/struct view
 /// widths follow DESIGN.md section 5).
+[[nodiscard]] MvGnnConfig default_config(const data::Dataset& ds,
+                                         LabelMode mode = LabelMode::Binary);
+/// default_config for the featurizer's dataset and label mode.
 [[nodiscard]] MvGnnConfig default_config(const Featurizer& feats);
 
 }  // namespace mvgnn::core

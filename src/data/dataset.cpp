@@ -288,7 +288,7 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
   struct ItemResult {
     const ProgramSpec* spec = nullptr;
     std::string variant;
-    cache::Key key;  // featurize-stage key, folded into the Embed key
+    cache::Key key;  // pipe::item_key, folded into the Embed key
     pipe::ItemFeatures feats;
   };
   std::vector<std::unique_ptr<ItemResult>> slots(n_items);
@@ -310,7 +310,7 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
         auto r = std::make_unique<ItemResult>();
         r->spec = &spec;
         r->variant = is.variant;
-        r->key = pipe::stage_keys(is, pcfg).featurize;
+        r->key = pipe::item_key(is, pcfg);
         try {
           r->feats = pipe::run_item(is, pcfg, opts.cache);
         } catch (const pipe::StageError& e) {
@@ -352,7 +352,7 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
   // Token ids are resolved by mapping every item's token strings in item
   // order — the same growth order the un-staged builder used. The trained
   // table itself is the Embed stage: cacheable, keyed by every surviving
-  // item's featurize key plus the skip-gram knobs.
+  // item's item key plus the skip-gram knobs.
   std::optional<obs::ScopedSpan> embed_span;
   embed_span.emplace("pipe.embed");
   std::vector<std::vector<std::uint32_t>> tok_ids(built.size());

@@ -54,17 +54,15 @@ std::string Logger::render(LogLevel level, const std::string& msg,
   return line;
 }
 
-Logger::Logger() = default;
-
-Logger::~Logger() { set_async(false); }
-
 void Logger::set_sink(Sink sink) {
-  flush();
   std::lock_guard lock(sink_mu_);
   sink_ = std::move(sink);
 }
 
-void Logger::emit(LogLevel level, const std::string& line) {
+void Logger::log(LogLevel level, std::string msg,
+                 std::vector<LogField> fields) {
+  if (!enabled(level) || level == LogLevel::Off) return;
+  const std::string line = render(level, msg, fields);
   std::lock_guard lock(sink_mu_);
   if (sink_) {
     sink_(level, line);
@@ -73,58 +71,6 @@ void Logger::emit(LogLevel level, const std::string& line) {
   std::FILE* out = (level >= LogLevel::Warn) ? stderr : stdout;
   std::fputs(line.c_str(), out);
   std::fputc('\n', out);
-}
-
-void Logger::log(LogLevel level, std::string msg,
-                 std::vector<LogField> fields) {
-  if (!enabled(level) || level == LogLevel::Off) return;
-  std::string line = render(level, msg, fields);
-  {
-    std::unique_lock lock(q_mu_);
-    if (async_) {
-      queue_.emplace_back(level, std::move(line));
-      q_cv_.notify_one();
-      return;
-    }
-  }
-  emit(level, line);
-}
-
-void Logger::set_async(bool async) {
-  std::unique_lock lock(q_mu_);
-  if (async == async_) return;
-  if (async) {
-    async_ = true;
-    stop_writer_ = false;
-    writer_ = std::thread([this] { writer_loop(); });
-  } else {
-    async_ = false;
-    stop_writer_ = true;
-    q_cv_.notify_all();
-    lock.unlock();
-    if (writer_.joinable()) writer_.join();
-  }
-}
-
-void Logger::flush() {
-  std::unique_lock lock(q_mu_);
-  q_drained_.wait(lock, [this] { return queue_.empty(); });
-}
-
-void Logger::writer_loop() {
-  std::unique_lock lock(q_mu_);
-  for (;;) {
-    q_cv_.wait(lock, [this] { return stop_writer_ || !queue_.empty(); });
-    while (!queue_.empty()) {
-      auto [level, line] = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      emit(level, line);
-      lock.lock();
-    }
-    q_drained_.notify_all();
-    if (stop_writer_) return;
-  }
 }
 
 Logger& Logger::global() {

@@ -14,21 +14,16 @@
 //    "[warn] "/"[error] " and keep stdout clean by going to stderr.
 //  * The minimum level defaults to Info and honours the MVGNN_LOG_LEVEL
 //    environment variable (trace|debug|info|warn|error|off) at startup.
-//  * `set_async(true)` moves rendering output to a single writer thread so
-//    hot loops never block on stdio; `flush()` drains it. Synchronous mode
-//    (the default) writes under a mutex.
+//  * Records are written synchronously, under a mutex.
 //  * `Logger::global()` is a leaked singleton; independent instances can be
 //    constructed for tests.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdarg>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace mvgnn::obs {
@@ -53,8 +48,7 @@ class Logger {
   /// record's level, e.g. to route to a file or a test capture buffer.
   using Sink = std::function<void(LogLevel, const std::string& line)>;
 
-  Logger();
-  ~Logger();
+  Logger() = default;
   Logger(const Logger&) = delete;
   Logger& operator=(const Logger&) = delete;
 
@@ -72,13 +66,6 @@ class Logger {
   /// Replaces the output sink (default: stdout for <= Info, stderr above).
   void set_sink(Sink sink);
 
-  /// Toggles the single-writer-thread mode. Turning it off joins the writer
-  /// after draining the queue.
-  void set_async(bool async);
-
-  /// Blocks until every queued record has reached the sink.
-  void flush();
-
   void log(LogLevel level, std::string msg, std::vector<LogField> fields = {});
 
   /// Renders a record the way the default sink prints it: message, then
@@ -91,21 +78,9 @@ class Logger {
   static Logger& global();
 
  private:
-  void emit(LogLevel level, const std::string& line);
-  void writer_loop();
-
   std::atomic<int> level_{static_cast<int>(LogLevel::Info)};
   std::mutex sink_mu_;
   Sink sink_;
-
-  // Async writer state.
-  std::mutex q_mu_;
-  std::condition_variable q_cv_;
-  std::condition_variable q_drained_;
-  std::deque<std::pair<LogLevel, std::string>> queue_;
-  std::thread writer_;
-  bool async_ = false;
-  bool stop_writer_ = false;
 };
 
 // Convenience wrappers against the global logger.

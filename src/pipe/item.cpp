@@ -24,7 +24,7 @@ namespace mvgnn::pipe {
 namespace {
 
 /// Bumped whenever the ItemFeatures payload layout changes; participates in
-/// the featurize key so old entries become misses instead of decode errors.
+/// the item key so old entries become misses instead of decode errors.
 constexpr std::uint32_t kFormat = 1;
 
 // Deserialization caps — far past anything the generators produce, tight
@@ -107,16 +107,16 @@ const char* quarantine_stage(Stage s) {
   return "?";
 }
 
-StageKeys stage_keys(const ItemSpec& spec, const PipelineConfig& cfg) {
-  StageKeys k;
-  k.parse = cache::Hasher()
-                .str("mvgnn.pipe.v1")
-                .str("parse")
-                .str(spec.source)
-                .str(spec.module_name)
-                .digest();
-  k.lower = cache::Hasher(k.parse).str("lower").str(spec.variant).digest();
-  cache::Hasher hp(k.lower);
+cache::Key item_key(const ItemSpec& spec, const PipelineConfig& cfg) {
+  const cache::Key parse = cache::Hasher()
+                               .str("mvgnn.pipe.v1")
+                               .str("parse")
+                               .str(spec.source)
+                               .str(spec.module_name)
+                               .digest();
+  const cache::Key lower =
+      cache::Hasher(parse).str("lower").str(spec.variant).digest();
+  cache::Hasher hp(lower);
   hp.str("profile")
       .str(spec.entry)
       .u64(cfg.interp.max_steps)
@@ -135,21 +135,18 @@ StageKeys stage_keys(const ItemSpec& spec, const PipelineConfig& cfg) {
     // profiler::default_args changes.
     hp.str("default_args.v1");
   }
-  k.profile = hp.digest();
-  k.peg = cache::Hasher(k.profile)
-              .str("peg")
-              .f64(cfg.dep_noise)
-              .u64(spec.noise_seed)
-              .digest();
-  k.walks = cache::Hasher(k.peg)
-                .str("walks")
-                .u32(cfg.walk.gamma)
-                .u32(cfg.walk.length)
-                .u64(spec.walk_seed)
-                .digest();
-  k.featurize =
-      cache::Hasher(k.walks).str("featurize").u32(kFormat).digest();
-  return k;
+  const cache::Key peg = cache::Hasher(hp.digest())
+                             .str("peg")
+                             .f64(cfg.dep_noise)
+                             .u64(spec.noise_seed)
+                             .digest();
+  const cache::Key walks = cache::Hasher(peg)
+                               .str("walks")
+                               .u32(cfg.walk.gamma)
+                               .u32(cfg.walk.length)
+                               .u64(spec.walk_seed)
+                               .digest();
+  return cache::Hasher(walks).str("featurize").u32(kFormat).digest();
 }
 
 std::string serialize_features(const ItemFeatures& f) {
@@ -396,9 +393,7 @@ ItemFeatures featurize_compiled(const CompiledProfile& cp,
       }
     }
 
-    cur = Stage::Walks;
     par::Rng walk_rng(spec.walk_seed);
-    cur = Stage::Featurize;
 
     for (const profiler::LoopSample& ls : cp.prof.loops) {
       const graph::SubPeg sub = graph::extract_sub_peg(peg, ls.fn, ls.loop);
@@ -494,22 +489,22 @@ ItemFeatures featurize_compiled(const CompiledProfile& cp,
 
 ItemFeatures run_item(const ItemSpec& spec, const PipelineConfig& cfg,
                       cache::Cache* cache) {
-  const StageKeys keys = stage_keys(spec, cfg);
+  const cache::Key key = item_key(spec, cfg);
   if (cache) {
-    if (auto blob = cache->get(keys.featurize)) {
+    if (auto blob = cache->get(key)) {
       try {
         return deserialize_features(*blob);
       } catch (const std::exception& e) {
         // CRC-valid but undecodable (e.g. written by a different build) —
         // degrade to recompute, never fail the item over a cache entry.
         obs::log_warn("undecodable cache entry; recomputing",
-                      {{"key", keys.featurize.hex()}, {"error", e.what()}});
+                      {{"key", key.hex()}, {"error", e.what()}});
       }
     }
   }
   ItemFeatures f =
       featurize_compiled(compile_and_profile(spec, cfg), spec, cfg);
-  if (cache) cache->put(keys.featurize, serialize_features(f));
+  if (cache) cache->put(key, serialize_features(f));
   return f;
 }
 

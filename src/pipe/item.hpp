@@ -48,16 +48,12 @@ struct PipelineConfig {
   profiler::InterpOptions interp;
 };
 
-/// Content-hash key of every stage boundary for one item, chained
-/// parent -> child. Changing a knob re-keys exactly the stages downstream
-/// of where it enters (e.g. walk.gamma re-keys walks+featurize but leaves
-/// parse..peg intact).
-struct StageKeys {
-  cache::Key parse, lower, profile, peg, walks, featurize;
-};
-
-[[nodiscard]] StageKeys stage_keys(const ItemSpec& spec,
-                                   const PipelineConfig& cfg);
+/// The content-hash key of one item's features: a hash chain over the
+/// stage boundaries (parse, lower, profile, peg, walks, featurize), each
+/// link folding in the knobs that enter at that stage, so every knob of
+/// the spec and config re-keys the item.
+[[nodiscard]] cache::Key item_key(const ItemSpec& spec,
+                                  const PipelineConfig& cfg);
 
 /// One per-loop sample in raw (vocabulary-free) form. Node token lists and
 /// the token sequence are indices into ItemFeatures::tokens.
@@ -98,7 +94,7 @@ struct ItemFeatures {
 [[nodiscard]] ItemFeatures deserialize_features(std::string_view bytes);
 
 /// The whole item pipeline with caching at the featurize boundary: a blob
-/// hit at the featurize key short-circuits everything; otherwise every
+/// hit at the item key short-circuits everything; otherwise every
 /// stage runs and the result is stored back. `cache` may be null (always
 /// recompute). Throws StageError on any stage failure.
 [[nodiscard]] ItemFeatures run_item(const ItemSpec& spec,

@@ -90,10 +90,12 @@ ServingContext build_serving_context(int corpus_loops, cache::Cache* cache) {
   ctx.train = data::oversample_balance(ctx.ds, train_raw, 5);
   ctx.val = std::move(val);
   ctx.norm = core::Normalizer::fit(ctx.ds, ctx.train);
-  const core::Featurizer feats(ctx.ds, ctx.norm);
-  ctx.model_cfg = core::default_config(feats);
+  ctx.model_cfg = core::default_config(ctx.ds);
   ctx.feat_opts = opts;
   ctx.feat_opts.dep_noise = 0.0;  // a live request's own run is not noisy
+  // The hot-program LRU serves repeated requests; writing every distinct
+  // request into the stage cache would only grow its disk tier.
+  ctx.feat_opts.cache = nullptr;
   return ctx;
 }
 
@@ -119,7 +121,7 @@ std::shared_ptr<const Model> load_model(const ServingContext& ctx,
 }
 
 Server::Server(ServingContext ctx, ServerConfig cfg)
-    : ctx_(std::move(ctx)), cfg_(std::move(cfg)), rng_(7) {
+    : ctx_(std::move(ctx)), cfg_(std::move(cfg)) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("serve: cannot create socket");
   const int one = 1;
@@ -249,7 +251,6 @@ void Server::release(std::size_t bytes) {
 
 std::shared_ptr<const Server::Prepared> Server::program_cache_get(
     const std::string& source) {
-  if (cfg_.program_cache_entries == 0) return nullptr;
   std::lock_guard<std::mutex> lk(prog_mu_);
   const auto it = prog_map_.find(source);
   if (it == prog_map_.end()) return nullptr;
@@ -259,12 +260,11 @@ std::shared_ptr<const Server::Prepared> Server::program_cache_get(
 
 void Server::program_cache_put(const std::string& source,
                                std::shared_ptr<const Prepared> prog) {
-  if (cfg_.program_cache_entries == 0) return;
   std::lock_guard<std::mutex> lk(prog_mu_);
   if (prog_map_.count(source) != 0) return;  // raced with another conn
   prog_lru_.emplace_front(source, std::move(prog));
   prog_map_[source] = prog_lru_.begin();
-  while (prog_lru_.size() > cfg_.program_cache_entries) {
+  while (prog_lru_.size() > kProgramCacheEntries) {
     prog_map_.erase(prog_lru_.back().first);
     prog_lru_.pop_back();
   }
@@ -640,31 +640,14 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
   }
   OBS_SPAN("serve.batch");
   // One flush may carry more samples than `batch_max_samples` (a single
-  // request's loops are never split across flushes), so the forward itself is
-  // chunked: the cap bounds peak tensor size even for a pathological
-  // many-loop request. Per-sample verdict rows accumulate across chunks.
-  std::vector<int> fused_rows, node_rows, struct_rows;
-  fused_rows.reserve(ptrs.size());
-  node_rows.reserve(ptrs.size());
-  struct_rows.reserve(ptrs.size());
-  const std::size_t chunk_cap =
-      cfg_.batch_max_samples == 0 ? ptrs.size() : cfg_.batch_max_samples;
+  // request's loops are never split across flushes), so predict() chunks
+  // the forward at that cap: it bounds peak tensor size even for a
+  // pathological many-loop request.
+  std::vector<core::ViewPrediction> preds;
   const std::uint64_t fwd0 = obs::now_ns();
   try {
     fault::check("serve.batch");
-    for (std::size_t base = 0; base < ptrs.size(); base += chunk_cap) {
-      const std::size_t n = std::min(chunk_cap, ptrs.size() - base);
-      std::vector<const core::SampleInput*> chunk(ptrs.begin() + base,
-                                                  ptrs.begin() + base + n);
-      const core::GraphBatch gb = core::make_graph_batch(chunk);
-      const core::MvGnn::Output out =
-          model->net->forward_batch(gb, /*training=*/false, rng_);
-      for (std::size_t r = 0; r < n; ++r) {
-        fused_rows.push_back(core::argmax_row(out.logits, r));
-        node_rows.push_back(core::argmax_row(out.node_logits, r));
-        struct_rows.push_back(core::argmax_row(out.struct_logits, r));
-      }
-    }
+    preds = core::predict(*model->net, ptrs, cfg_.batch_max_samples);
   } catch (const std::exception& e) {
     // The whole flush failed (fault injection or an internal error). Every
     // request gets a typed answer; the daemon keeps serving.
@@ -695,12 +678,8 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
     std::vector<LoopVerdict> verdicts;
     verdicts.reserve(p->prog->inputs.size());
     for (std::size_t i = 0; i < p->prog->inputs.size(); ++i, ++row) {
-      LoopVerdict v;
-      v.line = p->prog->loop_lines[i];
-      v.fused = fused_rows[row];
-      v.node_view = node_rows[row];
-      v.struct_view = struct_rows[row];
-      verdicts.push_back(v);
+      verdicts.push_back({p->prog->loop_lines[i], preds[row].fused,
+                          preds[row].node_view, preds[row].struct_view});
     }
     const std::uint64_t latency_us = (done - p->enqueue_ns) / 1000;
     m.ok.add();

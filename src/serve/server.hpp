@@ -53,7 +53,6 @@
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "obs/stop_token.hpp"
-#include "parallel/rng.hpp"
 #include "profiler/interp.hpp"
 #include "serve/protocol.hpp"
 
@@ -86,7 +85,8 @@ struct ServingContext {
 /// seed 2024, dataset seed 5, split 0.85/seed 5, balanced oversampling of
 /// the training split, normalizer fit on it. The one recipe behind both
 /// `mvgnn train` and `mvgnn serve`. `cache` feeds the stage cache so a warm
-/// --cache-dir makes startup cheap.
+/// --cache-dir makes startup cheap; requests never go through it
+/// (`feat_opts.cache` is null), the hot-program LRU serves repeats.
 [[nodiscard]] ServingContext build_serving_context(int corpus_loops,
                                                    cache::Cache* cache);
 
@@ -164,10 +164,6 @@ struct ServerConfig {
   profiler::InterpOptions interp{.max_steps = 20'000'000,
                                  .max_call_depth = 256,
                                  .max_mem_cells = 1ull << 22};
-  /// Hot-program cache: featurized inputs for the most recent distinct
-  /// program sources are kept in memory, so a repeated program skips the
-  /// compile/profile/featurize pipeline entirely. 0 disables.
-  std::size_t program_cache_entries = 64;
 };
 
 class Server {
@@ -229,8 +225,12 @@ class Server {
   bool try_admit(std::size_t bytes);
   void release(std::size_t bytes);
 
-  /// Hot-program cache (LRU by program source). Only successful
-  /// featurizations are cached — errors always re-run the pipeline.
+  /// Hot-program cache (LRU by program source): featurized inputs for the
+  /// kProgramCacheEntries most recent distinct sources, so a repeated
+  /// program skips the compile/profile/featurize pipeline entirely. Only
+  /// successful featurizations are cached — errors always re-run the
+  /// pipeline.
+  static constexpr std::size_t kProgramCacheEntries = 64;
   [[nodiscard]] std::shared_ptr<const Prepared> program_cache_get(
       const std::string& source);
   void program_cache_put(const std::string& source,
@@ -265,7 +265,7 @@ class Server {
   std::atomic<std::size_t> inflight_bytes_ = {0};
 
   // Hot-program cache: source → featurized inputs, LRU-evicted at
-  // cfg_.program_cache_entries.
+  // kProgramCacheEntries.
   std::mutex prog_mu_;
   std::list<std::pair<std::string, std::shared_ptr<const Prepared>>>
       prog_lru_;
@@ -288,7 +288,6 @@ class Server {
   std::vector<std::unique_ptr<Conn>> conns_;
   std::atomic<std::size_t> open_conns_ = {0};
   std::atomic<std::uint64_t> next_batch_id_ = {1};
-  par::Rng rng_;  // batcher-only (training=false forwards)
   bool started_ = false;
   bool stopped_ = false;
 };

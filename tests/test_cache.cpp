@@ -58,62 +58,68 @@ TEST(CacheKey, StageKeysChainConfigFingerprints) {
   spec.source = "int kernel() { return 0; }";
   spec.module_name = "m";
   pipe::PipelineConfig cfg;
-  const pipe::StageKeys base = pipe::stage_keys(spec, cfg);
+  const cache::Key base = pipe::item_key(spec, cfg);
 
-  // Changing a walk parameter re-keys walks+featurize but leaves every
-  // upstream stage (parse..peg) intact — the cache keeps those entries.
-  pipe::PipelineConfig walk_cfg = cfg;
-  walk_cfg.walk.gamma += 1;
-  const pipe::StageKeys w = pipe::stage_keys(spec, walk_cfg);
-  EXPECT_EQ(base.parse, w.parse);
-  EXPECT_EQ(base.lower, w.lower);
-  EXPECT_EQ(base.profile, w.profile);
-  EXPECT_EQ(base.peg, w.peg);
-  EXPECT_NE(base.walks, w.walks);
-  EXPECT_NE(base.featurize, w.featurize);
-
-  // Interpreter fuel enters at the profile stage.
-  pipe::PipelineConfig fuel_cfg = cfg;
-  fuel_cfg.interp.max_steps /= 2;
-  const pipe::StageKeys f = pipe::stage_keys(spec, fuel_cfg);
-  EXPECT_EQ(base.lower, f.lower);
-  EXPECT_NE(base.profile, f.profile);
-  EXPECT_NE(base.featurize, f.featurize);
-
-  // Dependence noise enters at the peg stage.
-  pipe::PipelineConfig noise_cfg = cfg;
-  noise_cfg.dep_noise = 0.5;
-  const pipe::StageKeys n = pipe::stage_keys(spec, noise_cfg);
-  EXPECT_EQ(base.profile, n.profile);
-  EXPECT_NE(base.peg, n.peg);
-
-  // Source text enters at the very root.
-  pipe::ItemSpec spec2 = spec;
-  spec2.source += " ";
-  const pipe::StageKeys s = pipe::stage_keys(spec2, cfg);
-  EXPECT_NE(base.parse, s.parse);
-  EXPECT_NE(base.featurize, s.featurize);
-
-  // Defaulted arguments enter at the profile stage: parse and lower are the
-  // explicit case's, every key from profile onward differs.
-  pipe::ItemSpec dflt = spec;
-  dflt.args.reset();
-  const pipe::StageKeys d = pipe::stage_keys(dflt, cfg);
-  EXPECT_EQ(base.parse, d.parse);
-  EXPECT_EQ(base.lower, d.lower);
-  EXPECT_NE(base.profile, d.profile);
-  EXPECT_NE(base.peg, d.peg);
-  EXPECT_NE(base.walks, d.walks);
-  EXPECT_NE(base.featurize, d.featurize);
+  // Every knob that enters the hash chain re-keys the item, whichever
+  // stage it enters at: source text and module name (parse), variant
+  // (lower), entry, interpreter caps and arguments (profile), dependence
+  // noise and its seed (peg), walk parameters and seed (walks).
+  const auto rekeys = [&](const pipe::ItemSpec& s,
+                          const pipe::PipelineConfig& c) {
+    return pipe::item_key(s, c) != base;
+  };
+  pipe::ItemSpec s = spec;
+  s.source += " ";
+  EXPECT_TRUE(rekeys(s, cfg));
+  s = spec;
+  s.module_name = "m2";
+  EXPECT_TRUE(rekeys(s, cfg));
+  s = spec;
+  s.variant = "unroll2";
+  EXPECT_TRUE(rekeys(s, cfg));
+  s = spec;
+  s.entry = "main";
+  EXPECT_TRUE(rekeys(s, cfg));
+  s = spec;
+  s.args->push_back(profiler::ArgInit::of_int(1));
+  EXPECT_TRUE(rekeys(s, cfg));
+  s = spec;
+  s.args.reset();  // defaulted arguments: the "default_args.v1" tag
+  EXPECT_TRUE(rekeys(s, cfg));
+  s = spec;
+  s.noise_seed += 1;
+  EXPECT_TRUE(rekeys(s, cfg));
+  s = spec;
+  s.walk_seed += 1;
+  EXPECT_TRUE(rekeys(s, cfg));
+  pipe::PipelineConfig c = cfg;
+  c.interp.max_steps /= 2;
+  EXPECT_TRUE(rekeys(spec, c));
+  c = cfg;
+  c.interp.max_call_depth += 1;
+  EXPECT_TRUE(rekeys(spec, c));
+  c = cfg;
+  c.interp.max_mem_cells += 1;
+  EXPECT_TRUE(rekeys(spec, c));
+  c = cfg;
+  c.dep_noise = 0.5;
+  EXPECT_TRUE(rekeys(spec, c));
+  c = cfg;
+  c.walk.gamma += 1;
+  EXPECT_TRUE(rekeys(spec, c));
+  c = cfg;
+  c.walk.length += 1;
+  EXPECT_TRUE(rekeys(spec, c));
+  EXPECT_EQ(pipe::item_key(spec, cfg), base);  // and it is a pure function
 
   // Explicit keys are pinned: a key change would orphan every existing
-  // --cache-dir entry. The featurize key chains all the others.
+  // --cache-dir entry.
   pipe::ItemSpec two = spec;
   two.source = "float kernel(int n, float[] a) { return a[0]; }";
   two.args->push_back(profiler::ArgInit::of_int(8));
   two.args->push_back(profiler::ArgInit::of_array(64, 2));
-  EXPECT_EQ(base.featurize.hex(), "a32d57f541f6269ee6caaba87e8119c1");
-  EXPECT_EQ(pipe::stage_keys(two, cfg).featurize.hex(),
+  EXPECT_EQ(base.hex(), "a32d57f541f6269ee6caaba87e8119c1");
+  EXPECT_EQ(pipe::item_key(two, cfg).hex(),
             "b4826ca31e78233cbca0755e0d0daaeb");
 }
 

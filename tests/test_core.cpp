@@ -3,6 +3,7 @@
 // the single-view baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -31,11 +32,11 @@ TEST(Dgcnn, ForwardShapesAndPadding) {
   cfg.sort_k = 12;
   core::Dgcnn net(cfg, rng);
   // Tiny graph (3 nodes, fewer than sort_k): padding must kick in.
-  core::GraphInput g;
-  g.ahat = nn::dgcnn_adjacency(3, {{0, 1}, {1, 2}});
+  const ag::CsrMatrix ahat = nn::dgcnn_adjacency(3, {{0, 1}, {1, 2}});
   par::Rng data_rng(2);
-  g.features = ag::Tensor::randn({3, 8}, data_rng, 1.0f, false);
-  const auto out = net.forward(g, /*training=*/false, rng);
+  const ag::Tensor feats = ag::Tensor::randn({3, 8}, data_rng, 1.0f, false);
+  const auto out =
+      net.forward(ahat, {}, feats, {0, 3}, /*training=*/false, rng);
   EXPECT_EQ(out.logits.rows(), 1u);
   EXPECT_EQ(out.logits.cols(), 2u);
   EXPECT_EQ(out.pooled.cols(), net.rep_dim());
@@ -57,28 +58,30 @@ TEST(Dgcnn, BatchedForwardMatchesPerSampleForwards) {
       edge_lists = {{{0, 1}, {1, 2}},
                     {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 13}, {5, 9}, {7, 8}},
                     {{0, 5}, {1, 4}, {2, 3}}};
-  std::vector<core::GraphInput> graphs(3);
-  std::vector<const ag::CsrMatrix*> blocks;
+  std::vector<ag::CsrMatrix> ahats;
+  std::vector<ag::Tensor> graph_feats;
   std::vector<std::uint32_t> offsets = {0};
   par::Rng data_rng(8);
   for (std::size_t g = 0; g < 3; ++g) {
-    graphs[g].ahat = nn::dgcnn_adjacency(sizes[g], edge_lists[g]);
-    graphs[g].features =
-        ag::Tensor::randn({sizes[g], 8}, data_rng, 1.0f, false);
-    blocks.push_back(&graphs[g].ahat);
+    ahats.push_back(nn::dgcnn_adjacency(sizes[g], edge_lists[g]));
+    graph_feats.push_back(
+        ag::Tensor::randn({sizes[g], 8}, data_rng, 1.0f, false));
     offsets.push_back(offsets.back() + sizes[g]);
   }
-  const auto big = ag::CsrMatrix::block_diag(blocks);
-  ag::Tensor feats = graphs[0].features;
-  feats = ag::concat_rows(feats, graphs[1].features);
-  feats = ag::concat_rows(feats, graphs[2].features);
+  const auto big =
+      ag::CsrMatrix::block_diag({&ahats[0], &ahats[1], &ahats[2]});
+  ag::Tensor feats = graph_feats[0];
+  feats = ag::concat_rows(feats, graph_feats[1]);
+  feats = ag::concat_rows(feats, graph_feats[2]);
 
   const auto batched =
       net.forward(big, {}, feats, offsets, /*training=*/false, rng);
   EXPECT_EQ(batched.logits.rows(), 3u);
   EXPECT_EQ(batched.pooled.rows(), 3u);
   for (std::size_t g = 0; g < 3; ++g) {
-    const auto single = net.forward(graphs[g], /*training=*/false, rng);
+    // The same forward with one graph: offsets {0, n}.
+    const auto single = net.forward(ahats[g], {}, graph_feats[g],
+                                    {0, sizes[g]}, /*training=*/false, rng);
     for (std::size_t c = 0; c < batched.logits.cols(); ++c) {
       EXPECT_NEAR(batched.logits.at(g, c), single.logits.at(0, c), 1e-5f)
           << "graph " << g << " logit " << c;
@@ -116,6 +119,47 @@ TEST(MvGnn, GraphBatchForwardMatchesPerSample) {
                   single.struct_logits.at(0, c), 1e-5f);
     }
   }
+}
+
+TEST(MvGnn, PredictIsIndependentOfMaxBatchAndMatchesForward) {
+  const auto& ds = shared_dataset();
+  core::Normalizer norm = core::Normalizer::fit(ds, ds.suite_indices(""));
+  core::Featurizer feats(ds, norm);
+  par::Rng rng(5);
+  const core::MvGnn model(core::default_config(feats), rng);
+  // A spread of graph sizes, so chunks mix small (padded) and large graphs.
+  std::vector<std::size_t> idx(ds.samples.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return ds.samples[a].n < ds.samples[b].n;
+  });
+  std::vector<const core::SampleInput*> inputs;
+  for (std::size_t k = 0; k < 40; ++k) {
+    inputs.push_back(&feats.get(idx[k * (idx.size() - 1) / 39]));
+  }
+  ASSERT_LT(inputs.front()->node_feats.rows(),
+            inputs.back()->node_feats.rows());
+  std::rotate(inputs.begin(), inputs.begin() + 17, inputs.end());
+
+  const auto p1 = core::predict(model, inputs, 1);
+  ASSERT_EQ(p1.size(), inputs.size());
+  for (const std::size_t max_batch : {std::size_t{2}, std::size_t{32}}) {
+    const auto p = core::predict(model, inputs, max_batch);
+    ASSERT_EQ(p.size(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(p[i].fused, p1[i].fused) << "max_batch " << max_batch;
+      EXPECT_EQ(p[i].node_view, p1[i].node_view) << "max_batch " << max_batch;
+      EXPECT_EQ(p[i].struct_view, p1[i].struct_view)
+          << "max_batch " << max_batch;
+    }
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto out = model.forward(*inputs[i], /*training=*/false, rng);
+    EXPECT_EQ(p1[i].fused, core::argmax_row(out.logits)) << "sample " << i;
+    EXPECT_EQ(p1[i].node_view, core::argmax_row(out.node_logits));
+    EXPECT_EQ(p1[i].struct_view, core::argmax_row(out.struct_logits));
+  }
+  EXPECT_TRUE(core::predict(model, {}, 32).empty());
 }
 
 TEST(Trainer, EpochLossIdenticalAcrossBatchSizesAtZeroLr) {
@@ -160,6 +204,10 @@ TEST(Dgcnn, RejectsInvalidConfigs) {
   tiny.sort_k = 4;       // k/2 = 2 < conv2_kernel
   tiny.conv2_kernel = 5;
   EXPECT_THROW(core::Dgcnn(tiny, rng), std::invalid_argument);
+  core::DgcnnConfig odd;
+  odd.gcn_channels = {16, 1};
+  odd.sort_k = 15;  // odd k: pool windows would straddle graphs in a batch
+  EXPECT_THROW(core::Dgcnn(odd, rng), std::invalid_argument);
 }
 
 TEST(MvGnn, ForwardBackwardRunsAndParametersCover) {

@@ -370,28 +370,6 @@ TEST(ObsLog, ParseLevel) {
             obs::LogLevel::Debug);
 }
 
-TEST(ObsLog, AsyncWriterDeliversEverythingInOrder) {
-  obs::Logger log;
-  std::mutex mu;
-  std::vector<std::string> captured;
-  log.set_sink([&](obs::LogLevel, const std::string& line) {
-    std::lock_guard lock(mu);
-    captured.push_back(line);
-  });
-  log.set_async(true);
-  constexpr int kLines = 200;
-  for (int i = 0; i < kLines; ++i) {
-    log.log(obs::LogLevel::Info, "line " + std::to_string(i));
-  }
-  log.flush();
-  log.set_async(false);
-  ASSERT_EQ(captured.size(), static_cast<std::size_t>(kLines));
-  for (int i = 0; i < kLines; ++i) {
-    EXPECT_EQ(captured[static_cast<std::size_t>(i)],
-              "line " + std::to_string(i));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Thread pool integration: failures carry task context through the logger.
 // ---------------------------------------------------------------------------

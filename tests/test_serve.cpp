@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hpp"
 #include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -333,23 +334,48 @@ TEST(Serve, HotProgramCacheServesRepeatsWithIdenticalVerdicts) {
     EXPECT_EQ(a[i].num_or("line", -1), b[i].num_or("line", -2));
     EXPECT_EQ(a[i].str_or("verdict", "x"), b[i].str_or("verdict", "y"));
   }
+}
 
-  // With the cache disabled every request re-featurizes; verdicts still
-  // match the cached path.
-  serve::ServerConfig no_cache;
-  no_cache.program_cache_entries = 0;
-  auto server2 = make_server(no_cache);
-  Client c2(server2->port());
-  ASSERT_TRUE(c2.connected());
-  const std::uint64_t before2 = hits.value();
-  const auto uncached = parse(c2.rpc(request_line("h3", kMatvec)));
-  ASSERT_TRUE(is_ok(uncached));
-  EXPECT_EQ(hits.value(), before2);
-  const auto& u = uncached.find("loops")->as_array();
-  ASSERT_EQ(u.size(), a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(u[i].str_or("verdict", "x"), a[i].str_or("verdict", "y"));
+TEST(Serve, RequestsNeverWriteIntoTheStageCache) {
+  // The context is built through a disk-backed stage cache (as under
+  // `mvgnn serve --cache-dir`); the requests that follow must leave it
+  // untouched — repeats are the hot-program LRU's job.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mvgnn_serve_stage_cache_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  cache::Cache stage_cache(cache::Config{dir.string(), 64ull << 20});
+  serve::ServerConfig cfg;
+  cfg.checkpoint = env().ckpt;
+  serve::Server server(serve::build_serving_context(16, &stage_cache), cfg);
+  server.start();
+  const auto disk_files = [&] {
+    std::size_t n = 0;
+    for (const auto& e : fs::recursive_directory_iterator(dir)) {
+      n += e.is_regular_file() ? 1 : 0;
+    }
+    return n;
+  };
+  const cache::Stats before = stage_cache.stats();
+  const std::size_t files_before = disk_files();
+  ASSERT_GT(files_before, 0u);
+
+  Client c(server.port());
+  ASSERT_TRUE(c.connected());
+  std::string src = kMatvec;
+  for (int n = 20; n < 23; ++n) {  // three distinct programs
+    src.replace(src.find("N = ") + 4, 2, std::to_string(n));
+    ASSERT_TRUE(is_ok(parse(c.rpc(request_line("s" + std::to_string(n),
+                                               src)))));
   }
+  const cache::Stats after = stage_cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.mem_entries, before.mem_entries);
+  EXPECT_EQ(after.disk_entries, before.disk_entries);
+  EXPECT_EQ(disk_files(), files_before);
+  server.stop();
+  fs::remove_all(dir);
 }
 
 TEST(Serve, TypedRequestErrorsNeverKillTheDaemon) {

@@ -395,9 +395,17 @@ int cmd_train(const std::string& source, const TrainOptions& topts,
   std::printf("\nloop classification for the input program:\n");
   std::printf("%6s | %-14s | %-11s | %s\n", "line", "MV-GNN", "node/struct",
               "expert oracle");
+  std::vector<core::SampleInput> inputs;
+  std::vector<const core::SampleInput*> ptrs;
+  inputs.reserve(samples.size());
   for (const auto& s : samples) {
-    const auto in = core::build_input(s, ctx.ds, ctx.norm);
-    const auto p = trainer.predict_input(in);
+    inputs.push_back(core::build_input(s, ctx.ds, ctx.norm));
+    ptrs.push_back(&inputs.back());
+  }
+  const auto preds = core::predict(trainer.model(), ptrs, ptrs.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const data::GraphSample& s = samples[i];
+    const core::ViewPrediction& p = preds[i];
     std::printf("%6d | %-14s | %3s / %-3s | %s\n", s.loop_line,
                 p.fused ? "PARALLELIZABLE" : "sequential",
                 p.node_view ? "par" : "seq", p.struct_view ? "par" : "seq",
@@ -449,38 +457,18 @@ int cmd_dataset(const std::string& out, const TrainOptions& topts,
   return 0;
 }
 
-struct ServeOptions {
-  int port = 7077;
-  std::string checkpoint;
-  std::size_t batch_max = 32;
-  std::uint64_t linger_ms = 5;
-  std::size_t queue_depth = 128;
-  std::uint64_t deadline_ms = 10'000;
-  std::size_t max_request_bytes = 1u << 20;
-  std::uint64_t fuel = 20'000'000;
-};
-
 /// Long-running inference daemon (docs/serving.md): rebuild the train-time
 /// featurization context, load the checkpoint, serve until SIGINT/SIGTERM
 /// (graceful drain), hot-reloading the checkpoint on SIGHUP.
-int cmd_serve(const TrainOptions& topts, const ServeOptions& sopts,
+int cmd_serve(const TrainOptions& topts, const serve::ServerConfig& cfg,
               cache::Cache* cache) {
-  if (sopts.checkpoint.empty()) {
+  if (cfg.checkpoint.empty()) {
     std::fprintf(stderr, "mvgnn: serve needs --checkpoint <file.mvck>\n");
     return 2;
   }
   obs::log_info("building serving context",
                 {{"corpus", std::to_string(topts.corpus_loops)},
                  {"cached", cache ? "yes" : "no"}});
-  serve::ServerConfig cfg;
-  cfg.port = sopts.port;
-  cfg.checkpoint = sopts.checkpoint;
-  cfg.batch_max_samples = sopts.batch_max;
-  cfg.batch_linger_ms = sopts.linger_ms;
-  cfg.max_queue_depth = sopts.queue_depth;
-  cfg.default_deadline_ms = sopts.deadline_ms;
-  cfg.max_request_bytes = sopts.max_request_bytes;
-  cfg.interp.max_steps = sopts.fuel;
   serve::Server server(
       serve::build_serving_context(topts.corpus_loops, cache), cfg);
   server.start();
@@ -566,8 +554,7 @@ int cmd_report(const std::string& trace_path, const std::string& metrics_path,
 /// interrupt): stop the background sampler (its final row lands before the
 /// file closes), flush the metrics snapshot and trace — both exporters go
 /// through io::atomic_write_file, so a crash mid-export never leaves a
-/// torn file — print the --report summary, then drain the log. Returns the
-/// final exit code.
+/// torn file — and print the --report summary. Returns the final exit code.
 int finalize_run(const std::string& metrics_out, const std::string& trace_out,
                  obs::MetricsSampler* sampler, bool report,
                  obs::ReportFormat report_fmt, int rc) {
@@ -598,7 +585,6 @@ int finalize_run(const std::string& metrics_out, const std::string& trace_out,
         obs::build_report(obs::TraceRecorder::global().events(), &snap);
     std::fputs(obs::render_report(r, report_fmt).c_str(), stdout);
   }
-  obs::Logger::global().flush();
   return rc;
 }
 
@@ -614,7 +600,8 @@ int main(int argc, char** argv) {
   std::size_t cache_mem_mb = 0;
   bool cache_requested = false;
   TrainOptions topts;
-  ServeOptions sopts;
+  serve::ServerConfig scfg;
+  scfg.port = 7077;  // ServerConfig's own default 0 picks an ephemeral port
   bool quiet = false;
 
   auto flag_value = [&](int& a, const char* flag) -> const char* {
@@ -688,25 +675,27 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--resume") == 0) {
       topts.resume = true;
     } else if (std::strcmp(arg, "--port") == 0) {
-      sopts.port = std::atoi(flag_value(a, arg));
+      scfg.port = std::atoi(flag_value(a, arg));
     } else if (std::strcmp(arg, "--checkpoint") == 0) {
-      sopts.checkpoint = flag_value(a, arg);
+      scfg.checkpoint = flag_value(a, arg);
     } else if (std::strcmp(arg, "--batch-max") == 0) {
-      sopts.batch_max = static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
+      scfg.batch_max_samples =
+          static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
     } else if (std::strcmp(arg, "--batch-linger-ms") == 0) {
-      sopts.linger_ms =
+      scfg.batch_linger_ms =
           static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
     } else if (std::strcmp(arg, "--queue-depth") == 0) {
-      sopts.queue_depth =
+      scfg.max_queue_depth =
           static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      sopts.deadline_ms =
+      scfg.default_deadline_ms =
           static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
     } else if (std::strcmp(arg, "--max-request-bytes") == 0) {
-      sopts.max_request_bytes =
+      scfg.max_request_bytes =
           static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
     } else if (std::strcmp(arg, "--serve-fuel") == 0) {
-      sopts.fuel = static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
+      scfg.interp.max_steps =
+          static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       return usage();
     } else if (arg[0] == '-') {
@@ -745,7 +734,6 @@ int main(int argc, char** argv) {
       return cmd_report(file, file2, report_fmt);
     } catch (const std::exception& e) {
       obs::log_error(std::string("mvgnn report: ") + e.what());
-      obs::Logger::global().flush();
       return 1;
     }
   }
@@ -775,7 +763,7 @@ int main(int argc, char** argv) {
     }
     if (command == "serve") {
       return finalize_run(metrics_out, trace_out, sampler_p, report,
-                          report_fmt, cmd_serve(topts, sopts, cache_p));
+                          report_fmt, cmd_serve(topts, scfg, cache_p));
     }
     const std::string source = read_file(file);
     if (command == "variants") {
