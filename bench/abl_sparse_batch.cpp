@@ -28,33 +28,35 @@ double secs_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// The seed's Dgcnn forward, reconstructed with dense adjacency matmuls and
-/// the same layer shapes as core::DgcnnConfig defaults. Weight values don't
-/// matter for timing; op structure does.
+/// the same layer shapes as core::Dgcnn with a default core::DgcnnConfig.
+/// Weight values don't matter for timing; op structure does.
 struct DenseSeedDgcnn {
+  static constexpr std::size_t kC1 = core::Dgcnn::kConv1Channels;
+  static constexpr std::size_t kC2 = core::Dgcnn::kConv2Channels;
+  static constexpr std::size_t kK2 = core::Dgcnn::kConv2Kernel;
   core::DgcnnConfig cfg;
   std::vector<Tensor> gcn_ws;
   Tensor conv1_w, conv1_b, conv2_w, conv2_b;
   std::unique_ptr<nn::Linear> dense, head;
   std::size_t concat_dim = 0, rep_dim = 0;
 
-  DenseSeedDgcnn(const core::DgcnnConfig& c, par::Rng& rng) : cfg(c) {
-    std::size_t in = cfg.in_dim;
+  DenseSeedDgcnn(const core::DgcnnConfig& c, std::size_t in_dim,
+                 par::Rng& rng)
+      : cfg(c) {
+    std::size_t in = in_dim;
     for (const std::size_t ch : cfg.gcn_channels) {
       gcn_ws.push_back(Tensor::randn({in, ch}, rng, 0.1f));
       concat_dim += ch;
       in = ch;
     }
-    conv1_w = Tensor::randn({cfg.conv1_channels, concat_dim}, rng, 0.1f);
-    conv1_b = Tensor::zeros({1, cfg.conv1_channels}, true);
-    conv2_w = Tensor::randn(
-        {cfg.conv2_channels, cfg.conv1_channels * cfg.conv2_kernel}, rng,
-        0.1f);
-    conv2_b = Tensor::zeros({1, cfg.conv2_channels}, true);
-    rep_dim =
-        cfg.conv2_channels * (cfg.sort_k / 2 - cfg.conv2_kernel + 1);
-    dense = std::make_unique<nn::Linear>(rep_dim, cfg.dense_hidden, rng);
-    head = std::make_unique<nn::Linear>(cfg.dense_hidden, cfg.num_classes,
-                                        rng);
+    conv1_w = Tensor::randn({kC1, concat_dim}, rng, 0.1f);
+    conv1_b = Tensor::zeros({1, kC1}, true);
+    conv2_w = Tensor::randn({kC2, kC1 * kK2}, rng, 0.1f);
+    conv2_b = Tensor::zeros({1, kC2}, true);
+    rep_dim = kC2 * (cfg.sort_k / 2 - kK2 + 1);
+    dense = std::make_unique<nn::Linear>(rep_dim, core::Dgcnn::kDenseHidden,
+                                         rng);
+    head = std::make_unique<nn::Linear>(core::Dgcnn::kDenseHidden, 2, rng);
   }
 
   [[nodiscard]] std::vector<Tensor> parameters() const {
@@ -79,7 +81,7 @@ struct DenseSeedDgcnn {
         ag::conv1d(flat, conv1_w, conv1_b, concat_dim, concat_dim));
     Tensor p1 = ag::maxpool1d(c1, 2);
     Tensor c2 =
-        ag::relu(ag::conv1d(p1, conv2_w, conv2_b, cfg.conv2_kernel, 1));
+        ag::relu(ag::conv1d(p1, conv2_w, conv2_b, kK2, 1));
     Tensor pooled = ag::reshape(c2, {1, rep_dim});
     Tensor h = ag::relu(dense->forward(pooled));
     h = ag::dropout(h, cfg.dropout, /*training=*/true, rng);
@@ -99,8 +101,7 @@ int main() {
   const core::Normalizer norm = core::Normalizer::fit(ds, idx);
   core::Featurizer feats(ds, norm);
 
-  core::DgcnnConfig cfg;
-  cfg.in_dim = feats.node_dim();
+  const core::DgcnnConfig cfg;
   par::Rng rng(11);
 
   // Dense adjacencies + static-feature handles, materialized up front so
@@ -142,7 +143,7 @@ int main() {
   const std::size_t n_timed = std::min<std::size_t>(idx.size(), 256);
   const int kReps = 3;
   par::Rng seed_rng(13);
-  DenseSeedDgcnn seed_model(cfg, seed_rng);
+  DenseSeedDgcnn seed_model(cfg, feats.node_dim(), seed_rng);
   ag::Adam seed_opt(1e-3f);
   seed_opt.add_params(seed_model.parameters());
   const auto dense_epoch_once = [&]() {
@@ -175,7 +176,8 @@ int main() {
       n_timed, kReps, dense_epoch);
 
   par::Rng mrng(14);
-  core::Dgcnn model(cfg, mrng);
+  core::Dgcnn model(cfg, feats.node_dim(), /*num_classes=*/2,
+                    /*relational=*/false, mrng);
   ag::Adam opt(1e-3f);
   opt.add_params(model.parameters());
   const auto batched_epoch_once = [&](std::size_t b) {

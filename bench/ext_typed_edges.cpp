@@ -22,9 +22,8 @@ int main() {
   std::printf("training typed-edge (relational) MV-GNN...\n\n");
   core::Featurizer typed_feats(ex.ds, norm, core::LabelMode::Binary,
                                /*zero_dynamic=*/false, /*typed_edges=*/true);
-  core::MvGnnConfig cfg = core::default_config(typed_feats);
-  cfg.typed_edges = true;
-  core::MvGnnTrainer typed(typed_feats, cfg, tc);
+  core::MvGnnTrainer typed(typed_feats, core::default_config(typed_feats),
+                           tc);
   typed.fit(ex.train, {});
 
   std::printf("Extension — typed PEG edges (test accuracy)\n");
@@ -51,9 +50,8 @@ int main() {
   untyped_nd.fit(ex.train, {});
   core::Featurizer typed_nd(ex.ds, norm, core::LabelMode::Binary,
                             /*zero_dynamic=*/true, /*typed_edges=*/true);
-  core::MvGnnConfig cfg_nd = core::default_config(typed_nd);
-  cfg_nd.typed_edges = true;
-  core::MvGnnTrainer typed_nd_tr(typed_nd, cfg_nd, tc);
+  core::MvGnnTrainer typed_nd_tr(typed_nd, core::default_config(typed_nd),
+                                 tc);
   typed_nd_tr.fit(ex.train, {});
 
   double a = 0, b = 0;

@@ -4,9 +4,10 @@
 //
 //   ./build/examples/classify_loops [program.minic] [--cache DIR]
 //
-// With --cache, the built dataset, fitted normalizer and trained ensemble
-// weights are stored in DIR and reused on later runs (a fresh run trains a
-// 3-seed ensemble in ~2 minutes; cached runs classify in milliseconds).
+// With --cache, the built dataset and trained ensemble weights are stored in
+// DIR and reused on later runs (a fresh run trains a 3-seed ensemble in ~2
+// minutes; cached runs classify in milliseconds). The normalizer is refit
+// on every run: the same dataset and split give the same values.
 // The program's entry function must be named `kernel`; its arguments
 // follow profiler::default_args.
 #include <cstdio>
@@ -26,21 +27,6 @@ using namespace mvgnn;
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-void save_normalizer(const core::Normalizer& n, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  os.write(reinterpret_cast<const char*>(n.mean.data()), sizeof n.mean);
-  os.write(reinterpret_cast<const char*>(n.stdev.data()), sizeof n.stdev);
-}
-
-core::Normalizer load_normalizer(const std::string& path) {
-  core::Normalizer n;
-  std::ifstream is(path, std::ios::binary);
-  is.read(reinterpret_cast<char*>(n.mean.data()), sizeof n.mean);
-  is.read(reinterpret_cast<char*>(n.stdev.data()), sizeof n.stdev);
-  if (!is) throw std::runtime_error("bad normalizer cache: " + path);
-  return n;
 }
 
 }  // namespace
@@ -99,16 +85,9 @@ float kernel(float[] a, float[] b) {
   auto [train_raw, val] = data::split_by_kernel(ds, 0.85, 5);
   std::vector<std::size_t> train = data::oversample_balance(ds, train_raw, 5);
 
-  // ---- normalizer + model: fit/train or load ----------------------------
-  const std::string norm_path = cache_dir + "/normalizer.bin";
+  // ---- normalizer + model: fit, then train or load ------------------------
   const std::string weights_path = cache_dir + "/weights.bin";
-  core::Normalizer norm;
-  if (!cache_dir.empty() && file_exists(norm_path)) {
-    norm = load_normalizer(norm_path);
-  } else {
-    norm = core::Normalizer::fit(ds, train);
-    if (!cache_dir.empty()) save_normalizer(norm, norm_path);
-  }
+  const core::Normalizer norm = core::Normalizer::fit(ds, train);
   core::Featurizer feats(ds, norm);
   core::TrainConfig tc;
   tc.epochs = 30;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "data/dataset.hpp"
+
 namespace mvgnn::core {
 
 using ag::Tensor;
@@ -13,16 +15,25 @@ ag::CsrMatrix make_ahat(
   return nn::dgcnn_adjacency(n, edges);
 }
 
-Dgcnn::Dgcnn(const DgcnnConfig& cfg, par::Rng& rng) : cfg_(cfg) {
+Dgcnn::Dgcnn(const DgcnnConfig& cfg, std::size_t in_dim,
+             std::size_t num_classes, bool relational, par::Rng& rng)
+    : cfg_(cfg) {
   if (cfg.gcn_channels.empty() || cfg.gcn_channels.back() != 1) {
     throw std::invalid_argument(
         "DGCNN: the final GCN layer must have 1 channel (SortPooling sorts "
         "on it)");
   }
-  std::size_t in = cfg.in_dim;
+  if (cfg.sort_k % 2 != 0) {
+    throw std::invalid_argument("DGCNN: sort_k must be even");
+  }
+  const std::size_t pooled_len = cfg.sort_k / 2;
+  if (pooled_len < kConv2Kernel) {
+    throw std::invalid_argument("DGCNN: sort_k/2 smaller than conv2 kernel");
+  }
+  std::size_t in = in_dim;
   for (const std::size_t ch : cfg.gcn_channels) {
-    if (cfg.relational) {
-      rconvs_.emplace_back(in, ch, cfg.relations, rng);
+    if (relational) {
+      rconvs_.emplace_back(in, ch, data::GraphSample::kNumRelations, rng);
     } else {
       convs_.emplace_back(in, ch, rng);
     }
@@ -30,26 +41,17 @@ Dgcnn::Dgcnn(const DgcnnConfig& cfg, par::Rng& rng) : cfg_(cfg) {
     in = ch;
   }
   const float s1 = std::sqrt(2.0f / static_cast<float>(concat_dim_));
-  conv1_w_ = Tensor::randn(
-      {cfg.conv1_channels, concat_dim_}, rng, s1);
-  conv1_b_ = Tensor::zeros({1, cfg.conv1_channels}, true);
+  conv1_w_ = Tensor::randn({kConv1Channels, concat_dim_}, rng, s1);
+  conv1_b_ = Tensor::zeros({1, kConv1Channels}, true);
   const float s2 =
-      std::sqrt(2.0f / static_cast<float>(cfg.conv1_channels *
-                                          cfg.conv2_kernel));
-  conv2_w_ = Tensor::randn(
-      {cfg.conv2_channels, cfg.conv1_channels * cfg.conv2_kernel}, rng, s2);
-  conv2_b_ = Tensor::zeros({1, cfg.conv2_channels}, true);
+      std::sqrt(2.0f / static_cast<float>(kConv1Channels * kConv2Kernel));
+  conv2_w_ =
+      Tensor::randn({kConv2Channels, kConv1Channels * kConv2Kernel}, rng, s2);
+  conv2_b_ = Tensor::zeros({1, kConv2Channels}, true);
 
-  if (cfg.sort_k % 2 != 0) {
-    throw std::invalid_argument("DGCNN: sort_k must be even");
-  }
-  const std::size_t pooled_len = cfg.sort_k / 2;
-  if (pooled_len < cfg.conv2_kernel) {
-    throw std::invalid_argument("DGCNN: sort_k/2 smaller than conv2 kernel");
-  }
-  rep_dim_ = cfg.conv2_channels * (pooled_len - cfg.conv2_kernel + 1);
-  dense_ = std::make_unique<nn::Linear>(rep_dim_, cfg.dense_hidden, rng);
-  head_ = std::make_unique<nn::Linear>(cfg.dense_hidden, cfg.num_classes, rng);
+  rep_dim_ = kConv2Channels * (pooled_len - kConv2Kernel + 1);
+  dense_ = std::make_unique<nn::Linear>(rep_dim_, kDenseHidden, rng);
+  head_ = std::make_unique<nn::Linear>(kDenseHidden, num_classes, rng);
 }
 
 Dgcnn::Output Dgcnn::forward(const ag::CsrMatrix& ahat,
@@ -62,12 +64,13 @@ Dgcnn::Output Dgcnn::forward(const ag::CsrMatrix& ahat,
   // whole batch shares one spmm per layer.
   Tensor x = features;
   Tensor z;
-  const std::size_t layers = cfg_.relational ? rconvs_.size() : convs_.size();
+  const bool relational = !rconvs_.empty();
+  const std::size_t layers = relational ? rconvs_.size() : convs_.size();
   for (std::size_t i = 0; i < layers; ++i) {
     // The plain GCN path fuses tanh into the spmm rows; the relational sum
     // has no single producing kernel, so it keeps the elementwise tanh.
-    x = cfg_.relational ? ag::tanh_t(rconvs_[i].forward(rel_ahats, x))
-                        : convs_[i].forward_tanh(ahat, x);
+    x = relational ? ag::tanh_t(rconvs_[i].forward(rel_ahats, x))
+                   : convs_[i].forward_tanh(ahat, x);
     z = (i == 0) ? x : ag::concat_cols(z, x);
   }
 
@@ -91,14 +94,14 @@ Dgcnn::Output Dgcnn::forward(const ag::CsrMatrix& ahat,
   // conv is segment-aware — it only computes the windows that live inside
   // one graph's k/2 columns, never the straddling positions.
   const std::size_t half = cfg_.sort_k / 2;
-  const std::size_t l = half - cfg_.conv2_kernel + 1;
+  const std::size_t l = half - kConv2Kernel + 1;
   Tensor p1 = ag::maxpool1d(c1, 2);                         // [c1, B*k/2]
   std::vector<std::uint32_t> starts(b_count);
   for (std::size_t b = 0; b < b_count; ++b) {
     starts[b] = static_cast<std::uint32_t>(b * half);
   }
   Tensor c2 = ag::relu(ag::conv1d_segments(p1, conv2_w_, conv2_b_,
-                                           cfg_.conv2_kernel, 1, starts,
+                                           kConv2Kernel, 1, starts,
                                            half));          // [c2, B*l]
   std::vector<std::uint32_t> row_starts(b_count);
   for (std::size_t b = 0; b < b_count; ++b) {

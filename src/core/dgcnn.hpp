@@ -13,28 +13,28 @@
 
 namespace mvgnn::core {
 
+/// Input width, class count and the relational switch come from the model
+/// that owns the view (Dgcnn constructor arguments).
 struct DgcnnConfig {
-  std::size_t in_dim = 16;        // node feature width
-  /// Typed-edge extension: replace the merged-adjacency GCN layers with
-  /// relational convolutions (one weight bank per PEG edge relation).
-  bool relational = false;
-  std::size_t relations = 4;
   std::vector<std::size_t> gcn_channels = {32, 32, 1};  // last must be 1
                                   // (SortPooling sorts on the final channel)
   std::size_t sort_k = 16;        // SortPooling k (paper: 135, scaled down);
                                   // even, so the 2-wide max-pool windows
                                   // never straddle two graphs of a batch
-  std::size_t conv1_channels = 16;  // first 1-D conv output channels
-  std::size_t conv2_channels = 32;  // second 1-D conv output channels
-  std::size_t conv2_kernel = 5;
-  std::size_t dense_hidden = 64;  // dense layer before the logits
-  std::size_t num_classes = 2;
   float dropout = 0.1f;
 };
 
 class Dgcnn final : public nn::Module {
  public:
-  Dgcnn(const DgcnnConfig& cfg, par::Rng& rng);
+  static constexpr std::size_t kConv1Channels = 16;  // first 1-D conv
+  static constexpr std::size_t kConv2Channels = 32;  // second 1-D conv
+  static constexpr std::size_t kConv2Kernel = 5;
+  static constexpr std::size_t kDenseHidden = 64;  // dense layer before logits
+
+  /// `relational` (typed-edge extension): relational GCN layers, one weight
+  /// bank per PEG edge relation (data::GraphSample::kNumRelations).
+  Dgcnn(const DgcnnConfig& cfg, std::size_t in_dim, std::size_t num_classes,
+        bool relational, par::Rng& rng);
 
   struct Output {
     ag::Tensor pooled;  // [B, rep_dim] — input of the FC layer (for MV-GNN)

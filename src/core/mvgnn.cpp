@@ -30,6 +30,10 @@ GraphBatch make_graph_batch(std::span<const SampleInput* const> samples) {
   const std::size_t aw_cols = samples.front()->aw_dist.cols();
   const std::size_t relations = samples.front()->rel_ahats.size();
   for (const SampleInput* s : samples) {
+    if (s->rel_ahats.size() != relations) {
+      throw std::invalid_argument(
+          "make_graph_batch: samples mix typed and untyped inputs");
+    }
     total += s->node_feats.rows();
     b.offsets.push_back(static_cast<std::uint32_t>(total));
     b.labels.push_back(s->label);
@@ -61,17 +65,17 @@ GraphBatch make_graph_batch(std::span<const SampleInput* const> samples) {
   return b;
 }
 
-MvGnn::MvGnn(MvGnnConfig cfg, par::Rng& rng) : cfg_(std::move(cfg)) {
-  cfg_.struct_view.in_dim = cfg_.aw_embed_dim;
-  cfg_.node_view.relational = cfg_.typed_edges;
-  cfg_.struct_view.relational = false;
-  node_view_ = std::make_unique<Dgcnn>(cfg_.node_view, rng);
-  struct_view_ = std::make_unique<Dgcnn>(cfg_.struct_view, rng);
-  const float scale = std::sqrt(2.0f / static_cast<float>(cfg_.aw_vocab +
-                                                          cfg_.aw_embed_dim));
-  aw_embed_ = Tensor::randn({cfg_.aw_vocab, cfg_.aw_embed_dim}, rng, scale);
+MvGnn::MvGnn(const MvGnnConfig& cfg, par::Rng& rng) {
+  node_view_ = std::make_unique<Dgcnn>(cfg.node_view, cfg.node_dim,
+                                       cfg.num_classes, cfg.typed_edges, rng);
+  struct_view_ = std::make_unique<Dgcnn>(cfg.struct_view, kAwEmbedDim,
+                                         cfg.num_classes,
+                                         /*relational=*/false, rng);
+  const float scale =
+      std::sqrt(2.0f / static_cast<float>(cfg.aw_vocab + kAwEmbedDim));
+  aw_embed_ = Tensor::randn({cfg.aw_vocab, kAwEmbedDim}, rng, scale);
   fusion_ = std::make_unique<nn::Linear>(
-      node_view_->rep_dim() + struct_view_->rep_dim(), cfg_.num_classes, rng);
+      node_view_->rep_dim() + struct_view_->rep_dim(), cfg.num_classes, rng);
 }
 
 MvGnn::Output MvGnn::forward_batch(const GraphBatch& batch, bool training,
@@ -79,13 +83,13 @@ MvGnn::Output MvGnn::forward_batch(const GraphBatch& batch, bool training,
   // Structural-view node features: AW distribution x learned embedding
   // table (the "embedding table lookup" of section III-C).
   const Tensor struct_feats = ag::matmul(batch.aw_dist, aw_embed_);
-  static const std::vector<ag::CsrMatrix> no_rels;
 
-  const Dgcnn::Output on = node_view_->forward(
-      batch.ahat, cfg_.typed_edges ? batch.rel_ahats : no_rels,
-      batch.node_feats, batch.offsets, training, rng);
+  // Only a relational (typed-edge) node view reads rel_ahats.
+  const Dgcnn::Output on =
+      node_view_->forward(batch.ahat, batch.rel_ahats, batch.node_feats,
+                          batch.offsets, training, rng);
   const Dgcnn::Output os = struct_view_->forward(
-      batch.ahat, no_rels, struct_feats, batch.offsets, training, rng);
+      batch.ahat, {}, struct_feats, batch.offsets, training, rng);
 
   // Eq. 5: h = W * tanh(h_n (+) h_s) + b, applied row-wise over the batch.
   const Tensor fused = ag::tanh_t(ag::concat_cols(on.pooled, os.pooled));
@@ -140,18 +144,6 @@ std::vector<ag::Tensor> MvGnn::parameters() const {
   const auto fp = fusion_->parameters();
   ps.insert(ps.end(), fp.begin(), fp.end());
   return ps;
-}
-
-SingleViewGnn::SingleViewGnn(const DgcnnConfig& cfg, par::Rng& rng)
-    : view_(std::make_unique<Dgcnn>(cfg, rng)) {}
-
-ag::Tensor SingleViewGnn::forward(const ag::CsrMatrix& ahat,
-                                  const ag::Tensor& feats, bool training,
-                                  par::Rng& rng) const {
-  return view_
-      ->forward(ahat, {}, feats, {0, static_cast<std::uint32_t>(feats.rows())},
-                training, rng)
-      .logits;
 }
 
 }  // namespace mvgnn::core

@@ -22,16 +22,17 @@ struct MvGnnConfig {
   DgcnnConfig struct_view;
   /// Typed-edge extension: run the node view relationally over the PEG's
   /// {hierarchy, RAW, WAR, WAW} relations (struct view stays untyped).
+  /// default_config(const Featurizer&) sets it for typed-edge inputs.
   bool typed_edges = false;
-  std::size_t aw_vocab = 0;      // structural input width (set from dataset)
-  std::size_t aw_embed_dim = 16; // AW embedding table width
-  std::size_t num_classes = 2;
+  std::size_t node_dim = 0;     // node-feature input width (set from dataset)
+  std::size_t aw_vocab = 0;     // structural input width (set from dataset)
+  std::size_t num_classes = 2;  // fused head and both view heads
 };
 
 /// Model input for one loop sample. `ahat` is shared by both views.
 struct SampleInput {
   ag::CsrMatrix ahat;     // [n, n]
-  ag::Tensor node_feats;  // [n, node_view.in_dim]
+  ag::Tensor node_feats;  // [n, node_dim]
   ag::Tensor aw_dist;     // [n, aw_vocab]
   /// Per-relation adjacencies (built only when the featurizer's typed-edge
   /// mode is on).
@@ -45,7 +46,7 @@ struct SampleInput {
 /// replaces B per-sample forwards — same math, one optimizer step.
 struct GraphBatch {
   ag::CsrMatrix ahat;       // [N, N] block-diagonal
-  ag::Tensor node_feats;    // [N, node_view.in_dim]
+  ag::Tensor node_feats;    // [N, node_dim]
   ag::Tensor aw_dist;       // [N, aw_vocab]
   std::vector<ag::CsrMatrix> rel_ahats;  // per relation, block-diagonal
   std::vector<std::uint32_t> offsets;    // size B+1, offsets[0] == 0
@@ -54,12 +55,15 @@ struct GraphBatch {
 };
 
 /// Assembles a batch from featurized samples (pointers stay borrowed).
+/// Throws std::invalid_argument if typed and untyped inputs are mixed.
 [[nodiscard]] GraphBatch make_graph_batch(
     std::span<const SampleInput* const> samples);
 
 class MvGnn final : public nn::Module {
  public:
-  MvGnn(MvGnnConfig cfg, par::Rng& rng);
+  static constexpr std::size_t kAwEmbedDim = 16;  // AW embedding table width
+
+  MvGnn(const MvGnnConfig& cfg, par::Rng& rng);
 
   struct Output {
     ag::Tensor logits;         // fused prediction [B, classes]
@@ -79,13 +83,11 @@ class MvGnn final : public nn::Module {
                                par::Rng& rng) const;
 
   [[nodiscard]] std::vector<ag::Tensor> parameters() const override;
-  [[nodiscard]] const MvGnnConfig& config() const { return cfg_; }
 
  private:
-  MvGnnConfig cfg_;
   std::unique_ptr<Dgcnn> node_view_;
   std::unique_ptr<Dgcnn> struct_view_;
-  ag::Tensor aw_embed_;  // [aw_vocab, aw_embed_dim]
+  ag::Tensor aw_embed_;  // [aw_vocab, kAwEmbedDim]
   std::unique_ptr<nn::Linear> fusion_;
 };
 
@@ -116,23 +118,5 @@ struct ViewPrediction {
 [[nodiscard]] std::vector<ViewPrediction> predict(
     const MvGnn& model, std::span<const SampleInput* const> inputs,
     std::size_t max_batch);
-
-/// Single-view GNN classifier (used for the "GNNs with static information"
-/// baseline of Shen et al. and the per-view ablations): one DGCNN over a
-/// caller-chosen node feature matrix.
-class SingleViewGnn final : public nn::Module {
- public:
-  SingleViewGnn(const DgcnnConfig& cfg, par::Rng& rng);
-
-  [[nodiscard]] ag::Tensor forward(const ag::CsrMatrix& ahat,
-                                   const ag::Tensor& feats, bool training,
-                                   par::Rng& rng) const;
-  [[nodiscard]] std::vector<ag::Tensor> parameters() const override {
-    return view_->parameters();
-  }
-
- private:
-  std::unique_ptr<Dgcnn> view_;
-};
 
 }  // namespace mvgnn::core

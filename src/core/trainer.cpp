@@ -105,11 +105,11 @@ std::array<float, 7> Normalizer::apply(const std::array<double, 7>& v) const {
 
 SampleInput build_input(const data::GraphSample& s,
                         const data::Dataset& reference,
-                        const Normalizer& norm, bool use_pattern_label,
+                        const Normalizer& norm, LabelMode mode,
                         bool zero_dynamic, bool typed_edges) {
   SampleInput in;
   in.ahat = make_ahat(s.n, s.edges);
-  in.label = use_pattern_label ? s.pattern_label : s.label;
+  in.label = mode == LabelMode::Pattern ? s.pattern_label : s.label;
 
   const std::size_t nd = reference.static_dim + 7;
   std::vector<float> feats(s.n * nd, 0.0f);
@@ -140,38 +140,36 @@ SampleInput build_input(const data::GraphSample& s,
 
 Featurizer::Featurizer(const data::Dataset& ds, Normalizer norm,
                        LabelMode mode, bool zero_dynamic, bool typed_edges)
-    : ds_(&ds), norm_(norm), mode_(mode), inputs_(ds.samples.size()) {
+    : ds_(&ds), norm_(norm), mode_(mode), typed_edges_(typed_edges),
+      inputs_(ds.samples.size()) {
   OBS_SPAN("trainer.featurize");
   // Each index writes its own slot; grain 1 because one sample is already
   // substantial work (adjacency build + feature copy).
   par::parallel_for(
       0, inputs_.size(),
       [&](std::size_t i) {
-        inputs_[i] = build_input(ds.samples[i], ds, norm_,
-                                 mode == LabelMode::Pattern, zero_dynamic,
-                                 typed_edges);
+        inputs_[i] = build_input(ds.samples[i], ds, norm_, mode,
+                                 zero_dynamic, typed_edges);
       },
       par::ThreadPool::global(), /*grain=*/1);
 }
 
 MvGnnConfig default_config(const data::Dataset& ds, LabelMode mode) {
-  const std::size_t classes = mode == LabelMode::Binary ? 2 : 3;
   MvGnnConfig cfg;
-  cfg.num_classes = classes;
-  cfg.node_view.num_classes = classes;
-  cfg.struct_view.num_classes = classes;
-  cfg.node_view.in_dim = ds.static_dim + 7;
+  cfg.num_classes = mode == LabelMode::Binary ? 2 : 3;
+  cfg.node_dim = ds.static_dim + 7;
   cfg.node_view.gcn_channels = {32, 32, 1};
   cfg.node_view.sort_k = 16;
   cfg.struct_view.gcn_channels = {24, 24, 1};
   cfg.struct_view.sort_k = 16;
   cfg.aw_vocab = ds.aw_vocab;
-  cfg.aw_embed_dim = 16;
   return cfg;
 }
 
 MvGnnConfig default_config(const Featurizer& feats) {
-  return default_config(feats.dataset(), feats.label_mode());
+  MvGnnConfig cfg = default_config(feats.dataset(), feats.label_mode());
+  cfg.typed_edges = feats.typed_edges();
+  return cfg;
 }
 
 // ---------------------------------------------------------------------------
@@ -471,12 +469,14 @@ double MvGnnTrainer::accuracy(const std::vector<std::size_t>& idx) const {
 // StaticGnnTrainer
 // ---------------------------------------------------------------------------
 
-StaticGnnTrainer::StaticGnnTrainer(const Featurizer& feats, DgcnnConfig cfg,
+StaticGnnTrainer::StaticGnnTrainer(const Featurizer& feats,
+                                   const DgcnnConfig& cfg,
                                    const TrainConfig& tc)
     : feats_(&feats), tc_(tc), rng_(tc.seed) {
-  cfg.in_dim = feats.dataset().static_dim;  // static columns only
   par::Rng init_rng(tc.seed ^ 0x22225555ULL);
-  model_ = std::make_unique<SingleViewGnn>(cfg, init_rng);
+  model_ = std::make_unique<Dgcnn>(cfg, feats.dataset().static_dim,
+                                   feats.num_classes(), /*relational=*/false,
+                                   init_rng);
   opt_ = std::make_unique<ag::Adam>(tc.lr, 0.9f, 0.999f, 1e-8f,
                                     tc.weight_decay);
   opt_->add_params(model_->parameters());
@@ -486,9 +486,6 @@ std::vector<EpochStat> StaticGnnTrainer::fit(
     const std::vector<std::size_t>& train_idx,
     const std::vector<std::size_t>& test_idx) {
   std::vector<std::size_t> order = train_idx;
-  // The model reads the static columns only; build_input copies
-  // node_static into the first static_dim columns of node_feats.
-  const std::size_t static_dim = feats_->dataset().static_dim;
   std::vector<EpochStat> curve;
   for (std::size_t epoch = 0; epoch < tc_.epochs; ++epoch) {
     opt_->set_lr(scheduled_lr(tc_.lr, epoch, tc_.epochs));
@@ -497,9 +494,7 @@ std::vector<EpochStat> StaticGnnTrainer::fit(
     std::size_t correct = 0;
     for (const std::size_t i : order) {
       const SampleInput& in = feats_->get(i);
-      const Tensor logits = model_->forward(
-          in.ahat, ag::slice_cols(in.node_feats, 0, static_dim),
-          /*training=*/true, rng_);
+      const Tensor logits = forward(in, /*training=*/true);
       Tensor loss = ag::cross_entropy_logits(logits, {in.label});
       opt_->zero_grad();
       loss.backward();
@@ -517,12 +512,18 @@ std::vector<EpochStat> StaticGnnTrainer::fit(
   return curve;
 }
 
+Tensor StaticGnnTrainer::forward(const SampleInput& in, bool training) const {
+  // The model reads the static columns only; build_input copies
+  // node_static into the first static_dim columns of node_feats.
+  const Tensor feats =
+      ag::slice_cols(in.node_feats, 0, feats_->dataset().static_dim);
+  const std::vector<std::uint32_t> offsets = {
+      0, static_cast<std::uint32_t>(feats.rows())};
+  return model_->forward(in.ahat, {}, feats, offsets, training, rng_).logits;
+}
+
 int StaticGnnTrainer::predict(std::size_t i) const {
-  const SampleInput& in = feats_->get(i);
-  const Tensor logits = model_->forward(
-      in.ahat, ag::slice_cols(in.node_feats, 0, feats_->dataset().static_dim),
-      /*training=*/false, rng_);
-  return argmax_row(logits);
+  return argmax_row(forward(feats_->get(i), /*training=*/false));
 }
 
 double StaticGnnTrainer::accuracy(const std::vector<std::size_t>& idx) const {

@@ -24,6 +24,11 @@ struct Normalizer {
       const std::array<double, 7>& v) const;
 };
 
+/// Which dataset label the model inputs carry: the binary parallelizable
+/// flag (the paper's main task) or the 3-way parallel-pattern label (the
+/// paper's future-work extension).
+enum class LabelMode { Binary, Pattern };
+
 /// Builds one model input from a (possibly dataset-external) graph sample,
 /// against a reference dataset's widths. This is the deployment path: a
 /// sample produced by data::featurize_program feeds a trained model
@@ -31,14 +36,9 @@ struct Normalizer {
 [[nodiscard]] SampleInput build_input(const data::GraphSample& s,
                                       const data::Dataset& reference,
                                       const Normalizer& norm,
-                                      bool use_pattern_label = false,
+                                      LabelMode mode = LabelMode::Binary,
                                       bool zero_dynamic = false,
                                       bool typed_edges = false);
-
-/// Which dataset label the model inputs carry: the binary parallelizable
-/// flag (the paper's main task) or the 3-way parallel-pattern label (the
-/// paper's future-work extension).
-enum class LabelMode { Binary, Pattern };
 
 /// Model inputs for every sample of a dataset, built once in the
 /// constructor (in parallel on the global thread pool): the graph tensors
@@ -61,6 +61,8 @@ class Featurizer {
   [[nodiscard]] const data::Dataset& dataset() const { return *ds_; }
   [[nodiscard]] const Normalizer& normalizer() const { return norm_; }
   [[nodiscard]] LabelMode label_mode() const { return mode_; }
+  /// True when the inputs carry per-relation adjacencies.
+  [[nodiscard]] bool typed_edges() const { return typed_edges_; }
   /// Class count implied by the label mode.
   [[nodiscard]] std::size_t num_classes() const {
     return mode_ == LabelMode::Binary ? 2 : 3;
@@ -70,6 +72,7 @@ class Featurizer {
   const data::Dataset* ds_;
   Normalizer norm_;
   LabelMode mode_ = LabelMode::Binary;
+  bool typed_edges_ = false;
   std::vector<SampleInput> inputs_;  // one per ds.samples entry
 };
 
@@ -183,7 +186,7 @@ class MvGnnTrainer {
 /// features only, no dynamic features, no structural view).
 class StaticGnnTrainer {
  public:
-  StaticGnnTrainer(const Featurizer& feats, DgcnnConfig cfg,
+  StaticGnnTrainer(const Featurizer& feats, const DgcnnConfig& cfg,
                    const TrainConfig& tc);
 
   std::vector<EpochStat> fit(const std::vector<std::size_t>& train_idx,
@@ -192,9 +195,12 @@ class StaticGnnTrainer {
   [[nodiscard]] double accuracy(const std::vector<std::size_t>& idx) const;
 
  private:
+  /// Logits of one sample from its static columns.
+  [[nodiscard]] ag::Tensor forward(const SampleInput& in, bool training) const;
+
   const Featurizer* feats_;
   TrainConfig tc_;
-  std::unique_ptr<SingleViewGnn> model_;
+  std::unique_ptr<Dgcnn> model_;
   std::unique_ptr<ag::Adam> opt_;
   mutable par::Rng rng_;
 };
@@ -203,7 +209,8 @@ class StaticGnnTrainer {
 /// widths follow DESIGN.md section 5).
 [[nodiscard]] MvGnnConfig default_config(const data::Dataset& ds,
                                          LabelMode mode = LabelMode::Binary);
-/// default_config for the featurizer's dataset and label mode.
+/// default_config for the featurizer's dataset and label mode; a typed-edge
+/// featurizer gets the relational node view.
 [[nodiscard]] MvGnnConfig default_config(const Featurizer& feats);
 
 }  // namespace mvgnn::core

@@ -216,6 +216,9 @@ std::vector<GraphSample> assemble_samples(
 // ---- cached Embed stage --------------------------------------------------
 
 constexpr std::uint32_t kEmbedFormat = 1;
+// Hashed into the Embed key: changing either moves every embed entry.
+constexpr std::uint32_t kInst2vecDim = 32;
+constexpr std::uint32_t kSkipgramEpochs = 2;
 
 }  // namespace
 
@@ -370,8 +373,8 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
   }
   ds.token_vocab.freeze();
   embedding::SkipGramParams sg;
-  sg.dim = opts.inst2vec_dim;
-  sg.epochs = opts.skipgram_epochs;
+  sg.dim = kInst2vecDim;
+  sg.epochs = kSkipgramEpochs;
 
   cache::Hasher embed_hasher;
   embed_hasher.str("mvgnn.pipe.embed.v1")
@@ -414,7 +417,7 @@ Dataset build_dataset(const std::vector<ProgramSpec>& programs,
   // is the only serial one and touches each item's distinct walks only.
   // A failing item is quarantined, in item order, after the passes.
   const std::uint32_t kind_dims = 3;  // CU / Loop / Function one-hot
-  ds.static_dim = opts.inst2vec_dim + kind_dims + 1;
+  ds.static_dim = kInst2vecDim + kind_dims + 1;
 
   std::vector<ItemWalks> walks(built.size());
   std::vector<std::vector<GraphSample>> samples(built.size());

@@ -69,8 +69,6 @@ struct GraphSample {
 struct DatasetOptions {
   bool use_ir_variants = false;  // run the six transform pipelines
   graph::AwParams walk;          // anonymous-walk sampling parameters
-  std::uint32_t inst2vec_dim = 32;
-  std::uint32_t skipgram_epochs = 2;
   std::uint64_t seed = 42;
   /// Input-sensitivity of the dynamic analysis: each aggregated dependence
   /// edge is dropped from the *model-visible* profile with this probability

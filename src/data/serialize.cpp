@@ -3,6 +3,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "io/atomic_file.hpp"
 #include "io/codec.hpp"
 
 namespace mvgnn::data {
@@ -237,9 +238,8 @@ void save_dataset(const Dataset& ds, std::ostream& os) {
 }
 
 void save_dataset(const Dataset& ds, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("cannot open " + path + " for writing");
-  save_dataset(ds, os);
+  io::atomic_write_file(path,
+                        [&](std::ostream& os) { save_dataset(ds, os); });
 }
 
 Dataset load_dataset(std::istream& is) {

@@ -15,6 +15,7 @@ namespace mvgnn::data {
 /// Writes the full dataset (samples, dimensions, inst2vec table, token
 /// vocabulary). Throws std::runtime_error on stream failure.
 void save_dataset(const Dataset& ds, std::ostream& os);
+/// Atomic (io::atomic_write_file): a failed write leaves `path` as it was.
 void save_dataset(const Dataset& ds, const std::string& path);
 
 /// Reads a dataset written by save_dataset. Throws std::runtime_error on

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace mvgnn::nn {
 
@@ -84,6 +85,9 @@ RgcnConv::RgcnConv(std::size_t in, std::size_t out, std::size_t relations,
 
 ag::Tensor RgcnConv::forward(const std::vector<ag::CsrMatrix>& ahats,
                              const ag::Tensor& x) const {
+  if (ahats.size() != w_rel_.size()) {
+    throw std::invalid_argument("RgcnConv: one adjacency per relation needed");
+  }
   ag::Tensor z = ag::matmul(x, w_self_);
   for (std::size_t r = 0; r < w_rel_.size(); ++r) {
     if (ahats[r].nnz() == 0) continue;  // relation absent from this graph

@@ -83,8 +83,8 @@ class RgcnConv final : public Module {
   RgcnConv(std::size_t in, std::size_t out, std::size_t relations,
            par::Rng& rng);
 
-  /// `ahats.size()` must equal `relations`; each is [n,n] CSR; `x` is
-  /// [n,in].
+  /// `ahats.size()` must equal `relations` (std::invalid_argument
+  /// otherwise); each is [n,n] CSR; `x` is [n,in].
   [[nodiscard]] ag::Tensor forward(const std::vector<ag::CsrMatrix>& ahats,
                                    const ag::Tensor& x) const;
   [[nodiscard]] std::vector<ag::Tensor> parameters() const override;

@@ -27,10 +27,10 @@ const data::Dataset& shared_dataset() {
 TEST(Dgcnn, ForwardShapesAndPadding) {
   par::Rng rng(1);
   core::DgcnnConfig cfg;
-  cfg.in_dim = 8;
   cfg.gcn_channels = {16, 16, 1};
   cfg.sort_k = 12;
-  core::Dgcnn net(cfg, rng);
+  core::Dgcnn net(cfg, /*in_dim=*/8, /*num_classes=*/2, /*relational=*/false,
+                  rng);
   // Tiny graph (3 nodes, fewer than sort_k): padding must kick in.
   const ag::CsrMatrix ahat = nn::dgcnn_adjacency(3, {{0, 1}, {1, 2}});
   par::Rng data_rng(2);
@@ -45,11 +45,11 @@ TEST(Dgcnn, ForwardShapesAndPadding) {
 TEST(Dgcnn, BatchedForwardMatchesPerSampleForwards) {
   par::Rng rng(7);
   core::DgcnnConfig cfg;
-  cfg.in_dim = 8;
   cfg.gcn_channels = {16, 16, 1};
   cfg.sort_k = 12;
   cfg.dropout = 0.0f;  // eval-mode comparison; keep the graph deterministic
-  core::Dgcnn net(cfg, rng);
+  core::Dgcnn net(cfg, /*in_dim=*/8, /*num_classes=*/2, /*relational=*/false,
+                  rng);
 
   // Three graphs of different sizes (one smaller than sort_k to exercise
   // per-segment padding inside the batch).
@@ -196,18 +196,26 @@ TEST(Trainer, EpochLossIdenticalAcrossBatchSizesAtZeroLr) {
 
 TEST(Dgcnn, RejectsInvalidConfigs) {
   par::Rng rng(1);
+  const auto make = [&](const core::DgcnnConfig& cfg) {
+    return core::Dgcnn(cfg, /*in_dim=*/16, /*num_classes=*/2,
+                       /*relational=*/false, rng);
+  };
   core::DgcnnConfig bad;
   bad.gcn_channels = {16, 8};  // last channel must be 1 for SortPooling
-  EXPECT_THROW(core::Dgcnn(bad, rng), std::invalid_argument);
+  EXPECT_THROW(make(bad), std::invalid_argument);
+  static_assert(core::Dgcnn::kConv2Kernel == 5);
   core::DgcnnConfig tiny;
   tiny.gcn_channels = {16, 1};
-  tiny.sort_k = 4;       // k/2 = 2 < conv2_kernel
-  tiny.conv2_kernel = 5;
-  EXPECT_THROW(core::Dgcnn(tiny, rng), std::invalid_argument);
+  for (const std::size_t k : {std::size_t{4}, std::size_t{8}}) {
+    tiny.sort_k = k;  // k/2 < conv2 kernel: no window fits
+    EXPECT_THROW(make(tiny), std::invalid_argument) << "sort_k " << k;
+  }
+  tiny.sort_k = 10;  // k/2 == conv2 kernel: one window, the smallest head
+  EXPECT_NO_THROW(make(tiny));
   core::DgcnnConfig odd;
   odd.gcn_channels = {16, 1};
   odd.sort_k = 15;  // odd k: pool windows would straddle graphs in a batch
-  EXPECT_THROW(core::Dgcnn(odd, rng), std::invalid_argument);
+  EXPECT_THROW(make(odd), std::invalid_argument);
 }
 
 TEST(MvGnn, ForwardBackwardRunsAndParametersCover) {

@@ -147,6 +147,15 @@ TEST(MultiClass, ThreeWayTrainerLearnsAboveChance) {
   const auto norm = core::Normalizer::fit(ds, train);
   core::Featurizer feats(ds, norm, core::LabelMode::Pattern);
   EXPECT_EQ(feats.num_classes(), 3u);
+  const core::MvGnnConfig cfg = core::default_config(feats);
+  EXPECT_EQ(cfg.num_classes, 3u);
+  // All three heads read the one class count.
+  par::Rng rng(6);
+  const auto out =
+      core::MvGnn(cfg, rng).forward(feats.get(0), /*training=*/false, rng);
+  EXPECT_EQ(out.logits.cols(), 3u);
+  EXPECT_EQ(out.node_logits.cols(), 3u);
+  EXPECT_EQ(out.struct_logits.cols(), 3u);
   core::TrainConfig tc;
   tc.epochs = 18;
   core::MvGnnTrainer trainer(feats, core::default_config(feats), tc);
@@ -235,13 +244,76 @@ TEST(TypedEdges, RelationalMvGnnTrainsEndToEnd) {
   const auto norm = core::Normalizer::fit(ds, train);
   core::Featurizer feats(ds, norm, core::LabelMode::Binary, false,
                          /*typed_edges=*/true);
-  core::MvGnnConfig cfg = core::default_config(feats);
-  cfg.typed_edges = true;
   core::TrainConfig tc;
   tc.epochs = 12;
-  core::MvGnnTrainer trainer(feats, cfg, tc);
+  core::MvGnnTrainer trainer(feats, core::default_config(feats), tc);
   trainer.fit(train, {});
   EXPECT_GE(trainer.accuracy(test), 0.6);
+}
+
+TEST(TypedEdges, TypedFeaturizerImpliesRelationalNodeView) {
+  const auto& ds = ext_dataset();
+  const auto norm = core::Normalizer::fit(ds, ds.suite_indices(""));
+  const core::Featurizer plain(ds, norm);
+  const core::Featurizer typed(ds, norm, core::LabelMode::Binary, false,
+                               /*typed_edges=*/true);
+  EXPECT_FALSE(plain.typed_edges());
+  EXPECT_TRUE(typed.typed_edges());
+  EXPECT_TRUE(plain.get(0).rel_ahats.empty());
+  EXPECT_EQ(typed.get(0).rel_ahats.size(), data::GraphSample::kNumRelations);
+
+  const core::MvGnnConfig plain_cfg = core::default_config(plain);
+  const core::MvGnnConfig typed_cfg = core::default_config(typed);
+  EXPECT_FALSE(plain_cfg.typed_edges);
+  EXPECT_TRUE(typed_cfg.typed_edges);
+  // The relational node view adds one weight bank per relation to each GCN
+  // layer; nothing else about the model differs.
+  par::Rng rng_a(2), rng_b(2);
+  const core::MvGnn plain_model(plain_cfg, rng_a);
+  const core::MvGnn typed_model(typed_cfg, rng_b);
+  std::size_t gcn_weights = 0;
+  std::size_t in = plain_cfg.node_dim;
+  for (const std::size_t ch : plain_cfg.node_view.gcn_channels) {
+    gcn_weights += in * ch;
+    in = ch;
+  }
+  EXPECT_EQ(typed_model.num_parameters(),
+            plain_model.num_parameters() +
+                data::GraphSample::kNumRelations * gcn_weights);
+}
+
+TEST(TypedEdges, TypedModelRejectsUntypedInputs) {
+  // A relational model indexes one adjacency per relation; untyped inputs
+  // carry none, so feeding them must fail loudly, not read past the end.
+  const auto& ds = ext_dataset();
+  const auto norm = core::Normalizer::fit(ds, ds.suite_indices(""));
+  const core::Featurizer plain(ds, norm);
+  const core::Featurizer typed(ds, norm, core::LabelMode::Binary, false,
+                               /*typed_edges=*/true);
+  core::TrainConfig tc;
+  tc.epochs = 1;
+  const core::MvGnnTrainer trainer(typed, core::default_config(typed), tc);
+  const std::vector<std::size_t> idx = {0, 1, 2};
+  EXPECT_THROW((void)trainer.accuracy_with(plain, idx), std::invalid_argument);
+  par::Rng rng(3);
+  EXPECT_THROW((void)trainer.model().forward(plain.get(0), false, rng),
+               std::invalid_argument);
+
+  // Mixed batches are rejected whichever kind comes first.
+  const std::vector<const core::SampleInput*> typed_first = {&typed.get(0),
+                                                             &plain.get(1)};
+  const std::vector<const core::SampleInput*> plain_first = {&plain.get(0),
+                                                             &typed.get(1)};
+  EXPECT_THROW((void)core::make_graph_batch(typed_first),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::make_graph_batch(plain_first),
+               std::invalid_argument);
+
+  // Decoupled training with an untyped alternate featurizer fails the same
+  // way.
+  core::MvGnnTrainer alt(typed, core::default_config(typed), tc);
+  alt.set_alternate_inputs(&plain, 1.0f);
+  EXPECT_THROW(alt.fit(idx, {}), std::invalid_argument);
 }
 
 }  // namespace typed_edges_tests
