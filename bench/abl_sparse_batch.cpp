@@ -143,7 +143,7 @@ int main() {
   const std::size_t n_timed = std::min<std::size_t>(idx.size(), 256);
   const int kReps = 3;
   par::Rng seed_rng(13);
-  DenseSeedDgcnn seed_model(cfg, feats.node_dim(), seed_rng);
+  DenseSeedDgcnn seed_model(cfg, core::node_dim(ds), seed_rng);
   ag::Adam seed_opt(1e-3f);
   seed_opt.add_params(seed_model.parameters());
   const auto dense_epoch_once = [&]() {
@@ -176,7 +176,7 @@ int main() {
       n_timed, kReps, dense_epoch);
 
   par::Rng mrng(14);
-  core::Dgcnn model(cfg, feats.node_dim(), /*num_classes=*/2,
+  core::Dgcnn model(cfg, core::node_dim(ds), /*num_classes=*/2,
                     /*relational=*/false, mrng);
   ag::Adam opt(1e-3f);
   opt.add_params(model.parameters());

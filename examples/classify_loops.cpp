@@ -4,21 +4,24 @@
 //
 //   ./build/examples/classify_loops [program.minic] [--cache DIR]
 //
-// With --cache, the built dataset and trained ensemble weights are stored in
-// DIR and reused on later runs (a fresh run trains a 3-seed ensemble in ~2
-// minutes; cached runs classify in milliseconds). The normalizer is refit
-// on every run: the same dataset and split give the same values.
+// With --cache, the built dataset and each ensemble member's final training
+// checkpoint (`seed-<n>/ckpt-<epochs>.mvck`) are stored in DIR and reused on
+// later runs (a fresh run trains a 3-seed ensemble in ~2 minutes; cached
+// runs classify in milliseconds). A checkpoint that fails to load is
+// retrained. The normalizer is refit on every run: the same dataset and
+// split give the same values.
 // The program's entry function must be named `kernel`; its arguments
 // follow profiler::default_args.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <sys/stat.h>
 
+#include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
 #include "data/serialize.hpp"
-#include "nn/module.hpp"
 
 namespace {
 
@@ -86,7 +89,6 @@ float kernel(float[] a, float[] b) {
   std::vector<std::size_t> train = data::oversample_balance(ds, train_raw, 5);
 
   // ---- normalizer + model: fit, then train or load ------------------------
-  const std::string weights_path = cache_dir + "/weights.bin";
   const core::Normalizer norm = core::Normalizer::fit(ds, train);
   core::Featurizer feats(ds, norm);
   core::TrainConfig tc;
@@ -95,34 +97,47 @@ float kernel(float[] a, float[] b) {
   // single model near the decision boundary.
   const std::uint64_t seeds[] = {1, 7, 13};
   std::vector<std::unique_ptr<core::MvGnnTrainer>> ensemble;
-  if (!cache_dir.empty() && file_exists(weights_path)) {
-    std::printf("loading cached ensemble from %s...\n", weights_path.c_str());
-    std::ifstream is(weights_path, std::ios::binary);
-    for (const std::uint64_t seed : seeds) {
-      core::TrainConfig tcs = tc;
-      tcs.seed = seed;
-      auto t = std::make_unique<core::MvGnnTrainer>(
-          feats, core::default_config(feats), tcs);
-      nn::load_weights(t->model_mutable(), is);
-      ensemble.push_back(std::move(t));
+  for (const std::uint64_t seed : seeds) {
+    core::TrainConfig tcs = tc;
+    tcs.seed = seed;
+    // A member is cached as its trainer's final checkpoint (CRC-checked,
+    // written atomically): the format the serve daemon loads.
+    const std::string seed_dir = cache_dir + "/seed-" + std::to_string(seed);
+    if (!cache_dir.empty()) {
+      std::filesystem::create_directories(seed_dir);
+      tcs.checkpoint_dir = seed_dir;
+      tcs.checkpoint_every = tcs.epochs;
     }
-  } else {
-    for (const std::uint64_t seed : seeds) {
-      core::TrainConfig tcs = tc;
-      tcs.seed = seed;
-      auto t = std::make_unique<core::MvGnnTrainer>(
+    const std::string ckpt = core::checkpoint_path(seed_dir, tcs.epochs);
+    auto make = [&] {
+      return std::make_unique<core::MvGnnTrainer>(
           feats, core::default_config(feats), tcs);
+    };
+    auto t = make();
+    bool loaded = false;
+    if (!cache_dir.empty() && file_exists(ckpt)) {
+      // Restoring the optimizer state too checks the whole file; inference
+      // never steps it.
+      ag::Adam opt(tcs.lr);
+      opt.add_params(t->model().parameters());
+      try {
+        (void)core::load_checkpoint(ckpt, t->model_mutable(), opt);
+        std::printf("loaded cached MV-GNN (seed %llu) from %s\n",
+                    static_cast<unsigned long long>(seed), ckpt.c_str());
+        loaded = true;
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s; retraining\n", e.what());
+        t = make();  // a failed load may have overwritten some weights
+      }
+    }
+    if (!loaded) {
       std::printf("training MV-GNN (seed %llu) on %zu loops...\n",
                   static_cast<unsigned long long>(seed), train.size());
       t->fit(train, {});
       std::printf("  validation accuracy: %.1f%%\n",
                   100.0 * t->accuracy(val));
-      ensemble.push_back(std::move(t));
     }
-    if (!cache_dir.empty()) {
-      std::ofstream os(weights_path, std::ios::binary);
-      for (const auto& t : ensemble) nn::save_weights(t->model(), os);
-    }
+    ensemble.push_back(std::move(t));
   }
 
   // ---- inference on the user program -------------------------------------

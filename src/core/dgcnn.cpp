@@ -3,21 +3,16 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/mvgnn.hpp"
 #include "data/dataset.hpp"
 
 namespace mvgnn::core {
 
 using ag::Tensor;
 
-ag::CsrMatrix make_ahat(
-    std::uint32_t n,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
-  return nn::dgcnn_adjacency(n, edges);
-}
-
 Dgcnn::Dgcnn(const DgcnnConfig& cfg, std::size_t in_dim,
              std::size_t num_classes, bool relational, par::Rng& rng)
-    : cfg_(cfg) {
+    : cfg_(cfg), in_dim_(in_dim) {
   if (cfg.gcn_channels.empty() || cfg.gcn_channels.back() != 1) {
     throw std::invalid_argument(
         "DGCNN: the final GCN layer must have 1 channel (SortPooling sorts "
@@ -112,6 +107,13 @@ Dgcnn::Output Dgcnn::forward(const ag::CsrMatrix& ahat,
   h = ag::dropout(h, cfg_.dropout, training, rng);
   out.logits = head_->forward(h);
   return out;
+}
+
+Dgcnn::Output Dgcnn::forward_batch(const GraphBatch& batch, bool training,
+                                   par::Rng& rng) const {
+  return forward(batch.ahat, batch.rel_ahats,
+                 ag::slice_cols(batch.node_feats, 0, in_dim_), batch.offsets,
+                 training, rng);
 }
 
 std::vector<ag::Tensor> Dgcnn::parameters() const {

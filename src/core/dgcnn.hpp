@@ -24,8 +24,15 @@ struct DgcnnConfig {
   float dropout = 0.1f;
 };
 
+struct GraphBatch;  // core/mvgnn.hpp
+
+/// One view of MV-GNN; on its own, with `in_dim` = static_dim, the Static
+/// GNN baseline (core/trainer.hpp).
 class Dgcnn final : public nn::Module {
  public:
+  using Config = DgcnnConfig;
+  using Prediction = int;  // a single-view model has one head
+
   static constexpr std::size_t kConv1Channels = 16;  // first 1-D conv
   static constexpr std::size_t kConv2Channels = 32;  // second 1-D conv
   static constexpr std::size_t kConv2Kernel = 5;
@@ -57,6 +64,11 @@ class Dgcnn final : public nn::Module {
                                const std::vector<std::uint32_t>& offsets,
                                bool training, par::Rng& rng) const;
 
+  /// forward() on the leading `in_dim` columns of the batch's node features
+  /// (build_input puts the static columns first).
+  [[nodiscard]] Output forward_batch(const GraphBatch& batch, bool training,
+                                     par::Rng& rng) const;
+
   /// Width of `Output::pooled`.
   [[nodiscard]] std::size_t rep_dim() const { return rep_dim_; }
 
@@ -64,6 +76,7 @@ class Dgcnn final : public nn::Module {
 
  private:
   DgcnnConfig cfg_;
+  std::size_t in_dim_ = 0;
   std::vector<nn::GcnConv> convs_;
   std::vector<nn::RgcnConv> rconvs_;  // relational mode
   std::size_t concat_dim_ = 0;  // sum of gcn channel widths
@@ -73,10 +86,5 @@ class Dgcnn final : public nn::Module {
   std::unique_ptr<nn::Linear> dense_;
   std::unique_ptr<nn::Linear> head_;
 };
-
-/// Builds the [n,n] row-normalized CSR adjacency for a sample's edge list.
-[[nodiscard]] ag::CsrMatrix make_ahat(
-    std::uint32_t n,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges);
 
 }  // namespace mvgnn::core

@@ -115,26 +115,44 @@ MvGnn::Output MvGnn::forward(const SampleInput& in, bool training,
   return forward_batch(b, training, rng);
 }
 
-std::vector<ViewPrediction> predict(const MvGnn& model,
-                                    std::span<const SampleInput* const> inputs,
-                                    std::size_t max_batch) {
+namespace {
+
+ViewPrediction row_prediction(const MvGnn::Output& out, std::size_t r) {
+  return {argmax_row(out.logits, r), argmax_row(out.node_logits, r),
+          argmax_row(out.struct_logits, r)};
+}
+
+int row_prediction(const Dgcnn::Output& out, std::size_t r) {
+  return argmax_row(out.logits, r);
+}
+
+}  // namespace
+
+template <class Model>
+std::vector<typename Model::Prediction> predict(
+    const Model& model, std::span<const SampleInput* const> inputs,
+    std::size_t max_batch) {
   const std::size_t cap = max_batch == 0 ? inputs.size() : max_batch;
   // Eval mode draws nothing from the Rng (dropout is off).
   par::Rng rng(0);
-  std::vector<ViewPrediction> preds;
+  std::vector<typename Model::Prediction> preds;
   preds.reserve(inputs.size());
   for (std::size_t base = 0; base < inputs.size(); base += cap) {
     const std::size_t n = std::min(cap, inputs.size() - base);
     const GraphBatch gb = make_graph_batch(inputs.subspan(base, n));
-    const MvGnn::Output out = model.forward_batch(gb, /*training=*/false, rng);
+    const auto out = model.forward_batch(gb, /*training=*/false, rng);
     for (std::size_t r = 0; r < n; ++r) {
-      preds.push_back({argmax_row(out.logits, r),
-                       argmax_row(out.node_logits, r),
-                       argmax_row(out.struct_logits, r)});
+      preds.push_back(row_prediction(out, r));
     }
   }
   return preds;
 }
+
+template std::vector<ViewPrediction> predict(
+    const MvGnn&, std::span<const SampleInput* const>, std::size_t);
+template std::vector<int> predict(const Dgcnn&,
+                                  std::span<const SampleInput* const>,
+                                  std::size_t);
 
 std::vector<ag::Tensor> MvGnn::parameters() const {
   std::vector<ag::Tensor> ps = node_view_->parameters();

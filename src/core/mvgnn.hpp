@@ -59,8 +59,18 @@ struct GraphBatch {
 [[nodiscard]] GraphBatch make_graph_batch(
     std::span<const SampleInput* const> samples);
 
+/// The predicted class of one sample from each head of the model.
+struct ViewPrediction {
+  int fused = 0;
+  int node_view = 0;
+  int struct_view = 0;
+};
+
 class MvGnn final : public nn::Module {
  public:
+  using Config = MvGnnConfig;
+  using Prediction = ViewPrediction;
+
   static constexpr std::size_t kAwEmbedDim = 16;  // AW embedding table width
 
   MvGnn(const MvGnnConfig& cfg, par::Rng& rng);
@@ -104,19 +114,13 @@ class MvGnn final : public nn::Module {
   return best;
 }
 
-/// The predicted class of one sample from each head of the model.
-struct ViewPrediction {
-  int fused = 0;
-  int node_view = 0;
-  int struct_view = 0;
-};
-
-/// The one inference path: eval-mode forward_batch over `inputs` in chunks
-/// of at most `max_batch` samples (0 = one chunk), then the argmax of each
-/// head's row. Element i of the result belongs to inputs[i]; the chunking
-/// never changes a verdict.
-[[nodiscard]] std::vector<ViewPrediction> predict(
-    const MvGnn& model, std::span<const SampleInput* const> inputs,
+/// The one inference path, for MvGnn and the single-view Dgcnn: eval-mode
+/// forward_batch over `inputs` in chunks of at most `max_batch` samples
+/// (0 = one chunk), then the argmax of each head's row. Element i of the
+/// result belongs to inputs[i]; the chunking never changes a verdict.
+template <class Model>
+[[nodiscard]] std::vector<typename Model::Prediction> predict(
+    const Model& model, std::span<const SampleInput* const> inputs,
     std::size_t max_batch);
 
 }  // namespace mvgnn::core

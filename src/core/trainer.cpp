@@ -69,6 +69,47 @@ float scheduled_lr(float base, std::size_t epoch, std::size_t epochs) {
   return base;
 }
 
+// ---- the per-model pieces of the one trainer ----
+
+std::unique_ptr<MvGnn> make_model(const Featurizer& /*feats*/,
+                                  const MvGnnConfig& cfg, std::uint64_t seed) {
+  par::Rng init_rng(seed ^ 0x11117777ULL);
+  return std::make_unique<MvGnn>(cfg, init_rng);
+}
+
+/// The Static GNN reads the static columns only (Dgcnn::forward_batch).
+std::unique_ptr<Dgcnn> make_model(const Featurizer& feats,
+                                  const DgcnnConfig& cfg, std::uint64_t seed) {
+  par::Rng init_rng(seed ^ 0x22225555ULL);
+  return std::make_unique<Dgcnn>(cfg, feats.dataset().static_dim,
+                                 num_classes(feats.label_mode()),
+                                 /*relational=*/false, init_rng);
+}
+
+/// MV-GNN's shard loss: the fused head plus `aux_weight` times both view
+/// heads.
+Tensor training_loss(const MvGnn::Output& out, const std::vector<int>& labels,
+                     float aux_weight) {
+  Tensor loss = ag::cross_entropy_logits(out.logits, labels);
+  if (aux_weight > 0.0f) {
+    loss = ag::add(
+        loss,
+        ag::scale(ag::add(ag::cross_entropy_logits(out.node_logits, labels),
+                          ag::cross_entropy_logits(out.struct_logits, labels)),
+                  aux_weight));
+  }
+  return loss;
+}
+
+/// The Static GNN's: its one head.
+Tensor training_loss(const Dgcnn::Output& out, const std::vector<int>& labels,
+                     float /*aux_weight*/) {
+  return ag::cross_entropy_logits(out.logits, labels);
+}
+
+int predicted_class(const ViewPrediction& p) { return p.fused; }
+int predicted_class(int c) { return c; }
+
 }  // namespace
 
 Normalizer Normalizer::fit(const data::Dataset& ds,
@@ -108,10 +149,10 @@ SampleInput build_input(const data::GraphSample& s,
                         const Normalizer& norm, LabelMode mode,
                         bool zero_dynamic, bool typed_edges) {
   SampleInput in;
-  in.ahat = make_ahat(s.n, s.edges);
+  in.ahat = nn::dgcnn_adjacency(s.n, s.edges);
   in.label = mode == LabelMode::Pattern ? s.pattern_label : s.label;
 
-  const std::size_t nd = reference.static_dim + 7;
+  const std::size_t nd = node_dim(reference);
   std::vector<float> feats(s.n * nd, 0.0f);
   for (std::uint32_t k = 0; k < s.n; ++k) {
     float* row = feats.data() + k * nd;
@@ -138,9 +179,9 @@ SampleInput build_input(const data::GraphSample& s,
   return in;
 }
 
-Featurizer::Featurizer(const data::Dataset& ds, Normalizer norm,
+Featurizer::Featurizer(const data::Dataset& ds, const Normalizer& norm,
                        LabelMode mode, bool zero_dynamic, bool typed_edges)
-    : ds_(&ds), norm_(norm), mode_(mode), typed_edges_(typed_edges),
+    : ds_(&ds), mode_(mode), typed_edges_(typed_edges),
       inputs_(ds.samples.size()) {
   OBS_SPAN("trainer.featurize");
   // Each index writes its own slot; grain 1 because one sample is already
@@ -148,7 +189,7 @@ Featurizer::Featurizer(const data::Dataset& ds, Normalizer norm,
   par::parallel_for(
       0, inputs_.size(),
       [&](std::size_t i) {
-        inputs_[i] = build_input(ds.samples[i], ds, norm_, mode,
+        inputs_[i] = build_input(ds.samples[i], ds, norm, mode,
                                  zero_dynamic, typed_edges);
       },
       par::ThreadPool::global(), /*grain=*/1);
@@ -156,8 +197,8 @@ Featurizer::Featurizer(const data::Dataset& ds, Normalizer norm,
 
 MvGnnConfig default_config(const data::Dataset& ds, LabelMode mode) {
   MvGnnConfig cfg;
-  cfg.num_classes = mode == LabelMode::Binary ? 2 : 3;
-  cfg.node_dim = ds.static_dim + 7;
+  cfg.num_classes = num_classes(mode);
+  cfg.node_dim = node_dim(ds);
   cfg.node_view.gcn_channels = {32, 32, 1};
   cfg.node_view.sort_k = 16;
   cfg.struct_view.gcn_channels = {24, 24, 1};
@@ -173,17 +214,18 @@ MvGnnConfig default_config(const Featurizer& feats) {
 }
 
 // ---------------------------------------------------------------------------
-// MvGnnTrainer
+// Trainer
 // ---------------------------------------------------------------------------
 
-MvGnnTrainer::MvGnnTrainer(const Featurizer& feats, MvGnnConfig cfg,
-                           const TrainConfig& tc)
-    : feats_(&feats), tc_(tc), rng_(tc.seed) {
-  par::Rng init_rng(tc.seed ^ 0x11117777ULL);
-  model_ = std::make_unique<MvGnn>(std::move(cfg), init_rng);
-}
+template <class Model>
+Trainer<Model>::Trainer(const Featurizer& feats,
+                        const typename Model::Config& cfg,
+                        const TrainConfig& tc)
+    : feats_(&feats), tc_(tc), model_(make_model(feats, cfg, tc.seed)),
+      rng_(tc.seed) {}
 
-std::vector<EpochStat> MvGnnTrainer::fit(
+template <class Model>
+std::vector<EpochStat> Trainer<Model>::fit(
     const std::vector<std::size_t>& train_idx,
     const std::vector<std::size_t>& test_idx) {
   ag::Adam opt(tc_.lr, 0.9f, 0.999f, 1e-8f, tc_.weight_decay);
@@ -303,7 +345,8 @@ std::vector<EpochStat> MvGnnTrainer::fit(
   return curve;
 }
 
-std::pair<double, std::size_t> MvGnnTrainer::data_parallel_step(
+template <class Model>
+std::pair<double, std::size_t> Trainer<Model>::data_parallel_step(
     const std::vector<const SampleInput*>& chunk, ag::Adam& opt,
     std::vector<ag::GradAccumulator>& shard_grads, std::uint64_t step_seed) {
   obs::ScopedSpan step_span("trainer.dp_step");
@@ -344,16 +387,7 @@ std::pair<double, std::size_t> MvGnnTrainer::data_parallel_step(
           par::Rng shard_rng = par::Rng(step_seed).split(s);
           const auto out = model_->forward_batch(gb, /*training=*/true,
                                                  shard_rng);
-          Tensor loss = ag::cross_entropy_logits(out.logits, gb.labels);
-          if (tc_.aux_weight > 0.0f) {
-            loss = ag::add(
-                loss,
-                ag::scale(ag::add(ag::cross_entropy_logits(out.node_logits,
-                                                           gb.labels),
-                                  ag::cross_entropy_logits(out.struct_logits,
-                                                           gb.labels)),
-                          tc_.aux_weight));
-          }
+          Tensor loss = training_loss(out, gb.labels, tc_.aux_weight);
           ag::GradAccumulator& grads = shard_grads[s];
           grads.zero();
           {
@@ -392,9 +426,11 @@ std::pair<double, std::size_t> MvGnnTrainer::data_parallel_step(
   return {loss_sum, correct};
 }
 
-void MvGnnTrainer::pretrain_unsupervised(const std::vector<std::size_t>& idx,
-                                         std::size_t epochs,
-                                         std::size_t negatives) {
+template <class Model>
+void Trainer<Model>::pretrain_unsupervised(const std::vector<std::size_t>& idx,
+                                           std::size_t epochs,
+                                           std::size_t negatives)
+  requires std::same_as<Model, MvGnn> {
   // Gentle rate: the unsupervised phase should shape the GCN embeddings,
   // not push the whole network far from its init before fine-tuning.
   ag::Adam opt(tc_.lr * 0.2f);
@@ -441,98 +477,33 @@ void MvGnnTrainer::pretrain_unsupervised(const std::vector<std::size_t>& idx,
   }
 }
 
-double MvGnnTrainer::accuracy_with(const Featurizer& feats,
-                                   const std::vector<std::size_t>& idx) const {
+template <class Model>
+double Trainer<Model>::accuracy_with(
+    const Featurizer& feats, const std::vector<std::size_t>& idx) const {
   if (idx.empty()) return 0.0;
   std::vector<const SampleInput*> inputs;
   inputs.reserve(idx.size());
   for (const std::size_t i : idx) inputs.push_back(&feats.get(i));
-  const std::vector<ViewPrediction> preds =
-      core::predict(*model_, inputs, kEvalBatch);
+  const auto preds = core::predict(*model_, inputs, kEvalBatch);
   std::size_t correct = 0;
   for (std::size_t j = 0; j < inputs.size(); ++j) {
-    correct += (preds[j].fused == inputs[j]->label);
+    correct += (predicted_class(preds[j]) == inputs[j]->label);
   }
   return static_cast<double>(correct) / static_cast<double>(idx.size());
 }
 
-ViewPrediction MvGnnTrainer::predict(std::size_t i) const {
+template <class Model>
+typename Model::Prediction Trainer<Model>::predict(std::size_t i) const {
   const SampleInput* in = &feats_->get(i);
   return core::predict(*model_, {&in, 1}, 1).front();
 }
 
-double MvGnnTrainer::accuracy(const std::vector<std::size_t>& idx) const {
+template <class Model>
+double Trainer<Model>::accuracy(const std::vector<std::size_t>& idx) const {
   return accuracy_with(*feats_, idx);
 }
 
-// ---------------------------------------------------------------------------
-// StaticGnnTrainer
-// ---------------------------------------------------------------------------
-
-StaticGnnTrainer::StaticGnnTrainer(const Featurizer& feats,
-                                   const DgcnnConfig& cfg,
-                                   const TrainConfig& tc)
-    : feats_(&feats), tc_(tc), rng_(tc.seed) {
-  par::Rng init_rng(tc.seed ^ 0x22225555ULL);
-  model_ = std::make_unique<Dgcnn>(cfg, feats.dataset().static_dim,
-                                   feats.num_classes(), /*relational=*/false,
-                                   init_rng);
-  opt_ = std::make_unique<ag::Adam>(tc.lr, 0.9f, 0.999f, 1e-8f,
-                                    tc.weight_decay);
-  opt_->add_params(model_->parameters());
-}
-
-std::vector<EpochStat> StaticGnnTrainer::fit(
-    const std::vector<std::size_t>& train_idx,
-    const std::vector<std::size_t>& test_idx) {
-  std::vector<std::size_t> order = train_idx;
-  std::vector<EpochStat> curve;
-  for (std::size_t epoch = 0; epoch < tc_.epochs; ++epoch) {
-    opt_->set_lr(scheduled_lr(tc_.lr, epoch, tc_.epochs));
-    std::shuffle(order.begin(), order.end(), rng_.engine());
-    double loss_sum = 0.0;
-    std::size_t correct = 0;
-    for (const std::size_t i : order) {
-      const SampleInput& in = feats_->get(i);
-      const Tensor logits = forward(in, /*training=*/true);
-      Tensor loss = ag::cross_entropy_logits(logits, {in.label});
-      opt_->zero_grad();
-      loss.backward();
-      opt_->step();
-      loss_sum += loss.item();
-      correct += (argmax_row(logits) == in.label);
-    }
-    EpochStat st;
-    st.loss = loss_sum / std::max<std::size_t>(1, order.size());
-    st.train_acc =
-        static_cast<double>(correct) / std::max<std::size_t>(1, order.size());
-    st.test_acc = test_idx.empty() ? 0.0 : accuracy(test_idx);
-    curve.push_back(st);
-  }
-  return curve;
-}
-
-Tensor StaticGnnTrainer::forward(const SampleInput& in, bool training) const {
-  // The model reads the static columns only; build_input copies
-  // node_static into the first static_dim columns of node_feats.
-  const Tensor feats =
-      ag::slice_cols(in.node_feats, 0, feats_->dataset().static_dim);
-  const std::vector<std::uint32_t> offsets = {
-      0, static_cast<std::uint32_t>(feats.rows())};
-  return model_->forward(in.ahat, {}, feats, offsets, training, rng_).logits;
-}
-
-int StaticGnnTrainer::predict(std::size_t i) const {
-  return argmax_row(forward(feats_->get(i), /*training=*/false));
-}
-
-double StaticGnnTrainer::accuracy(const std::vector<std::size_t>& idx) const {
-  if (idx.empty()) return 0.0;
-  std::size_t correct = 0;
-  for (const std::size_t i : idx) {
-    correct += (predict(i) == feats_->get(i).label);
-  }
-  return static_cast<double>(correct) / static_cast<double>(idx.size());
-}
+template class Trainer<MvGnn>;
+template class Trainer<Dgcnn>;
 
 }  // namespace mvgnn::core

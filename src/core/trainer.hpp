@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <concepts>
 #include <utility>
 
 #include "core/mvgnn.hpp"
@@ -29,6 +30,15 @@ struct Normalizer {
 /// paper's future-work extension).
 enum class LabelMode { Binary, Pattern };
 
+/// Class count of a label mode: the logits of every model head.
+[[nodiscard]] constexpr std::size_t num_classes(LabelMode mode) {
+  return mode == LabelMode::Binary ? 2 : 3;
+}
+/// Node-feature width: static_dim static columns, then 7 dynamic ones.
+[[nodiscard]] inline std::size_t node_dim(const data::Dataset& ds) {
+  return ds.static_dim + 7;
+}
+
 /// Builds one model input from a (possibly dataset-external) graph sample,
 /// against a reference dataset's widths. This is the deployment path: a
 /// sample produced by data::featurize_program feeds a trained model
@@ -50,27 +60,20 @@ class Featurizer {
   /// cannot be executed, using static information only).
   /// `typed_edges` additionally builds the per-relation adjacencies the
   /// relational (typed-edge) MV-GNN consumes.
-  Featurizer(const data::Dataset& ds, Normalizer norm,
+  Featurizer(const data::Dataset& ds, const Normalizer& norm,
              LabelMode mode = LabelMode::Binary, bool zero_dynamic = false,
              bool typed_edges = false);
 
   [[nodiscard]] const SampleInput& get(std::size_t sample_index) const {
     return inputs_[sample_index];
   }
-  [[nodiscard]] std::size_t node_dim() const { return ds_->static_dim + 7; }
   [[nodiscard]] const data::Dataset& dataset() const { return *ds_; }
-  [[nodiscard]] const Normalizer& normalizer() const { return norm_; }
   [[nodiscard]] LabelMode label_mode() const { return mode_; }
   /// True when the inputs carry per-relation adjacencies.
   [[nodiscard]] bool typed_edges() const { return typed_edges_; }
-  /// Class count implied by the label mode.
-  [[nodiscard]] std::size_t num_classes() const {
-    return mode_ == LabelMode::Binary ? 2 : 3;
-  }
 
  private:
   const data::Dataset* ds_;
-  Normalizer norm_;
   LabelMode mode_ = LabelMode::Binary;
   bool typed_edges_ = false;
   std::vector<SampleInput> inputs_;  // one per ds.samples entry
@@ -120,12 +123,14 @@ struct EpochStat {
   double test_acc = 0.0;
 };
 
-/// MV-GNN trainer. Owns the model; exposes fused and per-view predictions
-/// (the latter drive the Fig. 8 view-importance analysis).
-class MvGnnTrainer {
+/// The supervised trainer of every graph model (MvGnn, Dgcnn): one epoch
+/// loop, one sharded step, checkpoint/resume/interrupt and the curve. Per
+/// model only the construction and the shard loss differ (trainer.cpp).
+template <class Model>
+class Trainer {
  public:
-  MvGnnTrainer(const Featurizer& feats, MvGnnConfig cfg,
-               const TrainConfig& tc);
+  Trainer(const Featurizer& feats, const typename Model::Config& cfg,
+          const TrainConfig& tc);
 
   /// Trains on `train_idx`; `test_idx` is evaluated per epoch for the
   /// curve (pass {} to skip). Returns per-epoch stats (Fig. 7).
@@ -137,13 +142,15 @@ class MvGnnTrainer {
   /// embeddings, random pairs dissimilar, in both views. Needs no labels —
   /// run it before fit() when labeled data is scarce.
   void pretrain_unsupervised(const std::vector<std::size_t>& idx,
-                             std::size_t epochs, std::size_t negatives = 3);
+                             std::size_t epochs, std::size_t negatives = 3)
+    requires std::same_as<Model, MvGnn>;
 
   /// During fit(), substitute each sample's input with `alt`'s version with
   /// probability `prob` (the decoupled static/dynamic training of future
   /// work #3: randomly hiding the dynamic features teaches the model to
   /// survive their absence at inference).
-  void set_alternate_inputs(const Featurizer* alt, float prob) {
+  void set_alternate_inputs(const Featurizer* alt, float prob)
+    requires std::same_as<Model, MvGnn> {
     alt_feats_ = alt;
     alt_prob_ = prob;
   }
@@ -153,12 +160,13 @@ class MvGnnTrainer {
   [[nodiscard]] double accuracy_with(const Featurizer& feats,
                                      const std::vector<std::size_t>& idx) const;
 
-  [[nodiscard]] ViewPrediction predict(std::size_t sample_index) const;
+  [[nodiscard]] typename Model::Prediction predict(
+      std::size_t sample_index) const;
   [[nodiscard]] double accuracy(const std::vector<std::size_t>& idx) const;
 
-  [[nodiscard]] const MvGnn& model() const { return *model_; }
-  /// Mutable access for weight loading (nn::load_weights).
-  [[nodiscard]] MvGnn& model_mutable() { return *model_; }
+  [[nodiscard]] const Model& model() const { return *model_; }
+  /// Mutable access for weight loading (core::load_checkpoint).
+  [[nodiscard]] Model& model_mutable() { return *model_; }
 
   /// True when the last fit() stopped early via TrainConfig::stop_requested.
   [[nodiscard]] bool interrupted() const { return interrupted_; }
@@ -177,33 +185,16 @@ class MvGnnTrainer {
   const Featurizer* alt_feats_ = nullptr;
   float alt_prob_ = 0.0f;
   TrainConfig tc_;
-  std::unique_ptr<MvGnn> model_;
+  std::unique_ptr<Model> model_;
   par::Rng rng_;
   bool interrupted_ = false;
 };
 
-/// Single-view GNN trainer for the "Static GNN" baseline (inst2vec node
-/// features only, no dynamic features, no structural view).
-class StaticGnnTrainer {
- public:
-  StaticGnnTrainer(const Featurizer& feats, const DgcnnConfig& cfg,
-                   const TrainConfig& tc);
-
-  std::vector<EpochStat> fit(const std::vector<std::size_t>& train_idx,
-                             const std::vector<std::size_t>& test_idx);
-  [[nodiscard]] int predict(std::size_t sample_index) const;
-  [[nodiscard]] double accuracy(const std::vector<std::size_t>& idx) const;
-
- private:
-  /// Logits of one sample from its static columns.
-  [[nodiscard]] ag::Tensor forward(const SampleInput& in, bool training) const;
-
-  const Featurizer* feats_;
-  TrainConfig tc_;
-  std::unique_ptr<Dgcnn> model_;
-  std::unique_ptr<ag::Adam> opt_;
-  mutable par::Rng rng_;
-};
+/// MV-GNN; predict() gives the fused and per-view classes (the latter drive
+/// the Fig. 8 view-importance analysis).
+using MvGnnTrainer = Trainer<MvGnn>;
+/// The "Static GNN" baseline: one Dgcnn over the static columns only.
+using StaticGnnTrainer = Trainer<Dgcnn>;
 
 /// Default scaled-down model configuration for a dataset (node/struct view
 /// widths follow DESIGN.md section 5).

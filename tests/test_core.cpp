@@ -297,6 +297,21 @@ TEST(Trainer, StaticGnnTrainsButUsesNoDynamicFeatures) {
   trainer.fit(train, {});
   const double acc = trainer.accuracy(test);
   EXPECT_GE(acc, 0.5);  // learns something
+
+  // Zeroing the dynamic columns changes no verdict: the model reads the
+  // static columns only.
+  core::Featurizer no_dyn(ds, norm, core::LabelMode::Binary,
+                          /*zero_dynamic=*/true);
+  std::vector<const core::SampleInput*> plain_in, no_dyn_in;
+  for (const std::size_t i : test) {
+    plain_in.push_back(&feats.get(i));
+    no_dyn_in.push_back(&no_dyn.get(i));
+  }
+  const ag::Tensor& a = plain_in.front()->node_feats;
+  const ag::Tensor& b = no_dyn_in.front()->node_feats;
+  ASSERT_FALSE(std::equal(a.data(), a.data() + a.numel(), b.data()));
+  EXPECT_EQ(core::predict(trainer.model(), plain_in, 0),
+            core::predict(trainer.model(), no_dyn_in, 0));
 }
 
 TEST(Normalizer, ZeroMeanUnitVarianceOnTrainingNodes) {

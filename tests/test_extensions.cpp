@@ -146,7 +146,7 @@ TEST(MultiClass, ThreeWayTrainerLearnsAboveChance) {
   auto [train, test] = data::split_by_kernel(ds, 0.75, 9);
   const auto norm = core::Normalizer::fit(ds, train);
   core::Featurizer feats(ds, norm, core::LabelMode::Pattern);
-  EXPECT_EQ(feats.num_classes(), 3u);
+  EXPECT_EQ(core::num_classes(feats.label_mode()), 3u);
   const core::MvGnnConfig cfg = core::default_config(feats);
   EXPECT_EQ(cfg.num_classes, 3u);
   // All three heads read the one class count.

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -127,13 +128,19 @@ TEST(TaskGroup, WaiterHelpsWhenAllWorkersAreBusy) {
   par::ThreadPool pool(1);
   par::TaskGroup outer(pool);
   std::atomic<int> inner_done{0};
+  std::atomic<bool> outer_started{false};
   outer.run([&] {
+    outer_started.store(true);
     par::TaskGroup inner(pool);
     for (int i = 0; i < 4; ++i) {
       inner.run([&inner_done] { inner_done.fetch_add(1); });
     }
     inner.wait();
   });
+  // outer.wait() may run a queued outer task on this thread, which would
+  // leave the worker idle to take inner tasks; wait until the worker holds
+  // it.
+  while (!outer_started.load()) std::this_thread::yield();
   outer.wait();
   EXPECT_EQ(inner_done.load(), 4);
   EXPECT_GE(helped.value(), before + 4);
@@ -524,8 +531,17 @@ struct TrainSetup {
     std::string weights;
   };
 
+  /// Trains a fresh model of the given kind: MV-GNN, or the Static GNN
+  /// baseline (a single-view Dgcnn) that trains through the same loop.
+  template <class Model = core::MvGnn>
   [[nodiscard]] Run run(const core::TrainConfig& tc) const {
-    core::MvGnnTrainer trainer(*feats, core::default_config(*feats), tc);
+    typename Model::Config cfg;
+    if constexpr (std::is_same_v<Model, core::Dgcnn>) {
+      cfg = core::default_config(*feats).node_view;
+    } else {
+      cfg = core::default_config(*feats);
+    }
+    core::Trainer<Model> trainer(*feats, cfg, tc);
     Run r;
     r.curve = trainer.fit(train, test);
     std::ostringstream os(std::ios::binary);
@@ -544,12 +560,12 @@ void expect_identical_curves(const std::vector<core::EpochStat>& a,
   }
 }
 
-TEST(DataParallel, ThreadCountMatrixIsBitIdentical) {
-  const TrainSetup setup(41);
-  const TrainSetup::Run t0 = setup.run(setup.config(0));
-  const TrainSetup::Run t1 = setup.run(setup.config(1));
-  const TrainSetup::Run t2 = setup.run(setup.config(2));
-  const TrainSetup::Run t8 = setup.run(setup.config(8));
+template <class Model>
+void expect_thread_count_matrix_identical(const TrainSetup& setup) {
+  const TrainSetup::Run t0 = setup.run<Model>(setup.config(0));
+  const TrainSetup::Run t1 = setup.run<Model>(setup.config(1));
+  const TrainSetup::Run t2 = setup.run<Model>(setup.config(2));
+  const TrainSetup::Run t8 = setup.run<Model>(setup.config(8));
 
   ASSERT_EQ(t1.curve.size(), 3u);
   expect_identical_curves(t1.curve, t0.curve);
@@ -560,6 +576,18 @@ TEST(DataParallel, ThreadCountMatrixIsBitIdentical) {
   EXPECT_EQ(t1.weights, t0.weights) << "threads=0 diverged from threads=1";
   EXPECT_EQ(t1.weights, t2.weights) << "threads=2 diverged from threads=1";
   EXPECT_EQ(t1.weights, t8.weights) << "threads=8 diverged from threads=1";
+}
+
+TEST(DataParallel, ThreadCountMatrixIsBitIdentical) {
+  const TrainSetup setup(41);
+  {
+    SCOPED_TRACE("MV-GNN");
+    expect_thread_count_matrix_identical<core::MvGnn>(setup);
+  }
+  {
+    SCOPED_TRACE("Static GNN");
+    expect_thread_count_matrix_identical<core::Dgcnn>(setup);
+  }
 }
 
 // The thread-count matrix above compares runs of one build with each other,
@@ -639,32 +667,45 @@ TEST(DataParallel, MasterModelBackwardFillsParameterGradsAfterFit) {
   group.wait();
 }
 
-TEST(DataParallel, KillAndResumeAtFourThreadsMatchesSingleThreadCurve) {
-  FaultGuard guard;
-  const TrainSetup setup(43);
-  TempDir dir("dp_resume");
-
+template <class Model>
+void expect_kill_and_resume_matches(const TrainSetup& setup,
+                                    const std::string& dir) {
   // Reference: the uninterrupted single-thread run.
-  const TrainSetup::Run full = setup.run(setup.config(1));
+  const TrainSetup::Run full = setup.run<Model>(setup.config(1));
 
   // A four-thread run dies mid-epoch-1 (the fault fires before the second
   // optimizer step of that epoch), leaving the epoch-1 checkpoint.
   core::TrainConfig crash_tc = setup.config(4);
-  crash_tc.checkpoint_dir = dir.str();
+  crash_tc.checkpoint_dir = dir;
   const std::size_t steps_per_epoch =
       (setup.train.size() + crash_tc.batch_size - 1) / crash_tc.batch_size;
   fault::arm("trainer.step", steps_per_epoch + 2);
-  EXPECT_THROW(setup.run(crash_tc), fault::InjectedFault);
+  EXPECT_THROW((void)setup.run<Model>(crash_tc), fault::InjectedFault);
   fault::disarm_all();
 
   core::TrainConfig resume_tc = setup.config(4);
-  resume_tc.checkpoint_dir = dir.str();
-  resume_tc.resume_from = core::latest_checkpoint(dir.str());
-  ASSERT_EQ(resume_tc.resume_from, core::checkpoint_path(dir.str(), 1));
-  const TrainSetup::Run tail = setup.run(resume_tc);
+  resume_tc.checkpoint_dir = dir;
+  resume_tc.resume_from = core::latest_checkpoint(dir);
+  ASSERT_EQ(resume_tc.resume_from, core::checkpoint_path(dir, 1));
+  const TrainSetup::Run tail = setup.run<Model>(resume_tc);
 
   expect_identical_curves(full.curve, tail.curve);
   EXPECT_EQ(full.weights, tail.weights);
+}
+
+TEST(DataParallel, KillAndResumeAtFourThreadsMatchesSingleThreadCurve) {
+  FaultGuard guard;
+  const TrainSetup setup(43);
+  {
+    SCOPED_TRACE("MV-GNN");
+    TempDir dir("dp_resume");
+    expect_kill_and_resume_matches<core::MvGnn>(setup, dir.str());
+  }
+  {
+    SCOPED_TRACE("Static GNN");
+    TempDir dir("dp_resume_static");
+    expect_kill_and_resume_matches<core::Dgcnn>(setup, dir.str());
+  }
 }
 
 }  // namespace
