@@ -73,10 +73,7 @@ int main(int argc, char** argv) {
   if (reps <= 0) reps = smoke ? 1 : 3;
   const double min_speedup = smoke ? 1.5 : 5.0;
 
-  auto programs = data::build_benchmark_corpus(123);
-  auto gen = data::build_generated_corpus(loops, 123 ^ 0x9E97ULL);
-  programs.insert(programs.end(), std::make_move_iterator(gen.begin()),
-                  std::make_move_iterator(gen.end()));
+  const auto programs = bench::paper_corpus(loops, 123);
   data::DatasetOptions opts;
   opts.seed = 123;
   opts.use_ir_variants = true;

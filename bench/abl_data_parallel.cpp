@@ -21,11 +21,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <thread>
 
 #include "bench/common.hpp"
+#include "io/codec.hpp"
 #include "nn/module.hpp"
 
 namespace {
@@ -64,10 +64,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const auto ex = bench::build_experiment(/*generated_loops=*/200);
-  const auto norm = core::Normalizer::fit(ex.ds, ex.train);
   // Inputs are built here, once, so the timed epochs measure training only.
-  core::Featurizer feats(ex.ds, norm);
+  const bench::Experiment ex(bench::paper_corpus(200, 123), bench::seeded(123));
+  const core::Featurizer& feats = ex.feats;
 
   constexpr std::size_t kEpochs = 2;
   constexpr int kReps = 2;
@@ -91,9 +90,9 @@ int main(int argc, char** argv) {
       if (rep == 0 || cpu_s < best.cpu_s) best.cpu_s = cpu_s;
       if (rep == 0) {
         best.curve = std::move(curve);
-        std::ostringstream os(std::ios::binary);
-        nn::save_weights(trainer.model(), os);
-        best.weights = std::move(os).str();
+        io::ByteWriter w;
+        nn::save_weights(trainer.model(), w);
+        best.weights = w.take();
       }
     }
     return best;

@@ -17,38 +17,32 @@ int main() {
   report.config("loops", 360);
   auto programs = data::build_generated_corpus(360, 99);
   for (const double noise : {0.0, 0.06, 0.12, 0.25, 0.5}) {
-    data::DatasetOptions opts;
-    opts.seed = 41;
+    data::DatasetOptions opts = bench::seeded(41);
     opts.dep_noise = noise;
-    const data::Dataset ds = data::build_dataset(programs, opts);
-    auto [train, test] = data::split_by_kernel(ds, 0.75, 41);
-    train = data::balance_classes(ds, train, 41);
-
-    const core::Normalizer norm = core::Normalizer::fit(ds, train);
-    core::Featurizer feats(ds, norm);
+    const bench::Experiment ex(programs, opts);
     core::TrainConfig tc = bench::standard_train_config();
     tc.epochs = 18;
-    core::MvGnnTrainer mv(feats, core::default_config(feats), tc);
-    mv.fit(train, {});
+    core::MvGnnTrainer mv(ex.feats, core::default_config(ex.feats), tc);
+    mv.fit(ex.train, {});
 
     std::vector<ml::FeatureRow> xs;
     std::vector<int> ys;
-    bench::feature_matrix(ds, train, xs, ys);
+    bench::feature_matrix(ex.ds, ex.train, xs, ys);
     ml::AdaBoost ada;
     ada.fit(xs, ys);
     ml::DecisionTree tree;
     tree.fit(xs, ys);
 
+    const auto mv_preds = mv.predict(ex.test);
     double acc_mv = 0, acc_ada = 0, acc_dt = 0;
-    for (const std::size_t i : test) {
-      const int label = ds.samples[i].label;
-      acc_mv += mv.predict(i).fused == label;
-      const ml::FeatureRow row(ds.samples[i].loop_features.begin(),
-                               ds.samples[i].loop_features.end());
-      acc_ada += ada.predict(row) == label;
-      acc_dt += tree.predict(row) == label;
+    for (std::size_t j = 0; j < ex.test.size(); ++j) {
+      const auto& s = ex.ds.samples[ex.test[j]];
+      acc_mv += mv_preds[j].fused == s.label;
+      const ml::FeatureRow row(s.loop_features.begin(), s.loop_features.end());
+      acc_ada += ada.predict(row) == s.label;
+      acc_dt += tree.predict(row) == s.label;
     }
-    const double n = static_cast<double>(test.size());
+    const double n = static_cast<double>(ex.test.size());
     std::printf("%8.2f %11.1f%% %11.1f%% %11.1f%%\n", noise,
                 100 * acc_mv / n, 100 * acc_ada / n, 100 * acc_dt / n);
     char tag[16];

@@ -10,51 +10,45 @@
 int main() {
   using namespace mvgnn;
 
-  auto programs = data::build_generated_corpus(480, 77);
-  data::DatasetOptions opts;
-  opts.seed = 23;
-  const data::Dataset ds = data::build_dataset(programs, opts);
-  auto [train, test] = data::split_by_kernel(ds, 0.75, 23);
-  train = data::balance_classes(ds, train, 23);
-  std::printf("generated dataset: %zu samples, train=%zu test=%zu\n\n",
-              ds.samples.size(), train.size(), test.size());
+  const bench::Experiment ex(data::build_generated_corpus(480, 77),
 
-  const core::Normalizer norm = core::Normalizer::fit(ds, train);
-  core::Featurizer feats(ds, norm);
+                             bench::seeded(23));
+  std::printf("generated dataset: %zu samples, train=%zu test=%zu\n\n",
+              ex.ds.samples.size(), ex.train.size(), ex.test.size());
+
   core::TrainConfig tc = bench::standard_train_config();
   tc.epochs = 24;
 
-  core::MvGnnTrainer mv(feats, core::default_config(feats), tc);
-  mv.fit(train, {});
-  core::StaticGnnTrainer static_gnn(feats, core::default_config(feats).node_view,
-                                    tc);
-  static_gnn.fit(train, {});
+  core::MvGnnTrainer mv(ex.feats, core::default_config(ex.feats), tc);
+  mv.fit(ex.train, {});
+  core::StaticGnnTrainer static_gnn(
+      ex.feats, core::default_config(ex.feats).node_view, tc);
+  static_gnn.fit(ex.train, {});
 
   std::vector<ml::FeatureRow> xs;
   std::vector<int> ys;
-  bench::feature_matrix(ds, train, xs, ys);
+  bench::feature_matrix(ex.ds, ex.train, xs, ys);
   ml::AdaBoost ada;
   ada.fit(xs, ys);
 
-  double fused = 0, node_view = 0, struct_view = 0, sgnn = 0, ab = 0;
-  for (const std::size_t i : test) {
-    const int label = ds.samples[i].label;
-    const auto p = mv.predict(i);
-    fused += p.fused == label;
-    node_view += p.node_view == label;
-    struct_view += p.struct_view == label;
-    sgnn += static_gnn.predict(i) == label;
-    const ml::FeatureRow row(ds.samples[i].loop_features.begin(),
-                             ds.samples[i].loop_features.end());
-    ab += ada.predict(row) == label;
+  const auto [fused, node_view, struct_view] =
+      bench::tally_views(mv, ex.ds, ex.test);
+  const auto static_preds = static_gnn.predict(ex.test);
+  double sgnn = 0, ab = 0;
+  for (std::size_t j = 0; j < ex.test.size(); ++j) {
+    const auto& s = ex.ds.samples[ex.test[j]];
+    sgnn += static_preds[j] == s.label;
+    const ml::FeatureRow row(s.loop_features.begin(), s.loop_features.end());
+    ab += ada.predict(row) == s.label;
   }
-  const double n = static_cast<double>(test.size());
+  const double n = static_cast<double>(ex.test.size());
   std::printf("Ablation — fusion and information sources (test acc)\n");
-  std::printf("  %-34s %6.1f%%\n", "MV-GNN (fused, eq. 5)", 100 * fused / n);
+  std::printf("  %-34s %6.1f%%\n", "MV-GNN (fused, eq. 5)",
+              100 * fused.hits / n);
   std::printf("  %-34s %6.1f%%\n", "node-feature view head only",
-              100 * node_view / n);
+              100 * node_view.hits / n);
   std::printf("  %-34s %6.1f%%\n", "structural view head only",
-              100 * struct_view / n);
+              100 * struct_view.hits / n);
   std::printf("  %-34s %6.1f%%\n", "Static GNN (no dynamic features)",
               100 * sgnn / n);
   std::printf("  %-34s %6.1f%%\n", "AdaBoost (dynamic features only)",
@@ -65,9 +59,11 @@ int main() {
 
   obs::BenchReport report("abl_fusion");
   report.config("test_samples", n);
-  report.metric("acc_fused", fused / n, obs::MetricGoal::Higher);
-  report.metric("acc_node_view", node_view / n, obs::MetricGoal::Higher);
-  report.metric("acc_struct_view", struct_view / n, obs::MetricGoal::Higher);
+  report.metric("acc_fused", fused.hits / n, obs::MetricGoal::Higher);
+  report.metric("acc_node_view", node_view.hits / n,
+                obs::MetricGoal::Higher);
+  report.metric("acc_struct_view", struct_view.hits / n,
+                obs::MetricGoal::Higher);
   report.metric("acc_static_gnn", sgnn / n, obs::MetricGoal::Higher);
   report.metric("acc_adaboost", ab / n, obs::MetricGoal::Higher);
   if (report.write("BENCH_fusion.json")) {

@@ -8,12 +8,9 @@
 int main() {
   using namespace mvgnn;
 
-  auto programs = data::build_generated_corpus(360, 71);
-  data::DatasetOptions opts;
-  opts.seed = 47;
-  const data::Dataset ds = data::build_dataset(programs, opts);
-  auto [train, test] = data::split_by_kernel(ds, 0.75, 47);
-  train = data::balance_classes(ds, train, 47);
+  const bench::Experiment ex(data::build_generated_corpus(360, 71),
+
+                             bench::seeded(47));
 
   std::printf("Ablation — GCN stack depth (channels before the sort layer)\n");
   std::printf("%-22s %12s %12s\n", "gcn_channels", "test acc", "params");
@@ -22,21 +19,19 @@ int main() {
   const std::vector<std::vector<std::size_t>> stacks = {
       {1}, {32, 1}, {32, 32, 1}, {32, 32, 32, 1}, {32, 32, 32, 32, 1}};
   for (const auto& stack : stacks) {
-    const core::Normalizer norm = core::Normalizer::fit(ds, train);
-    core::Featurizer feats(ds, norm);
-    core::MvGnnConfig cfg = core::default_config(feats);
+    core::MvGnnConfig cfg = core::default_config(ex.feats);
     cfg.node_view.gcn_channels = stack;
     cfg.struct_view.gcn_channels = stack;
     core::TrainConfig tc = bench::standard_train_config();
     tc.epochs = 18;
-    core::MvGnnTrainer trainer(feats, cfg, tc);
-    trainer.fit(train, {});
+    core::MvGnnTrainer trainer(ex.feats, cfg, tc);
+    trainer.fit(ex.train, {});
     std::string name = "{";
     for (std::size_t i = 0; i < stack.size(); ++i) {
       name += (i ? "," : "") + std::to_string(stack[i]);
     }
     name += "}";
-    const double acc = trainer.accuracy(test);
+    const double acc = trainer.accuracy(ex.test);
     std::printf("%-22s %11.1f%% %12zu\n", name.c_str(), 100.0 * acc,
                 trainer.model().num_parameters());
     report.metric("acc_depth" + std::to_string(stack.size()), acc,

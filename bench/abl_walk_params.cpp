@@ -23,37 +23,27 @@ int main() {
   report.config("loops", 320);
   auto programs = data::build_generated_corpus(320, 55);
   for (const Config& cfg : configs) {
-    data::DatasetOptions opts;
-    opts.seed = 31;
-    opts.walk.gamma = cfg.gamma;
-    opts.walk.length = cfg.length;
-    const data::Dataset ds = data::build_dataset(programs, opts);
-    auto [train, test] = data::split_by_kernel(ds, 0.75, 31);
-    train = data::balance_classes(ds, train, 31);
-
-    const core::Normalizer norm = core::Normalizer::fit(ds, train);
-    core::Featurizer feats(ds, norm);
+    data::DatasetOptions opts = bench::seeded(31);
+    opts.walk = {cfg.gamma, cfg.length};
+    const bench::Experiment ex(programs, opts);
     core::TrainConfig tc = bench::standard_train_config();
     tc.epochs = 18;
-    core::MvGnnTrainer trainer(feats, core::default_config(feats), tc);
-    trainer.fit(train, {});
+    core::MvGnnTrainer trainer(ex.feats, core::default_config(ex.feats), tc);
+    trainer.fit(ex.train, {});
 
-    double acc_multi = 0, acc_struct = 0;
-    for (const std::size_t i : test) {
-      const auto p = trainer.predict(i);
-      acc_multi += p.fused == ds.samples[i].label;
-      acc_struct += p.struct_view == ds.samples[i].label;
-    }
-    const double n = static_cast<double>(test.size());
+    const bench::ViewTally views = bench::tally_views(trainer, ex.ds, ex.test);
+    const double acc_multi = views.fused.hits;
+    const double acc_struct = views.struct_view.hits;
+    const double n = static_cast<double>(ex.test.size());
     std::printf("%6u %6u %10u %11.1f%% %11.1f%%\n", cfg.gamma, cfg.length,
-                ds.aw_vocab, 100.0 * acc_multi / n, 100.0 * acc_struct / n);
+                ex.ds.aw_vocab, 100.0 * acc_multi / n, 100.0 * acc_struct / n);
     const std::string tag = "g" + std::to_string(cfg.gamma) + "_l" +
                             std::to_string(cfg.length);
     report.metric("acc_multi_" + tag, acc_multi / n,
                   obs::MetricGoal::Higher);
     report.metric("acc_struct_" + tag, acc_struct / n,
                   obs::MetricGoal::Higher);
-    report.metric("aw_vocab_" + tag, ds.aw_vocab);
+    report.metric("aw_vocab_" + tag, ex.ds.aw_vocab);
   }
   if (report.write("BENCH_walk_params.json")) {
     std::printf("wrote BENCH_walk_params.json\n");

@@ -12,11 +12,10 @@
 int main() {
   using namespace mvgnn;
 
-  bench::Experiment ex = bench::build_experiment(500);
-  const core::Normalizer norm = core::Normalizer::fit(ex.ds, ex.train);
-  core::Featurizer full(ex.ds, norm);
-  core::Featurizer no_dyn(ex.ds, norm, core::LabelMode::Binary,
-                          /*zero_dynamic=*/true);
+  const bench::Experiment ex(bench::paper_corpus(500, 123), bench::seeded(123));
+  const core::Featurizer& full = ex.feats;
+  const core::Featurizer no_dyn(ex.ds, ex.norm, core::LabelMode::Binary,
+                                /*zero_dynamic=*/true);
   core::TrainConfig tc = bench::standard_train_config();
   tc.epochs = 24;
 

@@ -9,7 +9,7 @@
 int main() {
   using namespace mvgnn;
 
-  bench::Experiment ex = bench::build_experiment();
+  const bench::Experiment ex(bench::paper_corpus(700, 123), bench::seeded(123));
 
   // Pattern-label distribution of the corpus.
   int counts[3] = {0, 0, 0};
@@ -17,18 +17,16 @@ int main() {
   std::printf("pattern labels: sequential=%d doall=%d reduction=%d\n\n",
               counts[0], counts[1], counts[2]);
 
-  const core::Normalizer norm = core::Normalizer::fit(ex.ds, ex.train);
-  core::Featurizer feats(ex.ds, norm, core::LabelMode::Pattern);
+  const core::Featurizer feats(ex.ds, ex.norm, core::LabelMode::Pattern);
   core::TrainConfig tc = bench::standard_train_config();
   std::printf("training 3-class MV-GNN (%zu epochs)...\n\n", tc.epochs);
   core::MvGnnTrainer trainer(feats, core::default_config(feats), tc);
   trainer.fit(ex.train, {});
 
   int confusion[3][3] = {};
-  for (const std::size_t i : ex.test) {
-    const int truth = ex.ds.samples[i].pattern_label;
-    const int pred = trainer.predict(i).fused;
-    confusion[truth][pred]++;
+  const auto preds = trainer.predict(ex.test);
+  for (std::size_t j = 0; j < ex.test.size(); ++j) {
+    confusion[ex.ds.samples[ex.test[j]].pattern_label][preds[j].fused]++;
   }
   const char* names[3] = {"sequential", "doall", "reduction"};
   std::printf("Extension — parallel-pattern classification (test set)\n");

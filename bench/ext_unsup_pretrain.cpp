@@ -12,9 +12,8 @@
 int main() {
   using namespace mvgnn;
 
-  bench::Experiment ex = bench::build_experiment(500);
-  const core::Normalizer norm = core::Normalizer::fit(ex.ds, ex.train);
-  core::Featurizer feats(ex.ds, norm);
+  const bench::Experiment ex(bench::paper_corpus(500, 123), bench::seeded(123));
+  const core::Featurizer& feats = ex.feats;
   core::TrainConfig tc = bench::standard_train_config();
   tc.epochs = 20;
 

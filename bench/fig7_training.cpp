@@ -28,21 +28,15 @@ int main() {
   using namespace mvgnn;
 
   // Fig. 7 trains on the generated dataset alone.
-  auto programs = data::build_generated_corpus(700, 321);
-  data::DatasetOptions opts;
-  opts.seed = 17;
-  const data::Dataset ds = data::build_dataset(programs, opts);
-  auto [train, test] = data::split_by_kernel(ds, 0.75, 17);
-  train = data::balance_classes(ds, train, 17);
+  const bench::Experiment ex(data::build_generated_corpus(700, 321),
+                             bench::seeded(17));
   std::printf("generated dataset: %zu samples, train=%zu test=%zu\n\n",
-              ds.samples.size(), train.size(), test.size());
+              ex.ds.samples.size(), ex.train.size(), ex.test.size());
 
-  const core::Normalizer norm = core::Normalizer::fit(ds, train);
-  core::Featurizer feats(ds, norm);
   core::TrainConfig tc = bench::standard_train_config();
   tc.epochs = 40;
-  core::MvGnnTrainer trainer(feats, core::default_config(feats), tc);
-  const auto curve = trainer.fit(train, test);
+  core::MvGnnTrainer trainer(ex.feats, core::default_config(ex.feats), tc);
+  const auto curve = trainer.fit(ex.train, ex.test);
 
   std::printf("Fig. 7 — training on the generated dataset\n");
   std::printf("%5s %10s %11s %10s\n", "epoch", "loss", "train_acc",

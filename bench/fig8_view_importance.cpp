@@ -9,11 +9,9 @@
 int main() {
   using namespace mvgnn;
 
-  bench::Experiment ex = bench::build_experiment();
-  const core::Normalizer norm = core::Normalizer::fit(ex.ds, ex.train);
-  core::Featurizer feats(ex.ds, norm);
+  const bench::Experiment ex(bench::paper_corpus(700, 123), bench::seeded(123));
   std::printf("Training MV-GNN (with per-view heads)...\n\n");
-  core::MvGnnTrainer trainer(feats, core::default_config(feats),
+  core::MvGnnTrainer trainer(ex.feats, core::default_config(ex.feats),
                              bench::standard_train_config());
   trainer.fit(ex.train, {});
 
@@ -23,24 +21,14 @@ int main() {
   for (const char* suite : {"NPB", "PolyBench", "BOTS", "Generated"}) {
     const auto idx = bench::suite_test(ex, suite);
     if (idx.empty()) continue;
-    double n_multi = 0, n_node = 0, n_struct = 0;
-    double acc_multi = 0, acc_node = 0, acc_struct = 0;
-    for (const std::size_t i : idx) {
-      const auto p = trainer.predict(i);
-      const int label = ex.ds.samples[i].label;
-      n_multi += p.fused;
-      n_node += p.node_view;
-      n_struct += p.struct_view;
-      acc_multi += p.fused == label;
-      acc_node += p.node_view == label;
-      acc_struct += p.struct_view == label;
-    }
+    const bench::ViewTally v = bench::tally_views(trainer, ex.ds, idx);
     const double n = static_cast<double>(idx.size());
-    if (n_multi == 0) n_multi = 1;  // avoid division blowup on tiny suites
+    // Avoid division blowup on tiny suites.
+    const double n_multi = v.fused.parallel == 0 ? 1 : v.fused.parallel;
     std::printf("%-12s %8.3f %8.3f %11.1f%% %11.1f%% %11.1f%%\n", suite,
-                n_node / n_multi, n_struct / n_multi,
-                100.0 * acc_multi / n, 100.0 * acc_node / n,
-                100.0 * acc_struct / n);
+                v.node_view.parallel / n_multi,
+                v.struct_view.parallel / n_multi, 100.0 * v.fused.hits / n,
+                100.0 * v.node_view.hits / n, 100.0 * v.struct_view.hits / n);
   }
   std::printf(
       "\nExpected shape (paper Fig. 8): both IMP values close to 1 (views\n"

@@ -42,23 +42,23 @@ int main(int argc, char** argv) {
   }
   std::printf("Building corpus and dataset (Table II programs + generated%s)...\n",
               variants ? " + 6 IR variants" : "");
-  bench::Experiment ex = bench::build_experiment(700, 123, variants);
+  data::DatasetOptions opts = bench::seeded(123);
+  opts.use_ir_variants = variants;
+  const bench::Experiment ex(bench::paper_corpus(700, 123), opts);
   std::printf("samples=%zu train=%zu test=%zu aw_vocab=%u\n\n",
               ex.ds.samples.size(), ex.train.size(), ex.test.size(),
               ex.ds.aw_vocab);
 
   // ---- learned models ---------------------------------------------------
-  const core::Normalizer norm = core::Normalizer::fit(ex.ds, ex.train);
-  core::Featurizer feats(ex.ds, norm);
   const core::TrainConfig tc = bench::standard_train_config();
 
   std::printf("Training MV-GNN (%zu epochs)...\n", tc.epochs);
-  core::MvGnnTrainer mvgnn(feats, core::default_config(feats), tc);
+  core::MvGnnTrainer mvgnn(ex.feats, core::default_config(ex.feats), tc);
   mvgnn.fit(ex.train, {});
 
   std::printf("Training Static GNN baseline...\n");
-  core::StaticGnnTrainer static_gnn(feats, core::default_config(feats).node_view,
-                                    tc);
+  core::StaticGnnTrainer static_gnn(
+      ex.feats, core::default_config(ex.feats).node_view, tc);
   static_gnn.fit(ex.train, {});
 
   std::printf("Training hand-crafted classifiers (Fried et al.)...\n");
@@ -107,19 +107,21 @@ int main(int argc, char** argv) {
   for (const char* suite : {"NPB", "PolyBench", "BOTS", "Generated"}) {
     const auto idx = bench::suite_test(ex, suite);
     if (idx.empty()) continue;
+    const auto mvgnn_preds = mvgnn.predict(idx);
+    const auto static_preds = static_gnn.predict(idx);
     std::array<double, kRows.size()> hits{};
-    for (const std::size_t i : idx) {
-      const auto& s = ex.ds.samples[i];
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      const auto& s = ex.ds.samples[idx[j]];
       const ml::FeatureRow row(s.loop_features.begin(),
                                s.loop_features.end());
       const bool par = s.label == 1;
       const std::array<bool, kRows.size()> correct{
-          mvgnn.predict(i).fused == s.label,
-          static_gnn.predict(i) == s.label,
+          mvgnn_preds[j].fused == s.label,
+          static_preds[j] == s.label,
           svm.predict(row) == s.label,
           tree.predict(row) == s.label,
           ada.predict(row) == s.label,
-          ncc.predict(i) == s.label,
+          ncc.predict(idx[j]) == s.label,
           s.tool_pluto == par,
           s.tool_autopar == par,
           s.tool_discopop == par};

@@ -10,11 +10,9 @@
 int main() {
   using namespace mvgnn;
 
-  bench::Experiment ex = bench::build_experiment();
-  const core::Normalizer norm = core::Normalizer::fit(ex.ds, ex.train);
-  core::Featurizer feats(ex.ds, norm);
+  const bench::Experiment ex(bench::paper_corpus(700, 123), bench::seeded(123));
   std::printf("Training MV-GNN for the NPB case study...\n\n");
-  core::MvGnnTrainer mvgnn(feats, core::default_config(feats),
+  core::MvGnnTrainer mvgnn(ex.feats, core::default_config(ex.feats),
                            bench::standard_train_config());
   mvgnn.fit(ex.train, {});
 
@@ -29,12 +27,13 @@ int main() {
   std::map<std::string, Row> rows;
   const std::vector<std::string> apps = {"BT", "SP", "LU", "IS",
                                          "EP", "CG", "MG", "FT"};
-  for (std::size_t i = 0; i < ex.ds.samples.size(); ++i) {
-    const auto& s = ex.ds.samples[i];
-    if (s.suite != "NPB") continue;
+  const std::vector<std::size_t> npb = ex.ds.suite_indices("NPB");
+  const auto preds = mvgnn.predict(npb);
+  for (std::size_t j = 0; j < npb.size(); ++j) {
+    const auto& s = ex.ds.samples[npb[j]];
     Row& r = rows[s.app];
     r.loops++;
-    const int pred = mvgnn.predict(i).fused;
+    const int pred = preds[j].fused;
     r.identified += pred;
     r.truly += s.label;
     r.fp += (pred == 1 && s.label == 0);

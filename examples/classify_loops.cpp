@@ -106,7 +106,7 @@ float kernel(float[] a, float[] b) {
     if (!cache_dir.empty()) {
       std::filesystem::create_directories(seed_dir);
       tcs.checkpoint_dir = seed_dir;
-      tcs.checkpoint_every = tcs.epochs;
+      tcs.checkpoint_every = 0;  // the final checkpoint only
     }
     const std::string ckpt = core::checkpoint_path(seed_dir, tcs.epochs);
     auto make = [&] {

@@ -110,6 +110,14 @@ Tensor training_loss(const Dgcnn::Output& out, const std::vector<int>& labels,
 int predicted_class(const ViewPrediction& p) { return p.fused; }
 int predicted_class(int c) { return c; }
 
+std::vector<const SampleInput*> inputs_of(const Featurizer& feats,
+                                          const std::vector<std::size_t>& idx) {
+  std::vector<const SampleInput*> inputs;
+  inputs.reserve(idx.size());
+  for (const std::size_t i : idx) inputs.push_back(&feats.get(i));
+  return inputs;
+}
+
 }  // namespace
 
 Normalizer Normalizer::fit(const data::Dataset& ds,
@@ -327,8 +335,9 @@ std::vector<EpochStat> Trainer<Model>::fit(
     metrics.test_acc.set(st.test_acc);
     if (tc_.verbose) log_epoch(epoch, st);
     curve.push_back(st);
-    if (ckpt_on && tc_.checkpoint_every != 0 &&
-        (epoch + 1) % tc_.checkpoint_every == 0) {
+    const bool periodic = tc_.checkpoint_every != 0 &&
+                          (epoch + 1) % tc_.checkpoint_every == 0;
+    if (ckpt_on && (periodic || epoch + 1 == tc_.epochs)) {
       save_checkpoint(checkpoint_path(tc_.checkpoint_dir, epoch + 1),
                       {epoch + 1, global_step, rng_.state(), curve}, *model_,
                       opt);
@@ -481,9 +490,7 @@ template <class Model>
 double Trainer<Model>::accuracy_with(
     const Featurizer& feats, const std::vector<std::size_t>& idx) const {
   if (idx.empty()) return 0.0;
-  std::vector<const SampleInput*> inputs;
-  inputs.reserve(idx.size());
-  for (const std::size_t i : idx) inputs.push_back(&feats.get(i));
+  const auto inputs = inputs_of(feats, idx);
   const auto preds = core::predict(*model_, inputs, kEvalBatch);
   std::size_t correct = 0;
   for (std::size_t j = 0; j < inputs.size(); ++j) {
@@ -493,9 +500,9 @@ double Trainer<Model>::accuracy_with(
 }
 
 template <class Model>
-typename Model::Prediction Trainer<Model>::predict(std::size_t i) const {
-  const SampleInput* in = &feats_->get(i);
-  return core::predict(*model_, {&in, 1}, 1).front();
+std::vector<typename Model::Prediction> Trainer<Model>::predict(
+    const std::vector<std::size_t>& idx) const {
+  return core::predict(*model_, inputs_of(*feats_, idx), kEvalBatch);
 }
 
 template <class Model>

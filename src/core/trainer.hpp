@@ -104,7 +104,8 @@ struct TrainConfig {
   /// Directory for `ckpt-<epoch>.mvck` files; empty disables checkpointing.
   std::string checkpoint_dir;
   /// Write a checkpoint every this many completed epochs (when
-  /// checkpoint_dir is set). 0 = only the final/interrupt checkpoint.
+  /// checkpoint_dir is set). The final epoch's checkpoint is always
+  /// written, and an interrupt writes its own; 0 = only those two.
   std::size_t checkpoint_every = 1;
   /// Checkpoint file to resume from; fit() restores weights, optimizer,
   /// Rng and curve, then continues at the recorded epoch. The resumed
@@ -160,8 +161,10 @@ class Trainer {
   [[nodiscard]] double accuracy_with(const Featurizer& feats,
                                      const std::vector<std::size_t>& idx) const;
 
-  [[nodiscard]] typename Model::Prediction predict(
-      std::size_t sample_index) const;
+  /// Predictions for `idx`, element j for sample idx[j]: one batched
+  /// core::predict at the trainer's evaluation batch size.
+  [[nodiscard]] std::vector<typename Model::Prediction> predict(
+      const std::vector<std::size_t>& idx) const;
   [[nodiscard]] double accuracy(const std::vector<std::size_t>& idx) const;
 
   [[nodiscard]] const Model& model() const { return *model_; }

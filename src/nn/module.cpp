@@ -22,12 +22,6 @@ void save_weights(const Module& m, io::ByteWriter& w) {
   }
 }
 
-void save_weights(const Module& m, std::ostream& os) {
-  io::ByteWriter w(os);
-  save_weights(m, w);
-  w.flush();
-}
-
 void load_weights(Module& m, io::ByteReader& r) {
   auto params = m.parameters();
   const std::size_t magic_at = r.offset();
@@ -51,16 +45,6 @@ void load_weights(Module& m, io::ByteReader& r) {
     }
     r.f32s({p.data(), p.numel()}, "weights");
   }
-}
-
-void load_weights(Module& m, std::istream& is) {
-  std::uint64_t record = 2 * sizeof(std::uint32_t);
-  for (const ag::Tensor& p : m.parameters()) {
-    record += 2 * sizeof(std::uint64_t) + p.numel() * sizeof(float);
-  }
-  const std::string bytes = io::read_stream(is, record);
-  io::ByteReader r(bytes, "load_weights");
-  load_weights(m, r);
 }
 
 }  // namespace mvgnn::nn

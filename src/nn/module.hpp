@@ -1,7 +1,6 @@
 // Base class for parameterized layers/models plus weight (de)serialization.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -30,12 +29,9 @@ class Module {
 
 /// Writes/reads all parameter buffers in order: u32 magic "MVGN", u32
 /// tensor count, then per tensor u64 rows, u64 cols and the floats. Shapes
-/// are checked on load. The stream form of load_weights reads exactly one
-/// record (its size follows from m's shapes), so records can sit back to
-/// back in one stream.
+/// are checked on load. A load consumes exactly one record, so records can
+/// sit back to back in one buffer.
 void save_weights(const Module& m, io::ByteWriter& w);
-void save_weights(const Module& m, std::ostream& os);
 void load_weights(Module& m, io::ByteReader& r);
-void load_weights(Module& m, std::istream& is);
 
 }  // namespace mvgnn::nn

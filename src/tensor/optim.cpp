@@ -242,12 +242,6 @@ void Adam::save_state(io::ByteWriter& w) const {
   }
 }
 
-void Adam::save_state(std::ostream& os) const {
-  io::ByteWriter w(os);
-  save_state(w);
-  w.flush();
-}
-
 void Adam::load_state(io::ByteReader& r) {
   const std::int64_t t = r.i64();
   const std::size_t count_at = r.offset();
@@ -281,12 +275,6 @@ void Adam::load_state(io::ByteReader& r) {
   t_ = static_cast<long>(t);
   m_ = std::move(m);
   v_ = std::move(v);
-}
-
-void Adam::load_state(std::istream& is) {
-  const std::string bytes = io::read_stream(is);
-  io::ByteReader r(bytes, "Adam::load_state");
-  load_state(r);
 }
 
 }  // namespace mvgnn::ag

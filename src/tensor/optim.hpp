@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <utility>
 #include <vector>
@@ -135,13 +134,10 @@ class Adam {
   /// u64 buffer count, then per buffer u64 numel followed by m and v floats.
   /// A never-stepped optimizer round-trips as an empty state.
   void save_state(io::ByteWriter& w) const;
-  void save_state(std::ostream& os) const;
 
   /// Restores a state written by save_state(). The buffers must match the
-  /// registered parameters; throws std::runtime_error on any mismatch. The
-  /// stream form reads the rest of `is`.
+  /// registered parameters; throws std::runtime_error on any mismatch.
   void load_state(io::ByteReader& r);
-  void load_state(std::istream& is);
 
  private:
   /// Sizes the moments on first use and advances the step counter; returns

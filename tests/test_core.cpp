@@ -277,8 +277,7 @@ TEST(Trainer, LearnsWellAboveChance) {
   EXPECT_GE(trainer.accuracy(test), 0.70);
   // View predictions exist and mostly agree with the fused head.
   int agree = 0;
-  for (const std::size_t i : test) {
-    const auto p = trainer.predict(i);
+  for (const auto& p : trainer.predict(test)) {
     agree += (p.node_view == p.fused);
   }
   EXPECT_GT(agree, static_cast<int>(test.size()) / 2);
@@ -423,8 +422,11 @@ TEST(Trainer, TrainingIsDeterministicGivenSeeds) {
   for (std::size_t e = 0; e < curve_a.size(); ++e) {
     EXPECT_DOUBLE_EQ(curve_a[e].loss, curve_b[e].loss) << "epoch " << e;
   }
-  for (const std::size_t i : test) {
-    EXPECT_EQ(a.predict(i).fused, b.predict(i).fused);
+  const auto preds_a = a.predict(test);
+  const auto preds_b = b.predict(test);
+  ASSERT_EQ(preds_a.size(), test.size());
+  for (std::size_t j = 0; j < test.size(); ++j) {
+    EXPECT_EQ(preds_a[j].fused, preds_b[j].fused) << "sample " << test[j];
   }
 }
 

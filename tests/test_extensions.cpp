@@ -163,8 +163,8 @@ TEST(MultiClass, ThreeWayTrainerLearnsAboveChance) {
   EXPECT_GE(trainer.accuracy(test), 0.55);  // 3-class chance is ~0.33
   // Predictions take all three values somewhere on the corpus.
   std::set<int> seen;
-  for (std::size_t i = 0; i < ds.samples.size(); ++i) {
-    seen.insert(trainer.predict(i).fused);
+  for (const auto& p : trainer.predict(ds.suite_indices(""))) {
+    seen.insert(p.fused);
   }
   EXPECT_GE(seen.size(), 2u);
 }

@@ -398,7 +398,7 @@ struct Format {
 std::vector<Format> formats() {
   auto model = std::make_shared<PinModel>();
   auto opt = std::make_shared<ag::Adam>(pin_adam(*model));
-  std::ostringstream weights, adam;
+  io::ByteWriter weights, adam;
   nn::save_weights(*model, weights);
   opt->save_state(adam);
   std::vector<Format> out;
@@ -426,14 +426,14 @@ std::vector<Format> formats() {
                    std::istringstream in(b);
                    (void)core::load_checkpoint(in, *model, *opt);
                  }});
-  out.push_back({"weights", 76, 0xFDD496BBu, weights.str(),
+  out.push_back({"weights", 76, 0xFDD496BBu, weights.take(),
                  [model](const std::string& b) {
-                   std::istringstream in(b);
+                   io::ByteReader in(b, "load_weights");
                    nn::load_weights(*model, in);
                  }});
-  out.push_back({"adam", 104, 0x5C2C61AFu, adam.str(),
+  out.push_back({"adam", 104, 0x5C2C61AFu, adam.take(),
                  [opt](const std::string& b) {
-                   std::istringstream in(b);
+                   io::ByteReader in(b, "Adam::load_state");
                    opt->load_state(in);
                  }});
   return out;
@@ -515,33 +515,38 @@ TEST(FormatPin, EveryFormatRoundTrips) {
 
   PinModel blank2;
   for (ag::Tensor& p : blank2.ps) p = ag::Tensor::zeros(p.shape());
-  std::stringstream weights;
-  nn::save_weights(model, weights);
-  nn::load_weights(blank2, weights);
+  io::ByteWriter w;
+  nn::save_weights(model, w);
+  const std::string weights = w.take();
+  io::ByteReader weights_in(weights, "load_weights");
+  nn::load_weights(blank2, weights_in);
   EXPECT_EQ(weights_of(blank2), weights_of(model));
 
-  std::stringstream adam;
-  opt.save_state(adam);
+  opt.save_state(w);
+  const std::string adam = w.take();
   ag::Adam opt_back(1e-3f);
   opt_back.add_params(blank2.ps);
-  opt_back.load_state(adam);
-  std::ostringstream adam_again;
-  opt_back.save_state(adam_again);
-  EXPECT_EQ(adam_again.str(), adam.str());
+  io::ByteReader adam_in(adam, "Adam::load_state");
+  opt_back.load_state(adam_in);
+  opt_back.save_state(w);
+  EXPECT_EQ(w.take(), adam);
 }
 
 TEST(FormatPin, WeightRecordsReadBackToBack) {
-  // A stream of several weight records (an ensemble file) reads one record
+  // Several weight records back to back (an ensemble file) read one record
   // per call: each load consumes exactly its own bytes.
   PinModel a;
   PinModel b;
   b.ps[0].data()[0] = 9.0f;
-  std::stringstream both;
-  nn::save_weights(a, both);
-  nn::save_weights(b, both);
+  io::ByteWriter w;
+  nn::save_weights(a, w);
+  nn::save_weights(b, w);
+  const std::string both = w.take();
+  io::ByteReader in(both, "load_weights");
   PinModel back_a, back_b;
-  nn::load_weights(back_a, both);
-  nn::load_weights(back_b, both);
+  nn::load_weights(back_a, in);
+  nn::load_weights(back_b, in);
+  EXPECT_EQ(in.offset(), both.size());
   EXPECT_EQ(weights_of(back_a), weights_of(a));
   EXPECT_EQ(weights_of(back_b), weights_of(b));
 }

@@ -2,8 +2,9 @@
 // serialization, and end-to-end trainability of small networks.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
+#include "io/codec.hpp"
 #include "nn/layers.hpp"
 #include "tensor/optim.hpp"
 
@@ -116,9 +117,11 @@ TEST(Serialization, RoundTripsWeightsExactly) {
   par::Rng rng(7);
   nn::Linear a(6, 4, rng);
   nn::Linear b(6, 4, rng);  // different init
-  std::stringstream buf;
-  nn::save_weights(a, buf);
-  nn::load_weights(b, buf);
+  io::ByteWriter w;
+  nn::save_weights(a, w);
+  const std::string bytes = w.take();
+  io::ByteReader r(bytes, "load_weights");
+  nn::load_weights(b, r);
   const auto pa = a.parameters(), pb = b.parameters();
   for (std::size_t i = 0; i < pa.size(); ++i) {
     for (std::size_t k = 0; k < pa[i].numel(); ++k) {
@@ -131,10 +134,12 @@ TEST(Serialization, RejectsShapeMismatch) {
   par::Rng rng(8);
   nn::Linear a(6, 4, rng);
   nn::Linear wrong(6, 5, rng);
-  std::stringstream buf;
-  nn::save_weights(a, buf);
-  EXPECT_THROW(nn::load_weights(wrong, buf), std::runtime_error);
-  std::stringstream garbage("not a weights file");
+  io::ByteWriter w;
+  nn::save_weights(a, w);
+  const std::string bytes = w.take();
+  io::ByteReader r(bytes, "load_weights");
+  EXPECT_THROW(nn::load_weights(wrong, r), std::runtime_error);
+  io::ByteReader garbage("not a weights file", "load_weights");
   EXPECT_THROW(nn::load_weights(a, garbage), std::runtime_error);
 }
 

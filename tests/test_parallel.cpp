@@ -402,10 +402,10 @@ TEST(GradAccumulator, StepMergedEqualsTreeMergeThenAdamStep) {
         EXPECT_TRUE(all_zero(fused_params[k].grad()));
       }
     }
-    std::ostringstream ref_state, fused_state;
+    io::ByteWriter ref_state, fused_state;
     ref.save_state(ref_state);
     fused.save_state(fused_state);
-    EXPECT_EQ(ref_state.str(), fused_state.str()) << "width " << width;
+    EXPECT_EQ(ref_state.take(), fused_state.take()) << "width " << width;
   }
 }
 
@@ -544,9 +544,9 @@ struct TrainSetup {
     core::Trainer<Model> trainer(*feats, cfg, tc);
     Run r;
     r.curve = trainer.fit(train, test);
-    std::ostringstream os(std::ios::binary);
-    nn::save_weights(trainer.model(), os);
-    r.weights = std::move(os).str();
+    io::ByteWriter w;
+    nn::save_weights(trainer.model(), w);
+    r.weights = w.take();
     return r;
   }
 };

@@ -141,21 +141,21 @@ TEST(Checkpoint, AdamStateRoundTripsExactly) {
   a.add_params(params);
   a.step();
   a.step();
-  std::ostringstream saved;
-  a.save_state(saved);
+  io::ByteWriter w;
+  a.save_state(w);
+  const std::string saved = w.take();
 
   ag::Adam b(1e-3f);
   b.add_params(params);
-  std::istringstream in(saved.str());
+  io::ByteReader in(saved, "Adam::load_state");
   b.load_state(in);
-  std::ostringstream resaved;
-  b.save_state(resaved);
-  EXPECT_EQ(saved.str(), resaved.str());
+  b.save_state(w);
+  EXPECT_EQ(saved, w.take());
 
   // Mismatched registration is rejected.
   ag::Adam c(1e-3f);
   c.add_params({params[0]});
-  std::istringstream in2(saved.str());
+  io::ByteReader in2(saved, "Adam::load_state");
   EXPECT_THROW(c.load_state(in2), std::runtime_error);
 }
 
@@ -249,6 +249,47 @@ TEST(Checkpoint, ResumeReproducesTheUninterruptedTrajectory) {
   const auto tail = setup.run(tc2);
 
   expect_identical_curves(full, tail);
+}
+
+TEST(Checkpoint, FinalEpochIsCheckpointedAtAnyInterval) {
+  // checkpoint_every 0 (final only) and 3 (does not divide 4) must both
+  // leave ckpt-4 behind, loadable, and resuming from it returns the full
+  // curve.
+  const TrainSetup setup(24);
+  core::TrainConfig base = setup.config();
+  base.epochs = 4;
+  const auto full = setup.run(base);
+  ASSERT_EQ(full.size(), 4u);
+
+  for (const std::size_t every : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("checkpoint_every " + std::to_string(every));
+    TempDir dir("ck_every" + std::to_string(every));
+    core::TrainConfig tc = base;
+    tc.checkpoint_dir = dir.str();
+    tc.checkpoint_every = every;
+    expect_identical_curves(full, setup.run(tc));
+    const std::string final_ckpt = core::checkpoint_path(dir.str(), 4);
+    ASSERT_EQ(core::latest_checkpoint(dir.str()), final_ckpt);
+    EXPECT_EQ(fs::exists(core::checkpoint_path(dir.str(), 3)), every == 3);
+    EXPECT_FALSE(fs::exists(core::checkpoint_path(dir.str(), 1)));
+
+    core::MvGnnTrainer blank(*setup.feats, core::default_config(*setup.feats),
+                             base);
+    ag::Adam opt(base.lr);
+    opt.add_params(blank.model().parameters());
+    const core::CheckpointMeta meta =
+        core::load_checkpoint(final_ckpt, blank.model_mutable(), opt);
+    EXPECT_EQ(meta.epoch, 4u);
+    expect_identical_curves(full, meta.curve);
+
+    core::TrainConfig resume_tc = base;
+    resume_tc.resume_from = final_ckpt;
+    expect_identical_curves(full, setup.run(resume_tc));
+    if (every == 3) {
+      resume_tc.resume_from = core::checkpoint_path(dir.str(), 3);
+      expect_identical_curves(full, setup.run(resume_tc));
+    }
+  }
 }
 
 TEST(Checkpoint, InjectedKillMidEpochResumesBitIdentically) {

@@ -28,6 +28,7 @@
 // The entry function must be named `kernel`. Array parameters are filled
 // deterministically (4096 elements); int parameters get 8, floats 1.0.
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <ctime>
@@ -35,9 +36,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/suggest.hpp"
@@ -130,7 +133,8 @@ int usage() {
       "  --checkpoint-dir <d>  write ckpt-<epoch>.mvck files into <d>;\n"
       "                        SIGINT/SIGTERM also lands a final checkpoint\n"
       "                        before the process exits nonzero\n"
-      "  --checkpoint-every <n> epochs between checkpoints (default 1)\n"
+      "  --checkpoint-every <n> epochs between checkpoints (default 1);\n"
+      "                        the last epoch is always saved, 0 = only it\n"
       "  --resume              continue from the newest checkpoint in\n"
       "                        --checkpoint-dir (bit-identical trajectory)\n"
       "\n"
@@ -146,6 +150,24 @@ int usage() {
       "  --max-request-bytes <n> per-request line cap (1 MiB)\n"
       "  --serve-fuel <n>      per-request interpreter step cap (20000000)\n");
   return 2;
+}
+
+/// The value of a numeric flag: decimal digits only (no sign, no
+/// whitespace, nothing after them) up to `max`, which must fit in T.
+/// Anything else is a usage error: message and exit 2.
+template <class T>
+T parse_count(const char* flag, const char* text,
+              std::uint64_t max = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || stop != end || v > max) {
+    std::fprintf(stderr,
+                 "mvgnn: %s takes a whole number from 0 to %llu, not `%s`\n",
+                 flag, static_cast<unsigned long long>(max), text);
+    std::exit(2);
+  }
+  return static_cast<T>(v);
 }
 
 std::string read_file(const std::string& path) {
@@ -611,6 +633,12 @@ int main(int argc, char** argv) {
     }
     return argv[++a];
   };
+  // Reads numeric flag argv[a]'s value into `field` (parse_count).
+  auto count_flag = [&](int& a, auto& field) {
+    const char* flag = argv[a];
+    field = parse_count<std::remove_reference_t<decltype(field)>>(
+        flag, flag_value(a, flag));
+  };
   for (int a = 1; a < argc; ++a) {
     const char* arg = argv[a];
     if (std::strcmp(arg, "--metrics-out") == 0) {
@@ -620,7 +648,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--metrics-series-out") == 0) {
       series_out = flag_value(a, arg);
     } else if (std::strcmp(arg, "--metrics-sample-ms") == 0) {
-      sample_ms = static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, sample_ms);
     } else if (std::strcmp(arg, "--report") == 0) {
       report = true;
     } else if (std::strcmp(arg, "--report-format") == 0) {
@@ -657,45 +685,41 @@ int main(int argc, char** argv) {
       cache_dir = flag_value(a, arg);
       cache_requested = true;
     } else if (std::strcmp(arg, "--cache-mem-mb") == 0) {
-      cache_mem_mb = static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
+      // The budget in bytes, cache_mem_mb << 20, must fit in size_t.
+      cache_mem_mb = parse_count<std::size_t>(
+          arg, flag_value(a, arg),
+          std::numeric_limits<std::size_t>::max() >> 20);
       cache_requested = true;
     } else if (std::strcmp(arg, "--corpus") == 0) {
-      topts.corpus_loops = std::atoi(flag_value(a, arg));
+      count_flag(a, topts.corpus_loops);
     } else if (std::strcmp(arg, "--epochs") == 0) {
-      topts.epochs = static_cast<std::size_t>(std::atoi(flag_value(a, arg)));
+      count_flag(a, topts.epochs);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      topts.seed = static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, topts.seed);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      topts.threads = static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, topts.threads);
     } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
       topts.checkpoint_dir = flag_value(a, arg);
     } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
-      topts.checkpoint_every =
-          static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, topts.checkpoint_every);
     } else if (std::strcmp(arg, "--resume") == 0) {
       topts.resume = true;
     } else if (std::strcmp(arg, "--port") == 0) {
-      scfg.port = std::atoi(flag_value(a, arg));
+      count_flag(a, scfg.port);
     } else if (std::strcmp(arg, "--checkpoint") == 0) {
       scfg.checkpoint = flag_value(a, arg);
     } else if (std::strcmp(arg, "--batch-max") == 0) {
-      scfg.batch_max_samples =
-          static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, scfg.batch_max_samples);
     } else if (std::strcmp(arg, "--batch-linger-ms") == 0) {
-      scfg.batch_linger_ms =
-          static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, scfg.batch_linger_ms);
     } else if (std::strcmp(arg, "--queue-depth") == 0) {
-      scfg.max_queue_depth =
-          static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, scfg.max_queue_depth);
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      scfg.default_deadline_ms =
-          static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, scfg.default_deadline_ms);
     } else if (std::strcmp(arg, "--max-request-bytes") == 0) {
-      scfg.max_request_bytes =
-          static_cast<std::size_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, scfg.max_request_bytes);
     } else if (std::strcmp(arg, "--serve-fuel") == 0) {
-      scfg.interp.max_steps =
-          static_cast<std::uint64_t>(std::atoll(flag_value(a, arg)));
+      count_flag(a, scfg.interp.max_steps);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       return usage();
     } else if (arg[0] == '-') {
