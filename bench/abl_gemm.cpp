@@ -4,12 +4,17 @@
 // the dispatching backend layer (docs/kernels.md) also serves. Every dense
 // case exports a `gflops` counter (2*m*k*n flops per product), which the CI
 // bench gate diffs against the committed BENCH_gemm.json snapshot.
+// BM_GemmFanOut is the evidence behind tensor::kMinTaskWork; it depends on
+// the machine's core count and load, so CI does not gate it.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench/gbench_report.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/rng.hpp"
+#include "tensor/backend/backend.hpp"
 #include "tensor/gemm.hpp"
 
 namespace {
@@ -92,6 +97,51 @@ void BM_GemmFusedBiasTanh(benchmark::State& state) {
   set_gemm_rates(state, n, n, n);
 }
 BENCHMARK(BM_GemmFusedBiasTanh)->Arg(64)->Arg(128);
+
+/// The fan-out break-even behind tensor::kMinTaskWork: a GNN-shaped GEMM
+/// (k = 100, n = 32, m rows) of about 2^log2_work multiply-adds, run three
+/// ways. pool:0 on a one-worker pool (always serial), pool:1 through the
+/// driver on the global pool (the shipped rule), pool:2 split into one row
+/// block per global-pool worker whatever its size (a driver without the
+/// rule). pool:2 over pool:0 is what a task hop costs or gains at that
+/// size; pool:1 should never read slower than pool:0.
+void BM_GemmFanOut(benchmark::State& state) {
+  const std::size_t k = 100, n = 32;
+  const std::size_t m = (std::size_t{1} << state.range(0)) / (k * n);
+  const int mode = static_cast<int>(state.range(1));
+  std::vector<float> a(m * k), b(k * n), c(m * n);
+  fill(a, 12);
+  fill(b, 13);
+  static par::ThreadPool one_worker(1);
+  par::ThreadPool& pool = mode == 0 ? one_worker : par::ThreadPool::global();
+  const tensor::KernelBackend& be = tensor::backend::active();
+  const tensor::GemmArgs args{a.data(), b.data(), c.data(), m,  k,
+                              n,        false,    false,    {}};
+  const std::size_t split = (m + pool.size() - 1) / pool.size();
+  for (auto _ : state) {
+    if (mode == 2) {
+      std::fill(c.begin(), c.end(), 0.0f);
+      par::parallel_for_blocked(
+          0, m,
+          [&](std::size_t r0, std::size_t r1) {
+            be.gemm_block(args, r0, r1, 0, n);
+          },
+          pool, split);
+    } else {
+      tensor::gemm(a.data(), b.data(), c.data(), m, k, n, false, false,
+                   false, {}, pool);
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetLabel(mode == 0 ? "serial" : mode == 1 ? "rule" : "split");
+  set_gemm_rates(state, m, k, n);
+}
+// Real time: the pooled variants' work runs on threads the benchmark's CPU
+// clock does not see.
+BENCHMARK(BM_GemmFanOut)
+    ->ArgNames({"log2_work", "pool"})
+    ->ArgsProduct({{16, 17, 18, 19, 20, 21, 22}, {0, 1, 2}})
+    ->UseRealTime();
 
 /// CSR spmm at PEG-batch scale: block-diagonal-ish adjacency (~6 nnz/row)
 /// against a node-feature panel, the message-passing product of every GCN

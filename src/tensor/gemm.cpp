@@ -28,12 +28,25 @@ struct SpmmMetrics {
   obs::Counter& calls = obs::Registry::global().counter("tensor.spmm_total");
   obs::Counter& flops =
       obs::Registry::global().counter("tensor.spmm_flops_total");
+  obs::Counter& parallel_calls =
+      obs::Registry::global().counter("tensor.spmm_parallel_total");
 
   static SpmmMetrics& get() {
     static SpmmMetrics m;
     return m;
   }
 };
+
+/// The fan-out rule of both kernels: `work` multiply-adds spread over `len`
+/// output rows (or columns) split into as many equal blocks as hold at
+/// least kMinTaskWork each. Returns the block length, or 0 when that makes
+/// fewer than two blocks and the call runs on the caller's thread.
+std::size_t task_grain(std::size_t work, std::size_t len,
+                       const par::ThreadPool& pool) {
+  const std::size_t tasks = std::min(work / kMinTaskWork, len);
+  if (tasks < 2 || pool.size() <= 1) return 0;
+  return (len + tasks - 1) / tasks;
+}
 
 }  // namespace
 
@@ -54,19 +67,18 @@ void gemm(const float* a, const float* b, float* c, std::size_t m,
   const GemmArgs args{a, b, c, m, k, n, ta, tb, ep};
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
 
-  const std::size_t work = m * k * n;
-  if (work < (1u << 16) || pool.size() <= 1) {
-    be.gemm_block(args, 0, m, 0, n);
-    return;
-  }
-  metrics.parallel_calls.add(1);
   // Fan out over whichever output axis is longer: N-panels for the wide
   // activations, row ranges for the tall GNN node blocks. Either way each
   // output element belongs to exactly one task, and the backends accumulate
   // K in a block-independent order, so the split never changes the bits.
-  if (m >= n) {
-    const std::size_t grain =
-        std::max<std::size_t>(1, (1u << 16) / std::max<std::size_t>(1, k * n));
+  const bool by_rows = m >= n;
+  const std::size_t grain = task_grain(m * k * n, by_rows ? m : n, pool);
+  if (grain == 0) {
+    be.gemm_block(args, 0, m, 0, n);
+    return;
+  }
+  metrics.parallel_calls.add(1);
+  if (by_rows) {
     par::parallel_for_blocked(
         0, m,
         [&](std::size_t r0, std::size_t r1) {
@@ -75,8 +87,6 @@ void gemm(const float* a, const float* b, float* c, std::size_t m,
         },
         pool, grain);
   } else {
-    const std::size_t grain =
-        std::max<std::size_t>(1, (1u << 16) / std::max<std::size_t>(1, k * m));
     par::parallel_for_blocked(
         0, n,
         [&](std::size_t c0, std::size_t c1) {
@@ -96,17 +106,21 @@ void spmm_csr(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
     throw std::invalid_argument("spmm: fused tanh requires accumulate=false");
   }
   SpmmMetrics& metrics = SpmmMetrics::get();
+  const std::size_t work = static_cast<std::size_t>(row_ptr[rows]) * cols;
   metrics.calls.add(1);
-  metrics.flops.add(static_cast<std::uint64_t>(2) * row_ptr[rows] * cols);
+  metrics.flops.add(static_cast<std::uint64_t>(2) * work);
 
   const KernelBackend& be = backend::active();
   const SpmmArgs args{row_ptr, col_idx, vals, x, out, cols, tanh};
   if (!accumulate) std::memset(out, 0, rows * cols * sizeof(float));
-  // Each output row is written by exactly one worker, so no synchronization
-  // is needed. The grain adapts to the row width so tiny feature dims still
-  // form blocks worth shipping to the pool.
-  const std::size_t grain =
-      std::max<std::size_t>(16, 4096 / std::max<std::size_t>(1, cols));
+  // Each output row is written by exactly one task, so no synchronization
+  // is needed. The blocks hold equal row counts, of average width.
+  const std::size_t grain = task_grain(work, rows, pool);
+  if (grain == 0) {
+    be.spmm_rows(args, 0, rows);
+    return;
+  }
+  metrics.parallel_calls.add(1);
   par::parallel_for_blocked(
       0, rows,
       [&](std::size_t r0, std::size_t r1) { be.spmm_rows(args, r0, r1); },

@@ -7,6 +7,11 @@
 // par::TaskGroup fan-out — GEMM over row/N-panels, spmm over CSR row
 // ranges. An optional fused Epilogue (bias add, tanh) runs in the backend's
 // tail over the still-hot output block instead of as separate passes.
+//
+// Both drivers share one fan-out rule: a kernel goes to the pool only in
+// tasks of at least kMinTaskWork multiply-adds each, so only when its work
+// reaches two such tasks. Below that the call runs on the caller's thread,
+// which is where a serve-sized batched forward runs whole (docs/kernels.md).
 #pragma once
 
 #include <cstddef>
@@ -16,6 +21,14 @@
 #include "tensor/backend/backend.hpp"
 
 namespace mvgnn::tensor {
+
+/// The least work worth one pool task, in multiply-adds: m*k*n for a GEMM,
+/// nnz*cols for an spmm. Set from the pool's measured hop cost
+/// (`BM_GemmFanOut` in bench/abl_gemm.cpp): on a 4-core x86 box, handing a
+/// GEMM to the idle pool and joining it cost about 20 us, so a four-way
+/// split lost to the serial call up to 2^18 and tied at 2^19, while one task
+/// of 2^19 runs about 30 us on its own.
+inline constexpr std::size_t kMinTaskWork = std::size_t{1} << 19;
 
 /// C = A * B (+ epilogue). `ta`/`tb` interpret A/B as transposed (their
 /// storage shapes are then k x m / n x k respectively). A non-empty `ep`

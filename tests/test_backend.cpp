@@ -5,14 +5,18 @@
 //  * the fused bias/tanh epilogues match the unfused reference math;
 //  * the fused autograd ops gradcheck against central differences;
 //  * a fixed backend is bit-identical across repeated runs and across
-//    thread-pool sizes (the per-element fixed-K-order contract).
+//    thread-pool sizes (the per-element fixed-K-order contract);
+//  * the drivers fan out to the pool exactly when a call's work fills two
+//    tasks of tensor::kMinTaskWork.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "parallel/rng.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/backend/backend.hpp"
@@ -32,6 +36,36 @@ using tensor::SpmmArgs;
 /// Restores automatic dispatch when a test that forces a backend exits.
 struct BackendGuard {
   ~BackendGuard() { tensor::backend::force("auto"); }
+};
+
+/// Reads how many calls of a driver fanned out to the pool.
+std::uint64_t gemm_fan_outs() {
+  return obs::Registry::global().counter("gemm.parallel_calls_total").value();
+}
+std::uint64_t spmm_fan_outs() {
+  return obs::Registry::global().counter("tensor.spmm_parallel_total").value();
+}
+
+/// A raw CSR matrix of `rows` x `rows` with `deg` seeded entries per row.
+struct RawCsr {
+  std::vector<std::uint32_t> row_ptr{0}, col_idx;
+  std::vector<float> vals;
+
+  RawCsr(std::size_t rows, std::size_t deg, std::uint64_t seed) {
+    par::Rng rng(seed);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t e = 0; e < deg; ++e) {
+        col_idx.push_back(static_cast<std::uint32_t>(rng.uniform_u64(rows)));
+        vals.push_back(0.25f * static_cast<float>(rng.normal()));
+      }
+      row_ptr.push_back(static_cast<std::uint32_t>(col_idx.size()));
+    }
+  }
+  void spmm(const float* x, float* out, std::size_t cols,
+            par::ThreadPool& pool, bool tanh = false) const {
+    tensor::spmm_csr(row_ptr.data(), col_idx.data(), vals.data(),
+                     row_ptr.size() - 1, x, out, cols, false, tanh, pool);
+  }
 };
 
 std::vector<float> randu(std::size_t n, std::uint64_t seed, float scale = 0.3f) {
@@ -260,8 +294,10 @@ TEST(Backend, DriverRejectsEpilogueWithAccumulate) {
 
 TEST(Backend, FixedBackendBitIdenticalAcrossRunsAndPoolSizes) {
   // The headline determinism contract: same backend => same bits, no matter
-  // how the driver splits the work. Large enough to actually fan out.
-  const std::size_t m = 150, k = 70, n = 90;
+  // how the driver splits the work. Large enough for four tasks, and the
+  // pool-4 call asserts that it fanned out.
+  const std::size_t m = 400, k = 70, n = 90;
+  ASSERT_GE(m * k * n, 4 * tensor::kMinTaskWork);
   const std::vector<float> a = randu(m * k, 9), b = randu(k * n, 10);
   const std::vector<float> bias = randu(n, 11);
   par::ThreadPool pool1(1), pool4(4);
@@ -277,8 +313,11 @@ TEST(Backend, FixedBackendBitIdenticalAcrossRunsAndPoolSizes) {
                  ep, pool1);
     tensor::gemm(a.data(), b.data(), c2.data(), m, k, n, false, false, false,
                  ep, pool1);
+    const std::uint64_t fan_outs = gemm_fan_outs();
     tensor::gemm(a.data(), b.data(), c4.data(), m, k, n, false, false, false,
                  ep, pool4);
+    EXPECT_EQ(gemm_fan_outs() - fan_outs, 1u)
+        << be->name() << ": the pool-4 call ran serially";
     EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)))
         << be->name() << ": repeated run differs";
     EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)))
@@ -287,16 +326,11 @@ TEST(Backend, FixedBackendBitIdenticalAcrossRunsAndPoolSizes) {
 }
 
 TEST(Backend, SpmmBitIdenticalAcrossPoolSizes) {
-  const std::size_t rows = 400, cols = 33;
-  std::vector<float> dense(rows * rows, 0.0f);
-  par::Rng rng(12);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t e = 0; e < 6; ++e) {
-      dense[i * rows + rng.uniform_u64(rows)] =
-          0.25f * static_cast<float>(rng.normal());
-    }
-  }
-  const ag::CsrMatrix csr = csr_from(rows, rows, dense);
+  // 4096 rows x 8 entries x 64 cols is four tasks' work: the pool-4 call
+  // splits it into four row blocks.
+  const std::size_t rows = 4096, cols = 64;
+  const RawCsr csr(rows, 8, 12);
+  ASSERT_GE(csr.vals.size() * cols, 4 * tensor::kMinTaskWork);
   const std::vector<float> x = randu(rows * cols, 13);
   par::ThreadPool pool1(1), pool4(4);
   for (const KernelBackend* be : tensor::backend::all()) {
@@ -304,14 +338,46 @@ TEST(Backend, SpmmBitIdenticalAcrossPoolSizes) {
     BackendGuard guard;
     ASSERT_TRUE(tensor::backend::force(be->name()));
     std::vector<float> o1(rows * cols), o4(rows * cols);
-    tensor::spmm_csr(csr.row_ptr().data(), csr.col_idx().data(),
-                     csr.values().data(), rows, x.data(), o1.data(), cols,
-                     false, true, pool1);
-    tensor::spmm_csr(csr.row_ptr().data(), csr.col_idx().data(),
-                     csr.values().data(), rows, x.data(), o4.data(), cols,
-                     false, true, pool4);
+    csr.spmm(x.data(), o1.data(), cols, pool1, /*tanh=*/true);
+    const std::uint64_t fan_outs = spmm_fan_outs();
+    csr.spmm(x.data(), o4.data(), cols, pool4, /*tanh=*/true);
+    EXPECT_EQ(spmm_fan_outs() - fan_outs, 1u)
+        << be->name() << ": the pool-4 call ran serially";
     EXPECT_EQ(0, std::memcmp(o1.data(), o4.data(), o1.size() * sizeof(float)))
         << be->name() << ": pool size changed the bits";
+  }
+}
+
+TEST(Backend, FanOutNeedsTwoTasksOfMinTaskWork) {
+  // Row counts at 1x, 2x and 4x kMinTaskWork: below two tasks' work a call
+  // stays on the caller's thread, from there on it goes to the pool.
+  const auto cases = [](std::size_t rows_at_min) {
+    return std::vector<std::pair<std::size_t, bool>>{
+        {rows_at_min - 1, false},
+        {2 * rows_at_min - 1, false},
+        {2 * rows_at_min, true},
+        {4 * rows_at_min, true}};
+  };
+  par::ThreadPool pool4(4);
+  // GNN-shaped products: k = 64, n = 32.
+  const std::size_t k = 64, n = 32;
+  for (const auto& [m, fans] : cases(tensor::kMinTaskWork / (k * n))) {
+    const std::vector<float> a = randu(m * k, 14), b = randu(k * n, 15);
+    std::vector<float> c(m * n);
+    const std::uint64_t before = gemm_fan_outs();
+    tensor::gemm(a.data(), b.data(), c.data(), m, k, n, false, false, false,
+                 {}, pool4);
+    EXPECT_EQ(gemm_fan_outs() - before, fans ? 1u : 0u) << "m = " << m;
+  }
+  // spmm: work is nnz * cols, at 4 entries per row.
+  const std::size_t deg = 4, cols = 32;
+  for (const auto& [rows, fans] : cases(tensor::kMinTaskWork / (deg * cols))) {
+    const RawCsr csr(rows, deg, 16);
+    const std::vector<float> x = randu(rows * cols, 17);
+    std::vector<float> out(rows * cols);
+    const std::uint64_t before = spmm_fan_outs();
+    csr.spmm(x.data(), out.data(), cols, pool4);
+    EXPECT_EQ(spmm_fan_outs() - before, fans ? 1u : 0u) << "rows = " << rows;
   }
 }
 

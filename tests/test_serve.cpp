@@ -678,6 +678,64 @@ TEST(Serve, BatchedVerdictsMatchSoloVerdicts) {
   for (int i = 0; i < kClients; ++i) EXPECT_EQ(verdicts[i], solo_sig);
 }
 
+/// A 12-loop translation unit, the size of the benchmark's analyze
+/// requests: two loops each of map, in-place update, dot and max reduction,
+/// prefix recurrence and 3-point stencil.
+const char* kTwelveLoopUnit = R"(
+const int N = 2048;
+float kernel(float[] a, float[] b, float[] c) {
+  for (int i = 0; i < N; i += 1) { a[i] = b[i] * 0.5 + c[i]; }
+  for (int i = 0; i < N; i += 1) { b[i] = b[i] * 1.25 + 1.0; }
+  float s2 = 0.0;
+  for (int i = 0; i < N; i += 1) { s2 = s2 + a[i] * c[i]; }
+  float s3 = 0.0;
+  for (int i = 0; i < N; i += 1) { s3 = fmax(s3, b[i] * 0.75); }
+  for (int i = 1; i < N; i += 1) { c[i] = c[i - 1] + a[i] * 0.25; }
+  for (int i = 1; i < N - 1; i += 1) { a[i] = 0.3 * b[i - 1] + 0.5 * b[i] + 0.2 * b[i + 1]; }
+  for (int i = 0; i < N; i += 1) { c[i] = a[i] * 1.5 + c[i]; }
+  for (int i = 0; i < N; i += 1) { a[i] = a[i] * 0.75 + 1.0; }
+  float s8 = 0.0;
+  for (int i = 0; i < N; i += 1) { s8 = s8 + b[i] * b[i]; }
+  float s9 = 0.0;
+  for (int i = 0; i < N; i += 1) { s9 = fmax(s9, c[i] * 1.75); }
+  for (int i = 1; i < N; i += 1) { b[i] = b[i - 1] + c[i] * 0.5; }
+  for (int i = 1; i < N - 1; i += 1) { c[i] = 0.25 * a[i - 1] + 0.5 * a[i] + 0.25 * a[i + 1]; }
+  return s2 + s3 + s8 + s9;
+}
+)";
+
+TEST(Serve, FullBatchForwardStaysOnTheCallingThread) {
+  // The batcher's forward of one full flush (32 samples of 12-loop units)
+  // is below the kernels' fan-out rule in every GEMM and spmm, so it never
+  // waits on the pool that the connection threads keep busy.
+  const serve::ServingContext& ctx = env().ctx;
+  const auto model = serve::load_model(ctx, env().ckpt, 1);
+  const auto samples =
+      data::featurize_source(kTwelveLoopUnit, ctx.ds, ctx.feat_opts);
+  ASSERT_EQ(samples.size(), 12u);
+  std::vector<core::SampleInput> inputs;
+  for (const auto& s : samples) {
+    inputs.push_back(core::build_input(s, ctx.ds, ctx.norm));
+  }
+  std::vector<const core::SampleInput*> batch;
+  for (std::size_t i = 0; i < 32; ++i) batch.push_back(&inputs[i % 12]);
+
+  obs::Registry& reg = obs::Registry::global();
+  const auto read = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  const std::uint64_t gemms = read("gemm.calls_total");
+  const std::uint64_t spmms = read("tensor.spmm_total");
+  const std::uint64_t gemm_fan = read("gemm.parallel_calls_total");
+  const std::uint64_t spmm_fan = read("tensor.spmm_parallel_total");
+  const auto preds = core::predict(*model->net, batch, 32);
+  ASSERT_EQ(preds.size(), 32u);
+  EXPECT_GT(read("gemm.calls_total"), gemms);
+  EXPECT_GT(read("tensor.spmm_total"), spmms);
+  EXPECT_EQ(read("gemm.parallel_calls_total"), gemm_fan);
+  EXPECT_EQ(read("tensor.spmm_parallel_total"), spmm_fan);
+}
+
 TEST(Serve, GracefulDrainAnswersEveryInFlightRequest) {
   serve::ServerConfig cfg;
   cfg.batch_linger_ms = 30;
