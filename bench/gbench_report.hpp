@@ -13,10 +13,12 @@
 //   "<benchmark name>/<counter>"   goal=higher  every user counter, verbatim
 //
 // so tools/bench_compare can gate a microbench exactly like a wall-clock
-// bench. `--bench-out=<path>` overrides the snapshot path; it is stripped
-// before benchmark::Initialize sees the arguments (google-benchmark rejects
-// flags it does not know). All normal --benchmark_* flags still work —
-// CI uses --benchmark_filter to run a small, stable subset.
+// bench. The name leaves out google-benchmark's `/real_time` suffix: a case
+// keeps its keys whichever clock its rates are taken on. `--bench-out=<path>`
+// overrides the snapshot path; it is stripped before benchmark::Initialize
+// sees the arguments (google-benchmark rejects flags it does not know). All
+// normal --benchmark_* flags still work — CI uses --benchmark_filter to run
+// a small, stable subset.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -43,7 +45,9 @@ class ReportingConsoleReporter : public benchmark::ConsoleReporter {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      const std::string name = run.benchmark_name();
+      benchmark::BenchmarkName run_name = run.run_name;
+      run_name.time_type.clear();
+      const std::string name = run_name.str();
       // GetAdjustedRealTime is per-iteration, scaled to the run's time
       // unit (abl_fault_overhead reports milliseconds); the key is always
       // in nanoseconds.

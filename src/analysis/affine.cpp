@@ -223,18 +223,16 @@ LoopBounds derive_bounds(const ir::Function& fn, LoopId l) {
   if (term.op != Opcode::CondBr || !term.operands[0].is_reg()) return b;
   const Instruction& cmp = fn.instr(term.operands[0].reg);
   std::int64_t bound_adjust = 0;
-  bool bound_on_rhs = true;
   switch (cmp.op) {
     case Opcode::CmpLt: bound_adjust = 0; break;
     case Opcode::CmpLe: bound_adjust = 1; break;
-    case Opcode::CmpGt: bound_adjust = 0; bound_on_rhs = true; break;
+    case Opcode::CmpGt: bound_adjust = 0; break;
     case Opcode::CmpGe: bound_adjust = -1; break;
     default: return b;
   }
   if (!is_load_of_iv(cmp.operands[0])) return b;  // only `iv OP bound` shape
   const AffineExpr bound = analyze_affine(fn, l, cmp.operands[1]);
   if (!bound.affine || !bound.iv_coeffs.empty()) return b;
-  (void)bound_on_rhs;
 
   // --- init: last Store(iv, _) textually before the LoopEnter marker ----
   InstrId enter = ir::kNoInstr;

@@ -464,11 +464,10 @@ ItemFeatures featurize_compiled(const CompiledProfile& cp,
       // clean profile; the stored hand-crafted features are the degraded
       // ones (what a real profiling run would have produced).
       s.loop_features = squash(loop_feats[ls.fn][ls.loop]);
-      s.label =
-          analysis::oracle_classify(*ls.fn, ls.loop, cp.prof.dep).parallel ? 1
-                                                                           : 0;
-      s.pattern_label = static_cast<int>(
-          analysis::oracle_pattern(*ls.fn, ls.loop, cp.prof.dep));
+      const analysis::ParKind pattern =
+          analysis::oracle_pattern(*ls.fn, ls.loop, cp.prof.dep);
+      s.label = pattern != analysis::ParKind::Sequential ? 1 : 0;
+      s.pattern_label = static_cast<int>(pattern);
       s.tool_autopar = analysis::autopar_classify(*ls.fn, ls.loop).parallel;
       s.tool_pluto = analysis::pluto_classify(*ls.fn, ls.loop).parallel;
       s.tool_discopop =

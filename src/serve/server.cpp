@@ -232,7 +232,7 @@ bool Server::try_admit(std::size_t bytes) {
   // relaxed RMWs and no lock.
   const std::size_t depth = inflight_.fetch_add(1) + 1;
   const std::size_t total = inflight_bytes_.fetch_add(bytes) + bytes;
-  if (depth > cfg_.max_queue_depth || total > cfg_.max_inflight_bytes) {
+  if (depth > cfg_.max_queue_depth || total > kMaxInflightBytes) {
     inflight_.fetch_sub(1);
     inflight_bytes_.fetch_sub(bytes);
     return false;
@@ -293,7 +293,7 @@ void Server::accept_loop() {
       ::close(fd);
       continue;
     }
-    if (open_conns_.load() >= cfg_.max_connections) {
+    if (open_conns_.load() >= kMaxConnections) {
       m.shed.add();
       send_all(fd, render_error("", ErrorCode::Shed,
                                 "connection limit reached") +

@@ -143,12 +143,9 @@ struct ServerConfig {
   /// Startup checkpoint; also the default target of a bare
   /// `{"cmd":"reload"}` / SIGHUP reload.
   std::string checkpoint;
-  std::size_t max_connections = 64;
   /// Admission: queued-request cap (requests admitted but not yet answered
   /// by the batcher).
   std::size_t max_queue_depth = 128;
-  /// Admission: total source bytes admitted but not yet answered.
-  std::size_t max_inflight_bytes = 8u << 20;
   /// Per-request line cap; longer lines are answered `oversized` and the
   /// remainder of the line is discarded so the stream stays framed.
   std::size_t max_request_bytes = 1u << 20;
@@ -224,6 +221,11 @@ class Server {
   /// Reserves queue and byte budget; false = shed.
   bool try_admit(std::size_t bytes);
   void release(std::size_t bytes);
+
+  /// Open connections beyond this are answered `shed` and closed.
+  static constexpr std::size_t kMaxConnections = 64;
+  /// Admission: total source bytes admitted but not yet answered.
+  static constexpr std::size_t kMaxInflightBytes = std::size_t{8} << 20;
 
   /// Hot-program cache (LRU by program source): featurized inputs for the
   /// kProgramCacheEntries most recent distinct sources, so a repeated

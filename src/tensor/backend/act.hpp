@@ -1,11 +1,11 @@
 // Shared activation numerics for every kernel backend.
 //
-// fast_tanh lived in ops.cpp since PR 3; it moved here so the fused GEMM /
-// spmm epilogues and the elementwise ag::tanh_t op all evaluate the *same*
-// polynomial — one numerics policy (docs/kernels.md §numerics) instead of a
-// per-call-site drift. It is header-inline on purpose: each backend TU
-// compiles it with its own ISA flags, so the AVX2 TU gets the vectorized
-// form for free while the portable TU stays baseline.
+// fast_tanh is defined here so the fused spmm epilogue and the elementwise
+// ag::tanh_t op both evaluate the *same* polynomial — one numerics policy
+// (docs/kernels.md §numerics) instead of a per-call-site drift. It is
+// header-inline on purpose: each backend TU compiles it with its own ISA
+// flags, so the AVX2 TU gets the vectorized form for free while the
+// portable TU stays baseline.
 #pragma once
 
 #include <algorithm>

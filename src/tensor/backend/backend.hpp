@@ -33,15 +33,14 @@ namespace mvgnn::tensor {
 
 /// Fused tail applied to a finished output block. `bias_col` adds a length-n
 /// row vector to every row (linear-layer bias); `bias_row` adds bias_row[i]
-/// across row i (conv out-channel bias); `tanh` maps the block through
-/// fast_tanh. Only meaningful with accumulate=false — the driver enforces it.
+/// across row i (conv out-channel bias). Only meaningful with
+/// accumulate=false — the driver enforces it.
 struct Epilogue {
   const float* bias_col = nullptr;  // [n], added to every row
   const float* bias_row = nullptr;  // [m], added across each row
-  bool tanh = false;
 
   [[nodiscard]] bool empty() const {
-    return bias_col == nullptr && bias_row == nullptr && !tanh;
+    return bias_col == nullptr && bias_row == nullptr;
   }
 };
 
@@ -127,9 +126,6 @@ inline void apply_epilogue(const GemmArgs& g, std::size_t i0, std::size_t i1,
     if (g.ep.bias_row != nullptr) {
       const float bi = g.ep.bias_row[i];
       for (std::size_t j = j0; j < j1; ++j) row[j] += bi;
-    }
-    if (g.ep.tanh) {
-      for (std::size_t j = j0; j < j1; ++j) row[j] = fast_tanh(row[j]);
     }
   }
 }

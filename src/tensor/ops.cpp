@@ -87,43 +87,30 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-namespace {
-
-/// Shared body of matmul_bias / matmul_bias_tanh: C = A * op(W) + bias
-/// (+ tanh), one GEMM with the fused epilogue and exact gradients — no
-/// materialized `matmul -> add -> tanh` intermediates. `tw` interprets W as
+/// One GEMM with the fused bias epilogue and exact gradients — no
+/// materialized `matmul -> add` intermediate. `tw` interprets W as
 /// transposed ([n,k] storage), which is what the conv1-as-GEMM head wants.
-Tensor matmul_bias_impl(const Tensor& a, const Tensor& w, const Tensor& bias,
-                        bool tw, bool tanh) {
+Tensor matmul_bias(const Tensor& a, const Tensor& w, const Tensor& bias,
+                   bool tw) {
   const std::size_t m = a.rows(), k = a.cols();
   const std::size_t wk = tw ? w.cols() : w.rows();
   const std::size_t n = tw ? w.rows() : w.cols();
   if (k != wk) shape_fail("matmul_bias", a, w);
   if (bias.numel() != n) shape_fail("matmul_bias(bias)", w, bias);
-  Tensor out = make_op({m, n}, {a, w, bias}, [m, k, n, tw, tanh](Node& self) {
-    // dz = g ⊙ (1 - y²) through the fused tanh; g itself otherwise.
+  Tensor out = make_op({m, n}, {a, w, bias}, [m, k, n, tw](Node& self) {
     const float* g = self.grad.data();
-    std::vector<float> dz;
-    if (tanh) {
-      dz.resize(m * n);
-      for (std::size_t i = 0; i < dz.size(); ++i) {
-        const float y = self.value[i];
-        dz[i] = self.grad[i] * (1.0f - y * y);
-      }
-      g = dz.data();
-    }
     const float* av = self.inputs[0]->value.data();
     const float* wv = self.inputs[1]->value.data();
     if (float* ia = grad_target(self, 0)) {
-      // dA = dz * op(W)^T — with tw the stored [n,k] W *is* op(W)^T.
+      // dA = dC * op(W)^T — with tw the stored [n,k] W *is* op(W)^T.
       tensor::gemm(g, wv, ia, m, n, k, false, !tw, true);
     }
     if (float* iw = grad_target(self, 1)) {
       if (tw) {
-        // dW[n,k] = dz^T * A
+        // dW[n,k] = dC^T * A
         tensor::gemm(g, av, iw, n, m, k, true, false, true);
       } else {
-        // dW[k,n] = A^T * dz
+        // dW[k,n] = A^T * dC
         tensor::gemm(av, g, iw, k, m, n, true, false, true);
       }
     }
@@ -136,21 +123,8 @@ Tensor matmul_bias_impl(const Tensor& a, const Tensor& w, const Tensor& bias,
   });
   tensor::Epilogue ep;
   ep.bias_col = bias.data();
-  ep.tanh = tanh;
   tensor::gemm(a.data(), w.data(), out.data(), m, k, n, false, tw, false, ep);
   return out;
-}
-
-}  // namespace
-
-Tensor matmul_bias(const Tensor& a, const Tensor& w, const Tensor& bias,
-                   bool tw) {
-  return matmul_bias_impl(a, w, bias, tw, /*tanh=*/false);
-}
-
-Tensor matmul_bias_tanh(const Tensor& a, const Tensor& w, const Tensor& bias,
-                        bool tw) {
-  return matmul_bias_impl(a, w, bias, tw, /*tanh=*/true);
 }
 
 namespace {

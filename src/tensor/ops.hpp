@@ -22,10 +22,6 @@ namespace mvgnn::ag {
 /// transposed (storage [n,k]); bias is [1,n].
 [[nodiscard]] Tensor matmul_bias(const Tensor& a, const Tensor& w,
                                  const Tensor& bias, bool tw = false);
-/// tanh(A * op(W) + bias) with bias and activation both fused into the GEMM
-/// tail; backward applies the 1-y² chain before the gradient GEMMs.
-[[nodiscard]] Tensor matmul_bias_tanh(const Tensor& a, const Tensor& w,
-                                      const Tensor& bias, bool tw = false);
 [[nodiscard]] Tensor transpose(const Tensor& a);
 /// Sparse-dense product Y[m,n] = A[m,k] * X[k,n] with a parallel-for-over-
 /// rows kernel. A is a constant (adjacencies carry no gradient); the

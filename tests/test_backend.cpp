@@ -202,14 +202,12 @@ TEST(Backend, FusedEpilogueMatchesUnfusedReference) {
       std::vector<float> want = base;
       for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
-          want[i * n + j] =
-              std::tanh(want[i * n + j] + bias_col[j] + bias_row[i]);
+          want[i * n + j] += bias_col[j] + bias_row[i];
         }
       }
       Epilogue ep;
       ep.bias_col = bias_col.data();
       ep.bias_row = bias_row.data();
-      ep.tanh = true;
       std::vector<float> c(m * n, 0.0f);
       const GemmArgs args{a.data(), b.data(), c.data(), m, k, n,
                           false,    false,    ep};
@@ -219,7 +217,7 @@ TEST(Backend, FusedEpilogueMatchesUnfusedReference) {
   }
 }
 
-TEST(Backend, GemmKZeroWithEpilogueIsBiasThroughTanh) {
+TEST(Backend, GemmKZeroWithEpilogueIsBias) {
   // K=0: the product is all zeros, so the fused tail alone defines C.
   const std::size_t m = 4, n = 10;
   const std::vector<float> bias = randu(n, 7, 1.0f);
@@ -227,13 +225,12 @@ TEST(Backend, GemmKZeroWithEpilogueIsBiasThroughTanh) {
     if (!be->usable()) continue;
     Epilogue ep;
     ep.bias_col = bias.data();
-    ep.tanh = true;
     std::vector<float> c(m * n, 0.0f);
     const GemmArgs args{nullptr, nullptr, c.data(), m, 0, n, false, false, ep};
     be->gemm_block(args, 0, m, 0, n);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_NEAR(c[i * n + j], std::tanh(bias[j]), 1e-5f) << be->name();
+        ASSERT_EQ(c[i * n + j], bias[j]) << be->name();
       }
     }
   }
@@ -307,7 +304,6 @@ TEST(Backend, FixedBackendBitIdenticalAcrossRunsAndPoolSizes) {
     ASSERT_TRUE(tensor::backend::force(be->name()));
     Epilogue ep;
     ep.bias_col = bias.data();
-    ep.tanh = true;
     std::vector<float> c1(m * n), c2(m * n), c4(m * n);
     tensor::gemm(a.data(), b.data(), c1.data(), m, k, n, false, false, false,
                  ep, pool1);
@@ -435,19 +431,6 @@ TEST(Backend, MatmulBiasTransposedWeightMatchesExplicitTranspose) {
             [&] { return ag::sum(ag::matmul_bias(a, w, bias, true)); });
 }
 
-TEST(Backend, MatmulBiasTanhMatchesUnfusedChainAndGradchecks) {
-  Tensor a = make({3, 7}, 26), w = make({7, 4}, 27), bias = make({1, 4}, 28);
-  Tensor fused = ag::matmul_bias_tanh(a, w, bias);
-  Tensor ref = ag::tanh_t(ag::add(ag::matmul(a, w), bias));
-  for (std::size_t i = 0; i < ref.numel(); ++i) {
-    EXPECT_NEAR(fused.data()[i], ref.data()[i], 1e-5f);
-  }
-  gradcheck({a, w, bias},
-            [&] { return ag::sum(ag::matmul_bias_tanh(a, w, bias)); });
-  gradcheck({a, w, bias},
-            [&] { return ag::sum(ag::matmul_bias_tanh(a, w, bias)); });
-}
-
 TEST(Backend, MatmulBiasShapeMismatchThrows) {
   Tensor a = make({3, 4}, 29), w = make({5, 2}, 30), bias = make({1, 2}, 31);
   EXPECT_THROW((void)ag::matmul_bias(a, w, bias), ag::TensorError);
@@ -484,10 +467,10 @@ TEST(Backend, ForcedScalarAndActiveBackendAgreeThroughAutogradOps) {
   {
     BackendGuard guard;
     ASSERT_TRUE(tensor::backend::force("scalar"));
-    Tensor out = ag::matmul_bias_tanh(a, w, bias);
+    Tensor out = ag::matmul_bias(a, w, bias);
     forced.assign(out.data(), out.data() + out.numel());
   }
-  Tensor out = ag::matmul_bias_tanh(a, w, bias);  // auto-dispatched
+  Tensor out = ag::matmul_bias(a, w, bias);  // auto-dispatched
   for (std::size_t i = 0; i < forced.size(); ++i) {
     EXPECT_NEAR(out.data()[i], forced[i], 1e-5f);
   }

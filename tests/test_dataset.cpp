@@ -123,6 +123,24 @@ TEST(Dataset, PatternLabelsMatchExpectations) {
   EXPECT_EQ(label_of("t_k8", 0), 0);  // EarlyExit -> sequential
 }
 
+TEST(Dataset, BinaryLabelIsTheParallelPatterns) {
+  // The binary label and the 3-way pattern label come from one oracle
+  // verdict: parallel exactly when the pattern is DOALL or reduction.
+  data::DatasetOptions opts;
+  opts.seed = 5;
+  opts.walk.gamma = 8;  // keep this test fast
+  const data::Dataset ds =
+      data::build_dataset(data::build_generated_corpus(120, 5), opts);
+  ASSERT_FALSE(ds.samples.empty());
+  std::set<int> patterns;
+  for (const auto& s : ds.samples) {
+    EXPECT_EQ(s.label, s.pattern_label != 0 ? 1 : 0)
+        << s.kernel << " loop line " << s.loop_line;
+    patterns.insert(s.pattern_label);
+  }
+  EXPECT_EQ(patterns, (std::set<int>{0, 1, 2}));
+}
+
 TEST(Dataset, ToolVerdictsShowTheCharacteristicGaps) {
   const data::Dataset ds = small_dataset();
   auto find = [&](const std::string& kernel, int loop_index) {
